@@ -19,7 +19,6 @@ from .champion import (
     ChampionParams,
     ChampionReport,
     build_kernel,
-    champion_generalized,
     enumerate_pairs,
     pigeonhole_champion,
     run_champion,

@@ -1,22 +1,36 @@
 """Champion-number construction over Z.
 
-Scan pairs (m, p) with m <= x, p <= x prime and p qualifying, all chosen so
-that every n = m(p-1)/N is at most x^2 and divisible by the kernel K (the
-product of the primes up to delta*log x prime to N).  Since at most x^2/K
-such n exist, some n collects many representations, and each representation
+Pairs (m, p) have m <= x, p <= x prime and p qualifying, all chosen so that
+every n = m(p-1)/N is at most x^2 and divisible by the kernel K (the product
+of the primes up to delta*log x prime to N).  Since at most x^2/K such n
+exist, some n collects many representations, and each representation
 certifies a distinct prime divisor of gcd(Phi_N(a^n), Phi_N(b^n)).  The
-mixed-index variant gcd(Phi_M(a^n), Phi_N(b^n)) admits a pair only after a
+mixed-index variant gcd(Phi_M(a^n), Phi_N(b^n)) admits a prime only after a
 direct order verification, never on the strength of a derived criterion.
+
+The pairs are never stored: each contributing prime adds one representation
+along arithmetic progressions of slots n/K, counted in a byte histogram one
+window of slots at a time, and the champion's representations are rebuilt
+from the primes afterwards.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .arith import factorize, primes_in_range, sieve_primes
+from .arith import factorize, sieve_primes
 from .cyclotomic import eval_mod_prime
 from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
+from .residues import check_not_lth_powers, check_squares_not_forced, qualifying_primes
+
+# Slots counted per histogram window: one byte each, whatever x is.
+_WINDOW = 1 << 22
+# Largest count a histogram cell holds; a slot past it fails the run.
+_CELL_MAX = 255
+# bytes.translate table adding 1 to a cell; a cell at _CELL_MAX is never
+# incremented, so the wrap from 255 to 0 is never taken.
+_INCREMENT = bytes(range(1, 256)) + b"\x00"
 
 
 @dataclass(frozen=True)
@@ -32,8 +46,6 @@ class ChampionParams:
     curve_c: float = 1.0
 
     def __post_init__(self):
-        from .residues import check_not_lth_powers
-
         if self.a < 2 or self.b < 2:
             raise ValueError("bases a, b must be integers >= 2")
         if self.N < 1 or (self.M is not None and self.M < 1):
@@ -51,6 +63,10 @@ class ChampionParams:
                     f"for D = gcd(M, N) = {d}"
                 )
         check_not_lth_powers(self.a, self.b, factorize(self.lcm_index).primes())
+        indexed = (("a", self.a, self.index_a), ("b", self.b, self.N))
+        check_squares_not_forced(
+            self.lcm_index, [(name, v) for name, v, idx in indexed if idx % 2 == 0]
+        )
 
     @property
     def index_a(self) -> int:
@@ -89,103 +105,115 @@ def _order_dividing(u: int, p: int, divisors: tuple[int, ...]) -> int:
     raise ArithmeticError("order not found among divisors")  # unreachable
 
 
-def _scan_block_single(cfg, block) -> list[tuple[int, int]]:
-    # Qualification-based scan for the single-index run.
-    a, b, modulus, x, kernel, ells = cfg
-    lo, hi = block
+def _qualify_block(cfg, block) -> list[tuple[int, int]]:
+    # (p, w) for the primes of the block that contribute pairs.  The mixed run
+    # also needs a^(mw), b^(mw) of orders exactly M and N mod p.  Checked on
+    # the orders of a^w and b^w, which divide L: an admissible m is coprime to
+    # L, so raising to the m-th power keeps both orders, for every m or none.
+    a, b, lcm_idx, ells_a, ells_b, orders = cfg
     out = []
-    for p in primes_in_range(lo, hi):
-        if a % p == 0 or b % p == 0:
-            continue
-        if (p - 1) % modulus != 0:
-            continue
-        w = (p - 1) // modulus
-        ok = True
-        for l in ells:
-            if (p - 1) % (modulus * l) == 0:
-                ok = False
-                break
-            if pow(a, (p - 1) // l, p) == 1 or pow(b, (p - 1) // l, p) == 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        step = kernel // math.gcd(kernel, w)
-        for m in range(step, x + 1, step):
-            if math.gcd(m, modulus) == 1:
-                out.append((m, p))
-    return out
-
-
-def _scan_block_mixed(cfg, block) -> list[tuple[int, int]]:
-    # Mixed-index scan: congruence and power filters at L = lcm(M, N), then
-    # direct verification that a^n has order M and b^n has order N mod p.
-    a, b, idx_a, idx_b, lcm_idx, x, kernel, ells, primes_a, primes_b, lcm_divs = cfg
-    lo, hi = block
-    out = []
-    for p in primes_in_range(lo, hi):
-        if a % p == 0 or b % p == 0:
-            continue
-        if (p - 1) % lcm_idx != 0:
-            continue
-        ok = True
-        for l in ells:
-            if (p - 1) % (lcm_idx * l) == 0:
-                ok = False
-                break
-        if ok:
-            for l in primes_a:
-                if pow(a, (p - 1) // l, p) == 1:
-                    ok = False
-                    break
-        if ok:
-            for l in primes_b:
-                if pow(b, (p - 1) // l, p) == 1:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        w = (p - 1) // lcm_idx
-        ord_a = _order_dividing(pow(a, w, p), p, lcm_divs)
-        ord_b = _order_dividing(pow(b, w, p), p, lcm_divs)
-        step = kernel // math.gcd(kernel, w)
-        for m in range(step, x + 1, step):
-            if math.gcd(m, lcm_idx) != 1:
+    for p, w in qualifying_primes(*block, lcm_idx, a, b, ells_a, ells_b):
+        if orders is not None:
+            idx_a, idx_b, lcm_divs = orders
+            if (
+                _order_dividing(pow(a, w, p), p, lcm_divs) != idx_a
+                or _order_dividing(pow(b, w, p), p, lcm_divs) != idx_b
+            ):
                 continue
-            # order of (a^w)^m is ord_a / gcd(ord_a, m); admit only exact hits
-            if ord_a // math.gcd(ord_a, m) == idx_a and ord_b // math.gcd(ord_b, m) == idx_b:
-                out.append((m, p))
+        out.append((p, w))
     return out
+
+
+def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, int]]:
+    """(p, w = (p-1)/L) for every prime p <= x that contributes pairs, p ascending."""
+    lcm_idx = params.lcm_index
+    orders = None
+    if params.M is not None:
+        orders = (params.index_a, params.N, tuple(factorize(lcm_idx).divisors()))
+    cfg = (
+        params.a,
+        params.b,
+        lcm_idx,
+        factorize(params.index_a).primes(),
+        factorize(params.N).primes(),
+        orders,
+    )
+    blocks = split_range(2, params.x + 1, max(jobs * 4, 1))
+    primes: list[tuple[int, int]] = []
+    for chunk in pmap(partial(_qualify_block, cfg), blocks, jobs):
+        primes.extend(chunk)
+    return primes
 
 
 def enumerate_pairs(params: ChampionParams, jobs: int = 1) -> list[tuple[int, int]]:
-    """The admissible pair set, ordered by p ascending then m ascending."""
+    """The admissible pair set, ordered by p ascending then m ascending.
+
+    A contributing prime p pairs with every m <= x that is coprime to L and
+    a multiple of its step K/gcd(K, w), so that K divides n = m*w.
+    """
     lcm_idx = params.lcm_index
     kernel, _ = build_kernel(params.x, params.delta, lcm_idx)
-    ells = factorize(lcm_idx).primes()
-    if params.M is None:
-        cfg = (params.a, params.b, params.N, params.x, kernel, ells)
-        worker = partial(_scan_block_single, cfg)
-    else:
-        cfg = (
-            params.a,
-            params.b,
-            params.index_a,
-            params.N,
-            lcm_idx,
-            params.x,
-            kernel,
-            ells,
-            factorize(params.index_a).primes(),
-            factorize(params.N).primes(),
-            tuple(factorize(lcm_idx).divisors()),
-        )
-        worker = partial(_scan_block_mixed, cfg)
-    blocks = split_range(2, params.x + 1, max(jobs * 4, 1))
-    pairs: list[tuple[int, int]] = []
-    for chunk in pmap(worker, blocks, jobs):
-        pairs.extend(chunk)
+    pairs = []
+    for p, w in _contributing_primes(params, jobs):
+        step = kernel // math.gcd(kernel, w)
+        pairs.extend((m, p) for m in range(step, params.x + 1, step) if math.gcd(m, lcm_idx) == 1)
     return pairs
+
+
+def _progressions(primes, kernel: int, lcm_idx: int, x: int) -> list[tuple[int, int, int]]:
+    """The slots n/K each prime adds one representation to, as (first, stride, last).
+
+    The pairs of p are m = j*s for j <= x/s with gcd(j, L) = 1, where
+    s = K/gcd(K, w) is coprime to L; they land on the slots j*u with
+    u = w/gcd(K, w).  Each class r of j mod L is one progression.
+    """
+    classes = [r for r in range(1, lcm_idx + 1) if math.gcd(r, lcm_idx) == 1]
+    out = []
+    for _, w in primes:
+        g = math.gcd(kernel, w)
+        u, top = w // g, x // (kernel // g)
+        for r in classes:
+            if r <= top:
+                out.append((r * u, lcm_idx * u, (r + (top - r) // lcm_idx * lcm_idx) * u))
+    return out
+
+
+def _busiest_slot(progressions) -> tuple[int, int, int]:
+    """(count, slot, total): the largest slot count, the smallest slot that
+    holds it, and the number of increments made.
+
+    Counts live in a byte per slot over one window of slots at a time.  A
+    progression adds 1 to each of its slots at most once, so the window's
+    maximum rises by one exactly when the progression meets a cell holding
+    the current maximum.
+    """
+    end = max((last for _, _, last in progressions), default=-1) + 1
+    best = best_slot = total = 0
+    for lo in range(0, end, _WINDOW):
+        hi = min(lo + _WINDOW, end)
+        cells = bytearray(hi - lo)
+        top = 0
+        for first, stride, last in progressions:
+            if last < lo or first >= hi:
+                continue
+            start = first if first >= lo else first + -(-(lo - first) // stride) * stride
+            i, j = start - lo, min(last, hi - 1) - lo + 1
+            if i >= j:
+                continue
+            seg = cells[i:j:stride]
+            if top in seg:
+                if top == _CELL_MAX:
+                    slot = lo + i + seg.find(top) * stride
+                    raise ValueError(
+                        f"slot n/K = {slot} collects more than {_CELL_MAX} representations, "
+                        f"past the range of a histogram cell"
+                    )
+                top += 1
+            cells[i:j:stride] = seg.translate(_INCREMENT)
+            total += len(seg)
+        if top > best:
+            best, best_slot = top, lo + cells.find(top)
+    return best, best_slot, total
 
 
 @dataclass(frozen=True)
@@ -221,6 +249,45 @@ class ChampionReport:
         }
 
 
+def _champion_report(
+    n: int, reps, pair_count: int, kernel: int, modulus: int, x: int, curve_c: float,
+    kernel_omega: int,
+) -> ChampionReport:
+    # Re-check the champion against the pigeonhole invariants and build its report.
+    if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
+        raise VerificationError(f"champion n = {n} violates the kernel/bound/coprimality invariants")
+    slots = (x * x) // kernel
+    if slots == 0:
+        raise VerificationError("kernel exceeds x^2 yet pairs exist")
+    floor = -(-pair_count // slots)  # ceil
+    reps = sorted(reps, key=lambda mp: mp[1])
+    primes = tuple(p for _, p in reps)
+    if len(set(primes)) != len(reps):
+        raise VerificationError("a prime repeated within one representation group")
+    if len(reps) < floor:
+        raise VerificationError(
+            f"champion multiplicity {len(reps)} is below the pigeonhole floor {floor}"
+        )
+    log_bound = sum(math.log(p) for p in primes)
+    curve_value = curve_ratio = None
+    if n >= 3:
+        growth = math.log(n) / math.log(math.log(n))
+        curve_value = math.exp(curve_c * growth)
+        curve_ratio = math.log(log_bound) / growth
+    return ChampionReport(
+        n=n,
+        representations=tuple(reps),
+        distinct_primes=primes,
+        log_gcd_lower_bound=log_bound,
+        pigeonhole_floor=floor,
+        pair_count=pair_count,
+        kernel=kernel,
+        kernel_omega=kernel_omega,
+        curve_value=curve_value,
+        curve_ratio=curve_ratio,
+    )
+
+
 def pigeonhole_champion(
     pairs, kernel: int, modulus: int, x: int, curve_c: float = 1.0, kernel_omega: int = 0
 ) -> ChampionReport:
@@ -228,7 +295,9 @@ def pigeonhole_champion(
 
     Ties break to the smallest n.  All report invariants are re-checked here
     (kernel divides every n, every n <= x^2 and is coprime to the modulus,
-    multiplicity of the champion meets the pigeonhole floor).
+    multiplicity of the champion meets the pigeonhole floor).  `run_champion`
+    finds the same n from a slot histogram; this stored-pair grouping is kept
+    as its reference.
     """
     pairs = list(pairs)
     if not pairs:
@@ -242,37 +311,8 @@ def pigeonhole_champion(
     for n in groups:
         if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
             raise VerificationError(f"grouped n = {n} violates the kernel/bound/coprimality invariants")
-    slots = (x * x) // kernel
-    if slots == 0:
-        raise VerificationError("kernel exceeds x^2 yet pairs exist")
-    floor = -(-len(pairs) // slots)  # ceil
     champ_n, reps = max(groups.items(), key=lambda kv: (len(kv[1]), -kv[0]))
-    reps = sorted(reps, key=lambda mp: mp[1])
-    primes = tuple(p for _, p in reps)
-    if len(set(primes)) != len(reps):
-        raise VerificationError("a prime repeated within one representation group")
-    if len(reps) < floor:
-        raise VerificationError(
-            f"champion multiplicity {len(reps)} is below the pigeonhole floor {floor}"
-        )
-    log_bound = sum(math.log(p) for p in primes)
-    curve_value = curve_ratio = None
-    if champ_n >= 3:
-        growth = math.log(champ_n) / math.log(math.log(champ_n))
-        curve_value = math.exp(curve_c * growth)
-        curve_ratio = math.log(log_bound) / growth
-    return ChampionReport(
-        n=champ_n,
-        representations=tuple(reps),
-        distinct_primes=primes,
-        log_gcd_lower_bound=log_bound,
-        pigeonhole_floor=floor,
-        pair_count=len(pairs),
-        kernel=kernel,
-        kernel_omega=kernel_omega,
-        curve_value=curve_value,
-        curve_ratio=curve_ratio,
-    )
+    return _champion_report(champ_n, reps, len(pairs), kernel, modulus, x, curve_c, kernel_omega)
 
 
 def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionReport:
@@ -294,18 +334,29 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
 
 
 def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
-    """Full pipeline: enumerate pairs, pigeonhole, certify."""
-    lcm_idx = params.lcm_index
-    kernel, omega = build_kernel(params.x, params.delta, lcm_idx)
-    pairs = enumerate_pairs(params, jobs=jobs)
-    report = pigeonhole_champion(
-        pairs, kernel, lcm_idx, params.x, curve_c=params.curve_c, kernel_omega=omega
-    )
+    """Full pipeline: qualify primes, count slots, rebuild the champion, certify."""
+    lcm_idx, x = params.lcm_index, params.x
+    kernel, omega = build_kernel(x, params.delta, lcm_idx)
+    primes = _contributing_primes(params, jobs)
+    progressions = _progressions(primes, kernel, lcm_idx, x)
+    pair_count = sum((last - first) // stride + 1 for first, stride, last in progressions)
+    if pair_count == 0:
+        raise ValueError("cannot pigeonhole an empty pair set")
+    count, slot, increments = _busiest_slot(progressions)
+    if increments != pair_count:
+        raise VerificationError(
+            f"the slot histogram counted {increments} pairs, the progressions hold {pair_count}"
+        )
+    n = slot * kernel
+    reps = []
+    for p, w in primes:
+        if n % w == 0:
+            m = n // w
+            if m <= x and math.gcd(m, lcm_idx) == 1:
+                reps.append((m, p))
+    if len(reps) != count:
+        raise VerificationError(
+            f"champion n = {n} has {len(reps)} representations, its histogram slot counts {count}"
+        )
+    report = _champion_report(n, reps, pair_count, kernel, lcm_idx, x, params.curve_c, omega)
     return verify_champion(report, params)
-
-
-def champion_generalized(params: ChampionParams, jobs: int = 1) -> ChampionReport:
-    """Mixed-index pipeline; with M == N it reproduces the single-index run."""
-    if params.M is None:
-        params = replace(params, M=params.N)
-    return run_champion(params, jobs=jobs)

@@ -301,9 +301,8 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; keep 2 reserved for verification
         # failures and report usage problems as exit 1
         return 1 if exc.code == 2 else (exc.code or 0)
-    jobs = effective_jobs(args.jobs)
     try:
-        args.run(args, jobs)
+        args.run(args, effective_jobs(args.jobs))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

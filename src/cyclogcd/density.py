@@ -18,6 +18,7 @@ from functools import partial
 from .arith import FactoredInt, euler_phi, factorize, li, primes_in_range, sieve_primes
 from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
+from .residues import check_squares_not_forced
 
 
 def _exponent_vectors(a: FactoredInt, b: FactoredInt, l: int):
@@ -79,6 +80,8 @@ def predicted_density(modulus: int, d: int, a, b) -> DensityPrediction:
         e = dependence_exponent(fa, fb, l)
         exponents.append((l, e))
         num *= Fraction((l - 1) ** e, l**e)
+    if modulus % 2 == 0:
+        check_squares_not_forced(modulus * d, (("a", fa.value), ("b", fb.value)))
     ratio = num / euler_phi(modulus * d)
     if not 0 < ratio <= 1:
         raise VerificationError(f"density ratio {ratio} left (0, 1]")

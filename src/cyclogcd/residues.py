@@ -74,6 +74,44 @@ def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
                 )
 
 
+def check_squares_not_forced(modulus: int, bases) -> None:
+    """Reject a base whose quadratic character is fixed on p = 1 (mod modulus).
+
+    `bases` holds (name, c) for the bases tested for being squares mod p.  When
+    the discriminant of Q(sqrt c) divides the modulus, Q(sqrt c) lies in
+    Q(zeta_modulus), so c is a square mod every prime p = 1 (mod modulus) and
+    no prime can qualify.
+    """
+    for name, c in bases:
+        core = math.prod(q for q, e in factorize(c).factors.items() if e % 2)
+        disc = core if core % 4 == 1 else 4 * core
+        if core != 1 and modulus % disc == 0:
+            raise HypothesisError(
+                f"{name} = {c} is a square mod every prime p = 1 (mod {modulus}): the "
+                f"discriminant {disc} of Q(sqrt {core}) divides {modulus}, so no prime qualifies"
+            )
+
+
+def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, ells_b):
+    """Yield (p, (p-1)/modulus) for each prime p in [lo, hi) that qualifies.
+
+    p qualifies when p = 1 (mod modulus), p != 1 (mod modulus*l) for every
+    prime l | modulus, p divides neither base, a is not an l-th power mod p
+    for l in ells_a and b is not an l-th power mod p for l in ells_b.
+    """
+    ells = factorize(modulus).primes()
+    for p in primes_in_range(lo, hi):
+        if (p - 1) % modulus != 0 or a % p == 0 or b % p == 0:
+            continue
+        if any((p - 1) % (modulus * l) == 0 for l in ells):
+            continue
+        if any(pow(a, (p - 1) // l, p) == 1 for l in ells_a):
+            continue
+        if any(pow(b, (p - 1) // l, p) == 1 for l in ells_b):
+            continue
+        yield p, (p - 1) // modulus
+
+
 def qualifies_prime(p: int, modulus: int, a: int, b: int) -> QualifiedPrime:
     """Evaluate every qualifying condition of p for (modulus, a, b)."""
     if not is_prime(p):

@@ -2,18 +2,19 @@ import math
 
 import pytest
 
-from cyclogcd.arith import sieve_primes
+from cyclogcd import champion
+from cyclogcd.arith import factorize, sieve_primes
 from cyclogcd.champion import (
     ChampionParams,
     ChampionReport,
     build_kernel,
-    champion_generalized,
     enumerate_pairs,
     pigeonhole_champion,
     run_champion,
     verify_champion,
 )
 from cyclogcd.errors import HypothesisError, VerificationError
+from cyclogcd.residues import order_exact, qualifies_prime
 
 
 def test_build_kernel_examples():
@@ -141,7 +142,7 @@ def test_champion_report_invariants():
 def test_generalized_bit_identical_when_indices_agree():
     base = ChampionParams(a=2, b=3, N=2, x=300, delta=0.9)
     forced = ChampionParams(a=2, b=3, N=2, M=2, x=300, delta=0.9)
-    assert run_champion(base) == champion_generalized(forced)
+    assert run_champion(base) == run_champion(forced)
 
 
 def test_generalized_mixed_one_two():
@@ -149,7 +150,7 @@ def test_generalized_mixed_one_two():
     pairs = enumerate_pairs(params)
     assert (1, 7) in pairs            # 2^3 = 1 and 3^3 = -1 mod 7
     assert all(p % 2 == 1 for _, p in pairs)
-    report = champion_generalized(params)
+    report = run_champion(params)
     assert report.verified
     # direct meaning of the certificate: p | a^n - 1 and p | b^n + 1
     for p in report.distinct_primes:
@@ -163,7 +164,7 @@ def test_generalized_mixed_two_three():
     assert pairs, "scan should find contributing primes (499, 1051, 1579)"
     assert all(p % 6 == 1 for _, p in pairs)
     assert {p for _, p in pairs} == {499, 1051, 1579}
-    report = champion_generalized(params)
+    report = run_champion(params)
     for p in report.distinct_primes:
         # a^n has order exactly 2 and b^n has order exactly 3 mod p
         assert pow(2, report.n, p) == p - 1
@@ -192,3 +193,106 @@ def test_pair_set_lower_bound_by_radical_class():
             target = kernel // d
             count = sum(1 for m in range(1, x + 1) if math.gcd(m, radical * kernel) == target)
             assert count >= euler_phi(radical * d) * (x // (radical * kernel))
+
+
+# Small single-index and mixed cases: (a, b, N, M, x, delta).
+GRID = [
+    (2, 3, 1, None, 120, 0.5),
+    (2, 3, 2, None, 300, 0.9),
+    (2, 3, 2, None, 2000, 0.9),
+    (3, 5, 2, None, 900, 0.5),
+    (2, 5, 3, None, 1500, 0.9),
+    (3, 5, 4, None, 2500, 0.9),
+    (5, 7, 6, None, 3000, 0.9),
+    (2, 3, 2, 1, 500, 0.5),
+    (2, 5, 3, 2, 1600, 0.5),
+    (3, 5, 2, 2, 800, 0.9),
+    (2, 3, 6, 3, 3000, 0.9),
+]
+
+
+def _oracle(params):
+    # the stored pair list, grouped by pigeonhole_champion
+    kernel, omega = build_kernel(params.x, params.delta, params.lcm_index)
+    pairs = enumerate_pairs(params)
+    report = pigeonhole_champion(
+        pairs, kernel, params.lcm_index, params.x, curve_c=params.curve_c, kernel_omega=omega
+    )
+    return verify_champion(report, params), len(pairs)
+
+
+@pytest.mark.parametrize("window", [None, 7, 64])
+def test_histogram_matches_pair_list_oracle(window, monkeypatch):
+    if window is not None:
+        # many windows, so progressions and ties cross window boundaries
+        monkeypatch.setattr(champion, "_WINDOW", window)
+    for a, b, N, M, x, delta in GRID:
+        params = ChampionParams(a=a, b=b, N=N, M=M, x=x, delta=delta)
+        expected, pair_count = _oracle(params)
+        report = run_champion(params)
+        assert report == expected, (a, b, N, M, x)
+        assert report.pair_count == pair_count
+
+
+def _brute_pairs(params):
+    # the pair set from its definition, by direct order and qualification tests
+    a, b, N, M, x = params.a, params.b, params.N, params.M, params.x
+    L = params.lcm_index
+    kernel, _ = build_kernel(x, params.delta, L)
+    pairs = []
+    for p in sieve_primes(x):
+        if a % p == 0 or b % p == 0 or (p - 1) % L:
+            continue
+        if M is None:
+            if not qualifies_prime(p, N, a, b).qualified:
+                continue
+        else:
+            ells = factorize(L).primes()
+            if any((p - 1) % (L * l) == 0 for l in ells):
+                continue
+            if any(M % l == 0 and pow(a, (p - 1) // l, p) == 1 for l in ells):
+                continue
+            if any(N % l == 0 and pow(b, (p - 1) // l, p) == 1 for l in ells):
+                continue
+        for m in range(1, x + 1):
+            n = m * (p - 1) // L
+            if math.gcd(m, L) != 1 or n % kernel:
+                continue
+            if M is None or (order_exact(a, n, p, M) and order_exact(b, n, p, N)):
+                pairs.append((m, p))
+    return pairs
+
+
+def test_enumerate_pairs_matches_definition():
+    for a, b, N, M, x, delta in GRID:
+        params = ChampionParams(a=a, b=b, N=N, M=M, x=min(x, 400), delta=delta)
+        assert enumerate_pairs(params) == _brute_pairs(params), (a, b, N, M)
+
+
+def test_report_independent_of_jobs():
+    for params in (
+        ChampionParams(a=2, b=3, N=2, x=3000, delta=0.9),
+        ChampionParams(a=2, b=5, N=3, M=2, x=1600, delta=0.5),
+    ):
+        assert run_champion(params, jobs=1) == run_champion(params, jobs=2)
+
+
+def test_cell_overflow_fails_clearly(monkeypatch):
+    monkeypatch.setattr(champion, "_CELL_MAX", 2)
+    params = ChampionParams(a=2, b=3, N=2, x=2000, delta=0.9)   # champion has 7 representations
+    with pytest.raises(ValueError, match="past the range of a histogram cell"):
+        run_champion(params)
+    monkeypatch.setattr(champion, "_CELL_MAX", 7)
+    assert len(run_champion(params).representations) == 7
+
+
+def test_squares_forced_by_the_modulus_rejected():
+    # 2 is a square mod every p = 1 (mod 8), 3 mod every p = 1 (mod 12)
+    with pytest.raises(HypothesisError, match=r"a = 2 .*\(mod 8\)"):
+        ChampionParams(a=2, b=3, N=8, x=100)
+    with pytest.raises(HypothesisError, match=r"a = 3 .*\(mod 12\)"):
+        ChampionParams(a=3, b=5, N=12, x=100)
+    with pytest.raises(HypothesisError, match=r"b = 2 .*\(mod 8\)"):
+        ChampionParams(a=3, b=2, N=8, M=1, x=100)
+    # with M odd, base a is never tested for squares
+    ChampionParams(a=2, b=5, N=8, M=3, x=100)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,54 @@ def test_champion_json(capsys):
     assert doc["report"]["n"] == 63
     assert doc["report"]["distinct_primes"] == [19, 43]
     assert doc["report"]["verified"] is True
+
+
+# Reports captured from the stored-pair implementation of `champion`; the slot
+# histogram must reproduce them byte for byte.
+CHAMPION_GOLDEN = Path(__file__).parent / "data" / "champion"
+CHAMPION_CASES = {
+    "n2_x300": ["--a", "2", "--b", "3", "--N", "2", "--x", "300", "--delta", "0.9"],
+    "n2_x2000": ["--a", "2", "--b", "3", "--N", "2", "--x", "2000"],
+    "n3_x1500": ["--a", "2", "--b", "5", "--N", "3", "--x", "1500"],
+    "n1_x400": ["--a", "2", "--b", "3", "--N", "1", "--x", "400", "--delta", "0.5"],
+    "n6_x3000": ["--a", "5", "--b", "7", "--N", "6", "--x", "3000"],
+    "m1n2_x500": ["--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "500", "--delta", "0.5"],
+    "m2n3_x1600": ["--a", "2", "--b", "5", "--M", "2", "--N", "3", "--x", "1600", "--delta", "0.5"],
+    "m2n2_x800": ["--a", "3", "--b", "5", "--M", "2", "--N", "2", "--x", "800"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAMPION_CASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_champion_reports_match_golden(name, fmt, tmp_path):
+    out = tmp_path / f"{name}.{fmt}"
+    assert main(["champion", *CHAMPION_CASES[name], "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (CHAMPION_GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["champion", "--a", "2", "--b", "3", "--N", "8", "--x", "20000"], "a = 2 is a square mod every prime p = 1 (mod 8)"),
+    (["champion", "--a", "3", "--b", "5", "--N", "12", "--x", "20000"], "a = 3 is a square mod every prime p = 1 (mod 12)"),
+    (["density", "--N", "12", "--a", "3", "--b", "5", "--x", "1000000"], "a = 3 is a square mod every prime p = 1 (mod 12)"),
+])
+def test_squares_forced_by_the_modulus_exit_one(argv, named, capsys):
+    # no prime can qualify: the run is refused up front, before any scan
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_entangled_density_case_accepted(capsys):
+    # Q(sqrt 3) lies in Q(zeta_12), not Q(zeta_6): the count is twice the formula, not 0
+    code, out = run_cli(["density", "--N", "2", "--d", "3", "--a", "2", "--b", "3", "--x", "100000"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["ratio"] == "1/16"
+    assert report["count"] > 0
+
+
+def test_jobs_below_one_exit_one(capsys):
+    assert main(["delta", "--limit", "5", "--jobs", "0"]) == 1
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_delta_csv(capsys):

@@ -6,11 +6,13 @@ from cyclogcd.arith import factorize, sieve_primes
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.errors import HypothesisError
 from cyclogcd.residues import (
+    check_squares_not_forced,
     is_lth_power_mod,
     lemma_divides,
     lemma_scan,
     order_exact,
     qualifies_prime,
+    qualifying_primes,
 )
 
 
@@ -110,3 +112,27 @@ def test_constructed_n_coprimality():
             w = (p - 1) // 3
             for m in (1, 2, 4, 5):
                 assert math.gcd(m * w, 3) == 1
+
+
+def test_qualifying_primes_matches_explainer():
+    for modulus, a, b in ((1, 2, 3), (2, 2, 3), (3, 2, 5), (6, 5, 7), (4, 3, 5)):
+        ells = factorize(modulus).primes()
+        got = list(qualifying_primes(2, 3000, modulus, a, b, ells, ells))
+        want = [p for p in sieve_primes(2999)
+                if a % p and b % p and qualifies_prime(p, modulus, a, b).qualified]
+        assert got == [(p, (p - 1) // modulus) for p in want]
+
+
+def test_squares_forced_by_the_modulus():
+    # rejected exactly when every p = 1 (mod modulus) up to 5000 has c as a square
+    for modulus in (2, 4, 6, 8, 10, 12, 24, 40):
+        for c in (2, 3, 5, 6, 7, 10, 12, 18):
+            primes = [p for p in sieve_primes(5000) if p % modulus == 1 and c % p]
+            always = all(is_lth_power_mod(c, 2, p) for p in primes)
+            try:
+                check_squares_not_forced(modulus, (("a", c),))
+                rejected = False
+            except HypothesisError as exc:
+                rejected = True
+                assert f"a = {c}" in str(exc) and f"(mod {modulus})" in str(exc)
+            assert rejected == always, (modulus, c)
