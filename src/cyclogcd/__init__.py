@@ -12,7 +12,6 @@ from .arith import (
     li,
     moebius,
     mult_order,
-    powmod,
     sieve_primes,
 )
 from .champion import (

@@ -7,6 +7,7 @@ the functions are safe to call from any number of workers.
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,15 +25,19 @@ def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending (empty list for limit < 2)."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit < 2:
+    return _sieve(2, limit + 1)
+
+
+def _sieve(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi) for lo >= 2, marking multiples of the primes up to
+    sqrt(hi - 1), which come from the same sieve one level down."""
+    if hi <= lo:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * len(flags[start :: p])
-    return [i for i in range(2, limit + 1) if flags[i]]
+    flags = bytearray(b"\x01") * (hi - lo)
+    for p in _sieve(2, math.isqrt(hi - 1) + 1):
+        start = max(p * p, -(-lo // p) * p) - lo
+        flags[start::p] = bytes(len(range(start, hi - lo, p)))
+    return list(itertools.compress(range(lo, hi), flags))
 
 
 # Growing prime cache backing factorize / delta scans; extended geometrically.
@@ -52,20 +57,9 @@ def primes_up_to(limit: int) -> list[int]:
     return _prime_cache[: bisect.bisect_right(_prime_cache, limit)]
 
 
-def primes_in_range(lo: int, hi: int, base_primes: list[int] | None = None) -> list[int]:
+def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi) by segmented sieve; workers use this on their block."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
-    if base_primes is None:
-        base_primes = sieve_primes(math.isqrt(hi - 1))
-    flags = bytearray(b"\x01") * (hi - lo)
-    for p in base_primes:
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = b"\x00" * len(flags[start - lo :: p])
-    return [n for n in range(lo, hi) if flags[n - lo]]
+    return _sieve(max(lo, 2), hi)
 
 
 def is_prime(n: int) -> bool:
@@ -192,15 +186,6 @@ def euler_phi(n: int) -> int:
     for p, e in fac.factors.items():
         result *= (p - 1) * p ** (e - 1)
     return result
-
-
-def powmod(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for arbitrary-precision exponents."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exponent, modulus)
 
 
 def mult_order(a: int, p: int) -> int:

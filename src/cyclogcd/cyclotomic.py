@@ -2,7 +2,7 @@
 modulo a prime, and over polynomial rings with finite-field coefficients.
 
 Phi_N is built from the Moebius product of (x^d - 1) factors with all
-divisions performed last, each one exact (zero remainder asserted).
+divisions performed last, each one exact (zero remainder checked).
 Coefficients are arbitrary-precision: beyond index 104 they leave {-1, 0, 1}
 and grow without bound in general.
 """
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import euler_phi, factorize, moebius
+from .errors import VerificationError
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ def _divexact_by_x_pow_minus_1(coeffs: list[int], d: int) -> list[int]:
             quot[i - d] = c
             work[i] = 0
             work[i - d] += c
-    assert all(c == 0 for c in work[:d]), "inexact cyclotomic division"
+    if any(work[:d]):
+        raise VerificationError(f"inexact cyclotomic division by x^{d} - 1")
     return quot
 
 
@@ -70,8 +72,8 @@ def build_cyclotomic(index: int) -> CyclotomicPoly:
     for d in denominator_degrees:
         coeffs = _divexact_by_x_pow_minus_1(coeffs, d)
     poly = CyclotomicPoly(index, tuple(coeffs))
-    assert poly.degree == euler_phi(index)
-    assert poly.coeffs[-1] == 1
+    if poly.degree != euler_phi(index) or poly.coeffs[-1] != 1:
+        raise VerificationError(f"Phi_{index} is not monic of degree phi({index})")
     return poly
 
 

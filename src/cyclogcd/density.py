@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .arith import FactoredInt, euler_phi, factorize, li, primes_in_range, sieve_primes
+from .arith import FactoredInt, euler_phi, factorize, li
 from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
-from .residues import check_squares_not_forced
+from .residues import check_squares_not_forced, qualifying_primes
 
 
 def _exponent_vectors(a: FactoredInt, b: FactoredInt, l: int):
@@ -98,26 +98,10 @@ class DensityCheck:
 
 
 def _count_block(params, block) -> int:
-    modulus, d, a, b, ells, base_primes = params
-    lo, hi = block
-    md = modulus * d
+    modulus, d, a, b, ells = params
     count = 0
-    for p in primes_in_range(lo, hi, base_primes):
-        if (p - 1) % md != 0:
-            continue
-        ok = True
-        for l in ells:
-            if (p - 1) % (modulus * l) == 0:
-                ok = False
-                break
-            # p | a counts as "a is a power" (0 is every power), excluding p.
-            if a % p == 0 or pow(a, (p - 1) // l, p) == 1:
-                ok = False
-                break
-            if b % p == 0 or pow(b, (p - 1) // l, p) == 1:
-                ok = False
-                break
-        if ok:
+    for _, w in qualifying_primes(*block, modulus, a, b, ells, ells):
+        if w % d == 0:
             count += 1
     return count
 
@@ -128,8 +112,7 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
         raise ValueError("x must be at least 100")
     prediction = predicted_density(modulus, d, a, b)
     ells = tuple(l for l, _ in prediction.exponents)
-    base_primes = sieve_primes(math.isqrt(x))
-    params = (modulus, d, a, b, ells, base_primes)
+    params = (modulus, d, a, b, ells)
     blocks = split_range(2, x + 1, max(jobs * 4, 1))
     count = sum(pmap(partial(_count_block, params), blocks, jobs))
     expected = prediction.ratio_float * li(x)

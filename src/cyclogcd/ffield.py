@@ -348,7 +348,8 @@ def irreducible_test(f: FqPolynomial) -> bool:
 def irreducible_count(q: int, n: int) -> int:
     """Number of monic irreducible polynomials of degree n over F_q."""
     total = sum(moebius(d) * q ** (n // d) for d in factorize(n).divisors())
-    assert total % n == 0
+    if total % n:
+        raise VerificationError(f"irreducible count {total}/{n} over F_{q} is not an integer")
     return total // n
 
 
@@ -484,9 +485,9 @@ class FFConstruction:
 def ff_construction(base: FieldContext, k: int, n0: int, m: int) -> FFConstruction:
     r, t, Q = choose_params(base.q, k, n0, m)
     big = fq_context(base.p, base.e * t)
-    assert big.q == Q
-    assert math.gcd(r, m) == 1 and (r * m * n0 + 1) % base.q**k == 0
-    assert (Q - 1) % (m * r) == 0 and t >= k
+    if not (big.q == Q and math.gcd(r, m) == 1 and (r * m * n0 + 1) % base.q**k == 0
+            and (Q - 1) % (m * r) == 0 and t >= k):
+        raise VerificationError(f"construction invariants fail for r = {r}, t = {t}, Q = {Q}")
     return FFConstruction(base, big, k, n0, m, r, t, Q, embed_subfield(base, big))
 
 

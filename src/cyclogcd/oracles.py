@@ -12,7 +12,7 @@ from functools import partial
 
 from .arith import euler_phi, factorize, is_prime, primes_up_to, sieve_primes
 from .cyclotomic import build_cyclotomic, eval_int
-from .errors import HypothesisError
+from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
 
 # factor the gcd for the report only while it stays cheap
@@ -71,7 +71,8 @@ def delta_count(n: int) -> int:
         raise ValueError("n must be positive")
     by_divisors = sum(1 for d in factorize(n).divisors() if is_prime(d + 1))
     by_primes = sum(1 for p in primes_up_to(n + 1) if n % (p - 1) == 0)
-    assert by_divisors == by_primes, f"delta paths disagree at n = {n}"
+    if by_divisors != by_primes:
+        raise VerificationError(f"delta paths disagree at n = {n}")
     return by_divisors
 
 
@@ -123,7 +124,8 @@ def delta_count_range(limit: int) -> list[int]:
                 e += 1
             divs = [d * p**i for d in divs for i in range(e + 1)]
         table_a[n] = sum(1 for d in divs if prime_flags[d + 1])
-    assert table_a == table_b, "delta range paths disagree"
+    if table_a != table_b:
+        raise VerificationError("delta range paths disagree")
     return table_a
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .arith import factorize, is_prime, mult_order, primes_in_range
+from .arith import factorize, is_prime, primes_in_range
 from .cyclotomic import build_cyclotomic, eval_mod_prime
 from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
@@ -97,19 +97,26 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
 
     p qualifies when p = 1 (mod modulus), p != 1 (mod modulus*l) for every
     prime l | modulus, p divides neither base, a is not an l-th power mod p
-    for l in ells_a and b is not an l-th power mod p for l in ells_b.
+    for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
+    is the one statement of the conditions that champion, density and the
+    lemma scan share; `qualifies_prime` restates them independently.
     """
     ells = factorize(modulus).primes()
+    # smallest l first: a test with l rejects about 1/l of the primes
+    powers = sorted([(a, l) for l in ells_a] + [(b, l) for l in ells_b], key=lambda t: t[1])
     for p in primes_in_range(lo, hi):
-        if (p - 1) % modulus != 0 or a % p == 0 or b % p == 0:
+        w, r = divmod(p - 1, modulus)
+        if r or a % p == 0 or b % p == 0:
             continue
-        if any((p - 1) % (modulus * l) == 0 for l in ells):
-            continue
-        if any(pow(a, (p - 1) // l, p) == 1 for l in ells_a):
-            continue
-        if any(pow(b, (p - 1) // l, p) == 1 for l in ells_b):
-            continue
-        yield p, (p - 1) // modulus
+        for l in ells:
+            if w % l == 0:
+                break
+        else:
+            for c, l in powers:
+                if pow(c, (p - 1) // l, p) == 1:
+                    break
+            else:
+                yield p, w
 
 
 def qualifies_prime(p: int, modulus: int, a: int, b: int) -> QualifiedPrime:
@@ -176,11 +183,6 @@ def order_exact(a: int, n: int, p: int, target: int) -> bool:
     return True
 
 
-def order_of_power(a: int, n: int, p: int) -> int:
-    """Multiplicative order of a**n mod p (helper for scans and tests)."""
-    return mult_order(pow(a, n, p), p)
-
-
 @dataclass(frozen=True)
 class LemmaScanResult:
     modulus: int
@@ -195,23 +197,9 @@ class LemmaScanResult:
 
 def _lemma_scan_block(cfg, block) -> tuple[int, int]:
     a, b, modulus, m_max, ells, coeffs = cfg
-    lo, hi = block
     qualified = checked = 0
-    for p in primes_in_range(lo, hi):
-        if a % p == 0 or b % p == 0 or (p - 1) % modulus != 0:
-            continue
-        ok = True
-        for l in ells:
-            if (p - 1) % (modulus * l) == 0:
-                ok = False
-                break
-            if pow(a, (p - 1) // l, p) == 1 or pow(b, (p - 1) // l, p) == 1:
-                ok = False
-                break
-        if not ok:
-            continue
+    for p, w in qualifying_primes(*block, modulus, a, b, ells, ells):
         qualified += 1
-        w = (p - 1) // modulus
         reduced = [c % p for c in coeffs]
         for base in (a, b):
             u = pow(base, w, p)
@@ -240,6 +228,8 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     """
     ells = factorize(modulus).primes()
     check_not_lth_powers(a, b, ells)
+    if modulus % 2 == 0:
+        check_squares_not_forced(modulus, (("a", a), ("b", b)))
     cfg = (a, b, modulus, m_max, ells, build_cyclotomic(modulus).coeffs)
     blocks = split_range(2, p_max + 1, max(jobs * 4, 1))
     qualified = checked = 0

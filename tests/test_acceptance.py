@@ -15,6 +15,7 @@ from cyclogcd.champion import ChampionParams, build_kernel, run_champion
 from cyclogcd.cli import main
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.density import empirical_density, group_complement_count, predicted_density
+from cyclogcd.errors import HypothesisError
 from cyclogcd.ffield import (
     FqPolynomial,
     ff_construction,
@@ -28,6 +29,10 @@ from cyclogcd.residues import lemma_scan
 
 BASES = (2, 3, 5, 6, 7, 10)
 
+# modulus -> the base c whose quadratic field Q(sqrt c) lies in Q(zeta_modulus):
+# c is a square mod every p = 1 (mod modulus), so no prime can qualify
+SQUARE_FORCED = {8: 2, 10: 5, 12: 3}
+
 
 def _ok(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS — {detail}")
@@ -37,17 +42,25 @@ def test_criterion_1_lemma_exhaustivity():
     start = time.perf_counter()
     cases = 0
     qualified = 0
+    refused = 0
     for modulus in range(1, 13):
         for a in BASES:
             for b in BASES:
+                if SQUARE_FORCED.get(modulus) in (a, b):
+                    with pytest.raises(HypothesisError, match="is a square mod every prime"):
+                        lemma_scan(modulus, a, b, 20000, 20, jobs=1)
+                    refused += 1
+                    continue
                 result = lemma_scan(modulus, a, b, 20000, 20, jobs=1)
                 assert result.failures == 0
                 cases += result.cases_checked
                 qualified += result.qualified_primes
     elapsed = time.perf_counter() - start
+    assert refused == 33
     assert cases > 10**6
     assert elapsed < 60.0, f"lemma exhaustivity took {elapsed:.1f}s"
-    _ok(1, f"{cases} divisibility cases over N <= 12, p <= 20000, zero failures, {elapsed:.1f}s")
+    _ok(1, f"{cases} divisibility cases over N <= 12, p <= 20000, zero failures, "
+           f"{refused} square-forced triples refused, {elapsed:.1f}s")
 
 
 def test_criterion_2_champion_pipeline():

@@ -10,10 +10,10 @@ from cyclogcd.arith import (
     li,
     moebius,
     mult_order,
-    powmod,
     primes_in_range,
     sieve_primes,
 )
+from cyclogcd.parallel import split_range
 
 
 def trial_division_primes(limit):
@@ -34,14 +34,36 @@ def test_sieve_examples():
 
 
 def test_sieve_matches_trial_division():
-    assert sieve_primes(2000) == trial_division_primes(2000)
+    oracle = trial_division_primes(2000)
+    assert sieve_primes(2000) == oracle
+    for limit in (0, 1, 2, 3, 4, 24, 25, 26, 48, 49, 50, 121, 1369, 1681):
+        assert sieve_primes(limit) == [p for p in oracle if p <= limit], limit
+    with pytest.raises(ValueError):
+        sieve_primes(-1)
 
 
 def test_primes_in_range_segmented():
-    base = sieve_primes(100)
-    assert primes_in_range(2, 101, base) == base
+    assert primes_in_range(2, 101) == sieve_primes(100)
     assert primes_in_range(90, 114) == [97, 101, 103, 107, 109, 113]
     assert primes_in_range(50, 50) == []
+
+
+def test_primes_in_range_matches_trial_division():
+    oracle = trial_division_primes(20000)
+
+    def want(lo, hi):
+        return [p for p in oracle if lo <= p < hi]
+
+    ranges = [(0, 100), (1, 100), (2, 100), (0, 3), (1, 2), (2, 3), (3, 4),
+              (100, 121), (100, 122), (120, 169), (168, 170), (169, 170), (10000, 10201),
+              (10201, 10202), (7, 7), (50, 40), (5, 0)]
+    for lo, hi in ranges:
+        assert primes_in_range(lo, hi) == want(lo, hi), (lo, hi)
+    for pieces in (1, 3, 4, 8, 37):
+        blocks = split_range(2, 20000, pieces)
+        for lo, hi in blocks:
+            assert primes_in_range(lo, hi) == want(lo, hi), (lo, hi)
+        assert [p for lo, hi in blocks for p in primes_in_range(lo, hi)] == oracle
 
 
 def test_factorize_examples():
@@ -99,17 +121,6 @@ def test_divisor_sum_identities():
         divs = factorize(n).divisors()
         assert sum(moebius(d) for d in divs) == (1 if n == 1 else 0)
         assert sum(euler_phi(d) for d in divs) == n
-
-
-def test_powmod():
-    assert powmod(2, 0, 7) == 1
-    assert powmod(2, 6, 7) == 1
-    assert powmod(3, 3, 7) == 6
-    assert powmod(2, 10**30, 9973) == pow(2, 10**30, 9973)
-    with pytest.raises(ValueError):
-        powmod(2, 3, 1)
-    with pytest.raises(ValueError):
-        powmod(2, -1, 7)
 
 
 def test_mult_order_examples():

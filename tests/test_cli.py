@@ -98,10 +98,63 @@ def test_champion_reports_match_golden(name, fmt, tmp_path):
     assert out.read_bytes() == (CHAMPION_GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+# Reports captured before density and verify-lemma moved onto the shared
+# qualifying-prime generator; the move must reproduce them byte for byte.
+DENSITY_GOLDEN = Path(__file__).parent / "data" / "density"
+DENSITY_CASES = {
+    "n2_d1": ["--N", "2", "--d", "1", "--a", "2", "--b", "3"],
+    "n2_d5": ["--N", "2", "--d", "5", "--a", "2", "--b", "3"],
+    "n3_d1": ["--N", "3", "--d", "1", "--a", "2", "--b", "5"],
+    "n3_d5": ["--N", "3", "--d", "5", "--a", "2", "--b", "5"],
+    "n6_d1": ["--N", "6", "--d", "1", "--a", "2", "--b", "7"],
+    "n6_d5": ["--N", "6", "--d", "5", "--a", "2", "--b", "7"],
+    "n12_d1": ["--N", "12", "--d", "1", "--a", "7", "--b", "11"],
+    "n12_d5": ["--N", "12", "--d", "5", "--a", "7", "--b", "11"],
+}
+LEMMA_GOLDEN = Path(__file__).parent / "data" / "lemma"
+LEMMA_CASES = {
+    "n1": ["--N", "1", "--a", "2", "--b", "3"],
+    "n2": ["--N", "2", "--a", "3", "--b", "5"],
+    "n3": ["--N", "3", "--a", "2", "--b", "5"],
+    "n6": ["--N", "6", "--a", "5", "--b", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_CASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_density_reports_match_golden(name, fmt, tmp_path):
+    out = tmp_path / f"{name}.{fmt}"
+    argv = ["density", *DENSITY_CASES[name], "--x", "50000", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DENSITY_GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_CASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_lemma_reports_match_golden(name, fmt, tmp_path):
+    out = tmp_path / f"{name}.{fmt}"
+    argv = ["verify-lemma", *LEMMA_CASES[name], "--p-max", "5000", "--m-max", "10",
+            "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (LEMMA_GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_verify_lemma_jobs_one_and_two_agree(tmp_path):
+    for name, args in LEMMA_CASES.items():
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{name}-{jobs}.json"
+            argv = ["verify-lemma", *args, "--p-max", "20000", "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name
+
+
 @pytest.mark.parametrize("argv, named", [
     (["champion", "--a", "2", "--b", "3", "--N", "8", "--x", "20000"], "a = 2 is a square mod every prime p = 1 (mod 8)"),
     (["champion", "--a", "3", "--b", "5", "--N", "12", "--x", "20000"], "a = 3 is a square mod every prime p = 1 (mod 12)"),
     (["density", "--N", "12", "--a", "3", "--b", "5", "--x", "1000000"], "a = 3 is a square mod every prime p = 1 (mod 12)"),
+    (["verify-lemma", "--N", "8", "--a", "2", "--b", "3", "--p-max", "100000"], "a = 2 is a square mod every prime p = 1 (mod 8)"),
 ])
 def test_squares_forced_by_the_modulus_exit_one(argv, named, capsys):
     # no prime can qualify: the run is refused up front, before any scan

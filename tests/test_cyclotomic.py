@@ -1,7 +1,14 @@
 import pytest
 
 from cyclogcd.arith import euler_phi, mult_order, sieve_primes
-from cyclogcd.cyclotomic import build_cyclotomic, eval_int, eval_mod_prime, eval_poly_fq
+from cyclogcd.cyclotomic import (
+    _divexact_by_x_pow_minus_1,
+    build_cyclotomic,
+    eval_int,
+    eval_mod_prime,
+    eval_poly_fq,
+)
+from cyclogcd.errors import VerificationError
 from cyclogcd.ffield import FqPolynomial, fq_context
 
 
@@ -111,3 +118,10 @@ def test_eval_poly_fq_degree():
         for coeffs in ((0, 1), (1, 2, 1), (3, 0, 0, 1)):
             a = FqPolynomial.of(f5, coeffs)
             assert eval_poly_fq(m, a).degree == euler_phi(m) * a.degree
+
+
+def test_inexact_division_is_a_verification_error():
+    # x^2 = (x + 1)(x - 1) + 1: the remainder must fail the certificate even under -O
+    assert _divexact_by_x_pow_minus_1([-1, 0, 1], 1) == [1, 1]
+    with pytest.raises(VerificationError, match="inexact cyclotomic division"):
+        _divexact_by_x_pow_minus_1([0, 0, 1], 1)

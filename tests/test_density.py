@@ -55,17 +55,17 @@ def test_predicted_density_hypotheses():
 def brute_count(x, modulus, d, a, b, ells):
     count = 0
     for p in sieve_primes(x):
-        if (p - 1) % (modulus * d):
+        if (p - 1) % (modulus * d) or a % p == 0 or b % p == 0:
             continue
         ok = True
         for l in ells:
             if (p - 1) % (modulus * l) == 0:
                 ok = False
                 break
-            if a % p == 0 or pow(a, (p - 1) // l, p) == 1:
+            if pow(a, (p - 1) // l, p) == 1:
                 ok = False
                 break
-            if b % p == 0 or pow(b, (p - 1) // l, p) == 1:
+            if pow(b, (p - 1) // l, p) == 1:
                 ok = False
                 break
         if ok:
@@ -81,7 +81,7 @@ def test_empirical_density_matches_brute_force():
 
 def test_empirical_density_no_conditions_for_index_one():
     check = empirical_density(1000, 1, 1, 2, 3)
-    assert check.count == 168          # pi(1000); p | ab is not excluded when N = 1
+    assert check.count == 166          # pi(1000) without 2 and 3: p | ab never counts
     assert check.expected == pytest.approx(li(1000), rel=1e-9)
 
 
