@@ -11,6 +11,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .errors import VerificationError
+
 # Trial division handles everything up to this bound; Pollard rho takes the
 # (rare) larger cofactors.  Inputs in this project stay far below 64 bits.
 _TRIAL_LIMIT = 10**6
@@ -138,7 +140,7 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for our input sizes
+    raise VerificationError(f"rho failed on {n}")  # unreachable for our input sizes
 
 
 def factorize(n: int) -> FactoredInt:

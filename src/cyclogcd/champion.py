@@ -15,7 +15,7 @@ from the primes afterwards.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 from .arith import factorize, sieve_primes
@@ -43,7 +43,6 @@ class ChampionParams:
     x: int
     delta: float = 0.9
     M: int | None = None  # None: single index N; set: mixed (M, N) run
-    curve_c: float = 1.0
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
@@ -102,7 +101,7 @@ def _order_dividing(u: int, p: int, divisors: tuple[int, ...]) -> int:
     for d in divisors:
         if pow(u, d, p) == 1:
             return d
-    raise ArithmeticError("order not found among divisors")  # unreachable
+    raise VerificationError(f"the order of {u} mod {p} divides none of {divisors}")
 
 
 def _qualify_block(cfg, block) -> list[tuple[int, int]]:
@@ -233,25 +232,11 @@ class ChampionReport:
     verified: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "representation_count": len(self.representations),
-            "representations": [list(mp) for mp in self.representations],
-            "distinct_primes": list(self.distinct_primes),
-            "log_gcd_lower_bound": self.log_gcd_lower_bound,
-            "pigeonhole_floor": self.pigeonhole_floor,
-            "pair_count": self.pair_count,
-            "kernel": self.kernel,
-            "kernel_omega": self.kernel_omega,
-            "curve_value": self.curve_value,
-            "curve_ratio": self.curve_ratio,
-            "verified": self.verified,
-        }
+        return {**asdict(self), "representation_count": len(self.representations)}
 
 
 def _champion_report(
-    n: int, reps, pair_count: int, kernel: int, modulus: int, x: int, curve_c: float,
-    kernel_omega: int,
+    n: int, reps, pair_count: int, kernel: int, modulus: int, x: int, kernel_omega: int
 ) -> ChampionReport:
     # Re-check the champion against the pigeonhole invariants and build its report.
     if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
@@ -272,7 +257,7 @@ def _champion_report(
     curve_value = curve_ratio = None
     if n >= 3:
         growth = math.log(n) / math.log(math.log(n))
-        curve_value = math.exp(curve_c * growth)
+        curve_value = math.exp(growth)
         curve_ratio = math.log(log_bound) / growth
     return ChampionReport(
         n=n,
@@ -289,7 +274,7 @@ def _champion_report(
 
 
 def pigeonhole_champion(
-    pairs, kernel: int, modulus: int, x: int, curve_c: float = 1.0, kernel_omega: int = 0
+    pairs, kernel: int, modulus: int, x: int, kernel_omega: int = 0
 ) -> ChampionReport:
     """Group pairs by n = m(p-1)/modulus and pick the most-represented n.
 
@@ -312,7 +297,7 @@ def pigeonhole_champion(
         if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
             raise VerificationError(f"grouped n = {n} violates the kernel/bound/coprimality invariants")
     champ_n, reps = max(groups.items(), key=lambda kv: (len(kv[1]), -kv[0]))
-    return _champion_report(champ_n, reps, len(pairs), kernel, modulus, x, curve_c, kernel_omega)
+    return _champion_report(champ_n, reps, len(pairs), kernel, modulus, x, kernel_omega)
 
 
 def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionReport:
@@ -358,5 +343,5 @@ def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
         raise VerificationError(
             f"champion n = {n} has {len(reps)} representations, its histogram slot counts {count}"
         )
-    report = _champion_report(n, reps, pair_count, kernel, lcm_idx, x, params.curve_c, omega)
+    report = _champion_report(n, reps, pair_count, kernel, lcm_idx, x, omega)
     return verify_champion(report, params)

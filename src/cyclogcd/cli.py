@@ -3,9 +3,11 @@
 One subcommand per experiment; every run validates its hypotheses up front,
 emits exactly one JSON or CSV report embedding the full configuration and
 library version, and exits 0 on success, 1 on a hypothesis/usage error, or
-2 when an internal certificate check fails (which should never happen and
-must never be silent).
+2 when an internal certificate or invariant check fails (which should never
+happen and must never be silent).
 
+Each subcommand returns its report, the CSV columns and the rows they are
+read from; `_emit` derives the configuration echo and the CSV from those.
 Reports are byte-identical for identical configurations regardless of the
 parallelism width (CYCLOGCD_JOBS overrides --jobs).
 """
@@ -49,7 +51,18 @@ def _field_from_size(q: int) -> FieldContext:
     return fq_context(p, e)
 
 
-def _emit(args, config: dict, report: dict, csv_header, csv_rows) -> None:
+def _cell(value):
+    # a list cell (distinct primes) is one ';'-joined cell; csv.writer renders the rest
+    return ";".join(map(str, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _emit(args, report: dict, columns: list[str], rows: list[dict]) -> None:
+    """Write one report with the configuration it was computed from.
+
+    The configuration is every option but --jobs and --out, which cannot
+    change the report; a CSV row holds the `columns` of one of `rows`.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("jobs", "out", "run")}
     if args.format == "json":
         doc = {"config": config, "report": report, "version": __version__}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -58,8 +71,8 @@ def _emit(args, config: dict, report: dict, csv_header, csv_rows) -> None:
         buf.write(f"# version={__version__}\n")
         buf.write(f"# config={json.dumps(config, sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -68,92 +81,60 @@ def _emit(args, config: dict, report: dict, csv_header, csv_rows) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gcd_seq(args, jobs) -> None:
-    idx_a = args.M if args.M is not None else args.N
-    config = {
-        "subcommand": "gcd-seq", "a": args.a, "b": args.b, "M": idx_a, "N": args.N,
-        "n_max": args.n_max, "format": args.format,
-    }
-    rows = gcd_seq_exact(args.a, args.b, idx_a, args.N, args.n_max, jobs=jobs)
-    report = {
-        "rows": [
-            {"n": r.n, "gcd": r.gcd_value, "log_gcd": r.log_gcd,
-             "distinct_prime_count": r.distinct_prime_count}
-            for r in rows
-        ]
-    }
-    csv_rows = [[r.n, r.gcd_value, repr(r.log_gcd), r.distinct_prime_count] for r in rows]
-    _emit(args, config, report, ["n", "gcd", "log_gcd", "distinct_prime_count"], csv_rows)
+def _cmd_gcd_seq(args, jobs):
+    if args.M is None:
+        args.M = args.N  # the configuration echoes the resolved index
+    rows = [
+        {"n": r.n, "gcd": r.gcd_value, "log_gcd": r.log_gcd,
+         "distinct_prime_count": r.distinct_prime_count}
+        for r in gcd_seq_exact(args.a, args.b, args.M, args.N, args.n_max, jobs=jobs)
+    ]
+    return {"rows": rows}, ["n", "gcd", "log_gcd", "distinct_prime_count"], rows
 
 
-def _cmd_champion(args, jobs) -> None:
-    config = {
-        "subcommand": "champion", "a": args.a, "b": args.b, "N": args.N, "M": args.M,
-        "x": args.x, "delta": args.delta, "format": args.format,
-    }
+def _cmd_champion(args, jobs):
     params = ChampionParams(a=args.a, b=args.b, N=args.N, x=args.x, delta=args.delta, M=args.M)
     report = run_champion(params, jobs=jobs).to_dict()
-    header = [
+    columns = [
         "n", "representation_count", "distinct_primes", "log_gcd_lower_bound",
         "pigeonhole_floor", "pair_count", "kernel", "kernel_omega",
         "curve_value", "curve_ratio", "verified",
     ]
-    row = [
-        report["n"], report["representation_count"],
-        ";".join(str(p) for p in report["distinct_primes"]),
-        repr(report["log_gcd_lower_bound"]), report["pigeonhole_floor"],
-        report["pair_count"], report["kernel"], report["kernel_omega"],
-        repr(report["curve_value"]), repr(report["curve_ratio"]), report["verified"],
-    ]
-    _emit(args, config, report, header, [row])
+    # these two cells have always read None for a null (n < 3), not empty
+    row = {**report, "curve_value": repr(report["curve_value"]),
+           "curve_ratio": repr(report["curve_ratio"])}
+    return report, columns, [row]
 
 
-def _cmd_density(args, jobs) -> None:
-    config = {
-        "subcommand": "density", "N": args.N, "d": args.d, "a": args.a, "b": args.b,
-        "x": args.x, "format": args.format,
-    }
+def _cmd_density(args, jobs):
     check = empirical_density(args.x, args.N, args.d, args.a, args.b, jobs=jobs)
     ratio = check.prediction.ratio
     report = {
         "N": args.N, "d": args.d, "x": args.x,
-        "exponents": [[l, e] for l, e in check.prediction.exponents],
+        "exponents": check.prediction.exponents,
         "ratio": f"{ratio.numerator}/{ratio.denominator}",
         "ratio_decimal": float(ratio),
         "count": check.count,
         "expected": check.expected,
         "relative_error": check.relative_error,
     }
-    header = ["N", "d", "ratio", "ratio_decimal", "count", "expected", "relative_error"]
-    row = [args.N, args.d, report["ratio"], repr(report["ratio_decimal"]),
-           check.count, repr(check.expected), repr(check.relative_error)]
-    _emit(args, config, report, header, [row])
+    columns = ["N", "d", "ratio", "ratio_decimal", "count", "expected", "relative_error"]
+    return report, columns, [report]
 
 
-def _cmd_delta(args, jobs) -> None:
-    config = {
-        "subcommand": "delta", "limit": args.limit, "squarefree": args.squarefree,
-        "format": args.format,
-    }
+def _cmd_delta(args, jobs):
     counts = delta_count_range(args.limit)
+    rows = [{"n": n, "delta": counts[n]} for n in range(1, args.limit + 1)]
+    columns = ["n", "delta"]
     if args.squarefree:
         sf = delta_squarefree_range(args.limit)
-        rows = [{"n": n, "delta": counts[n], "delta_squarefree": sf[n]}
-                for n in range(1, args.limit + 1)]
-        header = ["n", "delta", "delta_squarefree"]
-        csv_rows = [[r["n"], r["delta"], r["delta_squarefree"]] for r in rows]
-    else:
-        rows = [{"n": n, "delta": counts[n]} for n in range(1, args.limit + 1)]
-        header = ["n", "delta"]
-        csv_rows = [[r["n"], r["delta"]] for r in rows]
-    _emit(args, config, {"rows": rows}, header, csv_rows)
+        for row in rows:
+            row["delta_squarefree"] = sf[row["n"]]
+        columns.append("delta_squarefree")
+    return {"rows": rows}, columns, rows
 
 
-def _cmd_verify_lemma(args, jobs) -> None:
-    config = {
-        "subcommand": "verify-lemma", "N": args.N, "a": args.a, "b": args.b,
-        "p_max": args.p_max, "m_max": args.m_max, "format": args.format,
-    }
+def _cmd_verify_lemma(args, jobs):
     result = lemma_scan(args.N, args.a, args.b, args.p_max, args.m_max, jobs=jobs)
     report = {
         "N": result.modulus, "a": result.a, "b": result.b,
@@ -163,21 +144,12 @@ def _cmd_verify_lemma(args, jobs) -> None:
         "failures": result.failures,
         "all_verified": result.failures == 0,
     }
-    header = ["N", "a", "b", "p_max", "m_max", "qualified_primes", "cases_checked", "failures"]
-    row = [result.modulus, result.a, result.b, result.p_max, result.m_max,
-           result.qualified_primes, result.cases_checked, result.failures]
-    _emit(args, config, report, header, [row])
+    columns = ["N", "a", "b", "p_max", "m_max", "qualified_primes", "cases_checked", "failures"]
+    return report, columns, [report]
 
 
-def _ff_common(args, jobs, verify: bool) -> None:
-    name = "ff-verify" if verify else "ff"
-    config = {
-        "subcommand": name, "q": args.q, "k": args.k, "n0": args.n0, "m": args.m,
-        "a_poly": args.a_poly, "b_poly": args.b_poly, "deg_max": args.deg_max,
-        "format": args.format,
-    }
-    if verify:
-        config["n_cap"] = args.n_cap
+def _cmd_ff(args, jobs):
+    verify = args.subcommand == "ff-verify"
     base = _field_from_size(args.q)
     a = parse_poly(args.a_poly, base)
     b = parse_poly(args.b_poly, base)
@@ -195,18 +167,10 @@ def _ff_common(args, jobs, verify: bool) -> None:
             entry.update(deg_gcd=res.deg_gcd, certified_bound=res.certified_bound,
                          ratio_to_n=res.ratio_to_n, verified=True)
         per_n.append(entry)
-    report = {"r": constr.r, "t": constr.t, "Q": constr.Q, "per_N": per_n}
-    header = ["N", "n", "pi_count", "predicted", "predicted_alt", "total_irreducible"]
+    columns = ["N", "n", "pi_count", "predicted", "predicted_alt", "total_irreducible"]
     if verify:
-        header += ["deg_gcd", "certified_bound", "ratio_to_n"]
-    csv_rows = []
-    for e in per_n:
-        row = [e["N"], e["n"], e["pi_count"], repr(e["predicted"]),
-               repr(e["predicted_alt"]), e["total_irreducible"]]
-        if verify:
-            row += [e["deg_gcd"], e["certified_bound"], repr(e["ratio_to_n"])]
-        csv_rows.append(row)
-    _emit(args, config, report, header, csv_rows)
+        columns += ["deg_gcd", "certified_bound", "ratio_to_n"]
+    return {"r": constr.r, "t": constr.t, "Q": constr.Q, "per_N": per_n}, columns, per_n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,29 +230,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_cmd_verify_lemma)
 
-    p = sub.add_parser("ff", help="function-field qualifying-pi scan")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a-poly", dest="a_poly", required=True,
-                   help="coefficients, constant first, e.g. '0,1' for T")
-    p.add_argument("--b-poly", dest="b_poly", required=True)
-    p.add_argument("--deg-max", dest="deg_max", type=int, required=True)
-    common(p)
-    p.set_defaults(run=lambda a, j: _ff_common(a, j, verify=False))
-
-    p = sub.add_parser("ff-verify", help="scan plus exact gcd degree certification")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a-poly", dest="a_poly", required=True)
-    p.add_argument("--b-poly", dest="b_poly", required=True)
-    p.add_argument("--deg-max", dest="deg_max", type=int, required=True)
-    p.add_argument("--n-cap", dest="n_cap", type=int, default=5000)
-    common(p)
-    p.set_defaults(run=lambda a, j: _ff_common(a, j, verify=True))
+    for name, text in (("ff", "function-field qualifying-pi scan"),
+                       ("ff-verify", "scan plus exact gcd degree certification")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n0", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--a-poly", dest="a_poly", required=True,
+                       help="coefficients, constant first, e.g. '0,1' for T")
+        p.add_argument("--b-poly", dest="b_poly", required=True)
+        p.add_argument("--deg-max", dest="deg_max", type=int, required=True)
+        if name == "ff-verify":
+            p.add_argument("--n-cap", dest="n_cap", type=int, default=5000)
+        common(p)
+        p.set_defaults(run=_cmd_ff)
 
     return parser
 
@@ -302,7 +258,7 @@ def main(argv=None) -> int:
         # failures and report usage problems as exit 1
         return 1 if exc.code == 2 else (exc.code or 0)
     try:
-        args.run(args, effective_jobs(args.jobs))
+        _emit(args, *args.run(args, effective_jobs(args.jobs)))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

@@ -99,11 +99,7 @@ class DensityCheck:
 
 def _count_block(params, block) -> int:
     modulus, d, a, b, ells = params
-    count = 0
-    for _, w in qualifying_primes(*block, modulus, a, b, ells, ells):
-        if w % d == 0:
-            count += 1
-    return count
+    return sum(1 for _ in qualifying_primes(*block, modulus, a, b, ells, ells, d))
 
 
 def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 1) -> DensityCheck:

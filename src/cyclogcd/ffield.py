@@ -148,7 +148,7 @@ def _least_irreducible_modulus(p: int, e: int) -> tuple[int, ...]:
         f = FqPolynomial.of(base, low + (1,))
         if irreducible_test(f):
             return low + (1,)
-    raise ArithmeticError(f"no irreducible of degree {e} over GF({p})")  # impossible
+    raise VerificationError(f"no irreducible of degree {e} over GF({p})")  # impossible
 
 
 @dataclass(frozen=True)
@@ -411,7 +411,7 @@ def embed_subfield(small: FieldContext, big: FieldContext) -> tuple[int, ...]:
 
     roots = [z for z in big.elements() if eval_mod(z) == 0]
     if not roots:
-        raise ArithmeticError("subfield modulus has no root in the big field")
+        raise VerificationError("subfield modulus has no root in the big field")
     rho = min(roots)
     table = []
     for v in small.elements():
@@ -442,7 +442,7 @@ def choose_params(q: int, k: int, n0: int, m: int) -> tuple[int, int, int]:
             r = cand
             break
     if r is None:
-        raise ArithmeticError("no admissible r found")  # cannot happen
+        raise VerificationError("no admissible r found")  # cannot happen
     mr = m * r
     t = k
     while pow(q, t, mr) != 1 % mr:
@@ -555,18 +555,18 @@ def _scan_block(cfg, block) -> tuple[int, list[tuple[int, ...]]]:
     return total, qualifying
 
 
-def check_ff_bases(base: FieldContext, m: int, a: FqPolynomial, b: FqPolynomial) -> None:
-    """Hypothesis gate for the construction's base polynomials."""
-    for name, f in (("a", a), ("b", b)):
+def check_ff_bases(base: FieldContext, a: FqPolynomial, b: FqPolynomial, u: int, v: int) -> None:
+    """Hypothesis gate for base polynomials a, b entering Phi_u and Phi_v."""
+    for name, f, idx in (("a", a, u), ("b", b, v)):
         if f.ctx is not base:
             raise ValueError(f"{name} is not over the base field")
         if f.degree < 1 or not f.is_monic:
             raise HypothesisError(f"{name} must be a nonconstant monic polynomial")
-        for l in factorize(m).primes():
+        for l in factorize(idx).primes():
             if is_lth_power_poly(f, l):
                 raise HypothesisError(
                     f"{name} = {f} is an l-th power in the polynomial ring for l = {l}; the "
-                    f"bases must not be l-th powers for any prime l dividing m"
+                    f"bases must not be l-th powers for any prime l dividing the index {idx}"
                 )
 
 
@@ -579,7 +579,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jo
     `predicted_alt` weights each l by its multiplicity e in m instead:
     Q^N/(N r^2) * prod (l-1)^e / l^e.  The empirical count is authoritative.
     """
-    check_ff_bases(constr.base, constr.m, a, b)
+    check_ff_bases(constr.base, a, b, constr.m, constr.m)
     n = constr.n_for(N)
     big = constr.big
     a_big, b_big = constr.lift(a), constr.lift(b)
@@ -628,7 +628,7 @@ def ff_direct_verify(
 ) -> FFVerifyResult:
     """Compute gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field and
     certify deg gcd >= N * (qualifying pi count)."""
-    check_ff_bases(constr.base, constr.m, a, b)
+    check_ff_bases(constr.base, a, b, constr.m, constr.m)
     n = constr.n_for(N)
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
@@ -662,7 +662,7 @@ def ff_equivalence_check(
     (for both bases) must agree with pi | gcd(Phi_m(a^n), Phi_m(b^n)).
     Returns (number of pi checked, list of mismatching pi coefficients).
     """
-    check_ff_bases(constr.base, constr.m, a, b)
+    check_ff_bases(constr.base, a, b, constr.m, constr.m)
     n = constr.n_for(N)
     value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(a, n)))
     value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(b, n)))
@@ -724,12 +724,7 @@ def ff_pair_verify(
     lcm_idx = math.lcm(u, v)
     if math.gcd(lcm_idx, base.q) != 1:
         raise HypothesisError(f"lcm(u, v) = {lcm_idx} must be prime to q = {base.q}")
-    for name, f, idx in (("a", a, u), ("b", b, v)):
-        if f.degree < 1 or not f.is_monic:
-            raise HypothesisError(f"{name} must be a nonconstant monic polynomial")
-        for l in factorize(idx).primes():
-            if is_lth_power_poly(f, l):
-                raise HypothesisError(f"{name} = {f} is an l-th power in the polynomial ring for l = {l}")
+    check_ff_bases(base, a, b, u, v)
     constr = ff_construction(base, k, n0, lcm_idx)
     n = constr.n_for(N)
     if n > n_cap:

@@ -92,21 +92,23 @@ def check_squares_not_forced(modulus: int, bases) -> None:
             )
 
 
-def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, ells_b):
-    """Yield (p, (p-1)/modulus) for each prime p in [lo, hi) that qualifies.
+def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, ells_b, d: int = 1):
+    """Yield (p, (p-1)/modulus) for each prime p in [lo, hi) that qualifies
+    and has d | (p-1)/modulus.
 
     p qualifies when p = 1 (mod modulus), p != 1 (mod modulus*l) for every
     prime l | modulus, p divides neither base, a is not an l-th power mod p
     for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
     is the one statement of the conditions that champion, density and the
-    lemma scan share; `qualifies_prime` restates them independently.
+    lemma scan share; `qualifies_prime` restates them independently.  The
+    d filter runs before the power tests, so primes it drops cost no powmod.
     """
     ells = factorize(modulus).primes()
     # smallest l first: a test with l rejects about 1/l of the primes
     powers = sorted([(a, l) for l in ells_a] + [(b, l) for l in ells_b], key=lambda t: t[1])
     for p in primes_in_range(lo, hi):
         w, r = divmod(p - 1, modulus)
-        if r or a % p == 0 or b % p == 0:
+        if r or w % d or a % p == 0 or b % p == 0:
             continue
         for l in ells:
             if w % l == 0:

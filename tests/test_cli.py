@@ -87,6 +87,8 @@ CHAMPION_CASES = {
     "m1n2_x500": ["--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "500", "--delta", "0.5"],
     "m2n3_x1600": ["--a", "2", "--b", "5", "--M", "2", "--N", "3", "--x", "1600", "--delta", "0.5"],
     "m2n2_x800": ["--a", "3", "--b", "5", "--M", "2", "--N", "2", "--x", "800"],
+    # n = 2 < 3: curve_value and curve_ratio are null
+    "n1_x8": ["--a", "5", "--b", "7", "--N", "1", "--x", "8", "--delta", "0.5"],
 }
 
 
@@ -137,6 +139,35 @@ def test_verify_lemma_reports_match_golden(name, fmt, tmp_path):
             "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (LEMMA_GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+# Reports of the remaining subcommands, captured before the CLI derived its
+# config echo and CSV rows from the report; keyed by tests/data/<dir>/<name>.
+REPORT_GOLDEN = Path(__file__).parent / "data"
+FF_Q2 = ["--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
+         "--deg-max", "3"]
+FF_Q7 = ["--q", "7", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "2,1", "--b-poly", "5,1",
+         "--deg-max", "2"]
+REPORT_CASES = {
+    "gcd_seq/n1": ["gcd-seq", "--a", "2", "--b", "3", "--N", "1", "--n-max", "30"],
+    "gcd_seq/m2n3": ["gcd-seq", "--a", "2", "--b", "5", "--M", "2", "--N", "3", "--n-max", "20"],
+    # rows n >= 50 have a gcd past the factoring cap: null distinct_prime_count
+    "gcd_seq/null_count": ["gcd-seq", "--a", "2", "--b", "4", "--N", "1", "--n-max", "55"],
+    "delta/plain": ["delta", "--limit", "60"],
+    "delta/squarefree": ["delta", "--limit", "60", "--squarefree"],
+    "ff/scan_q2": ["ff", *FF_Q2],
+    "ff/verify_q2": ["ff-verify", *FF_Q2],
+    "ff/scan_q7": ["ff", *FF_Q7],
+    "ff/verify_q7": ["ff-verify", *FF_Q7, "--n-cap", "1000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_match_golden(name, fmt, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    assert main([*REPORT_CASES[name], "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPORT_GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_verify_lemma_jobs_one_and_two_agree(tmp_path):
@@ -242,6 +273,22 @@ def test_verification_failure_is_exit_two(capsys, monkeypatch):
     code = main(["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "50"])
     assert code == 2
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
+    from cyclogcd import champion
+
+    real = champion._order_dividing
+
+    def truncated(u, p, divisors):
+        # drop the divisor 2, so an order of 2 is found nowhere
+        return real(u, p, divisors[:1])
+
+    monkeypatch.setattr(champion, "_order_dividing", truncated)
+    code = main(["champion", "--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "500",
+                 "--delta", "0.5"])
+    assert code == 2
+    assert "divides none of" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

@@ -248,6 +248,11 @@ def test_ff_pair_verify_mixed():
         ff_pair_verify(F2, 1, 1, 2, 4, A_POLY, B_POLY, 1)  # gcd(v/d, d) != 1
 
 
+def test_ff_pair_verify_refuses_a_base_over_another_field():
+    with pytest.raises(ValueError, match="a is not over the base field"):
+        ff_pair_verify(F2, 1, 1, 1, 3, P(F4, 0, 1), B_POLY, 2)
+
+
 def test_ff_pair_unit_indices():
     # u = v = 1 is the plain gcd(a^n - 1, b^n - 1) construction
     res = ff_pair_verify(F2, 1, 1, 1, 1, A_POLY, B_POLY, 2)

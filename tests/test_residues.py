@@ -117,10 +117,12 @@ def test_constructed_n_coprimality():
 def test_qualifying_primes_matches_explainer():
     for modulus, a, b in ((1, 2, 3), (2, 2, 3), (3, 2, 5), (6, 5, 7), (4, 3, 5)):
         ells = factorize(modulus).primes()
-        got = list(qualifying_primes(2, 3000, modulus, a, b, ells, ells))
-        want = [p for p in sieve_primes(2999)
-                if a % p and b % p and qualifies_prime(p, modulus, a, b).qualified]
-        assert got == [(p, (p - 1) // modulus) for p in want]
+        for d in (1, 5, 7):
+            got = list(qualifying_primes(2, 3000, modulus, a, b, ells, ells, d))
+            want = [p for p in sieve_primes(2999)
+                    if a % p and b % p and qualifies_prime(p, modulus, a, b).qualified
+                    and (p - 1) // modulus % d == 0]
+            assert got == [(p, (p - 1) // modulus) for p in want]
 
 
 def test_squares_forced_by_the_modulus():
