@@ -11,7 +11,6 @@ from .arith import (
     is_prime,
     li,
     moebius,
-    mult_order,
     sieve_primes,
 )
 from .champion import (
@@ -29,8 +28,6 @@ from .density import (
     DensityPrediction,
     dependence_exponent,
     empirical_density,
-    empirical_tolerance,
-    group_complement_count,
     predicted_density,
 )
 from .errors import HypothesisError, VerificationError
@@ -60,20 +57,8 @@ from .ffield import (
 )
 from .oracles import (
     GcdSeqRow,
-    delta_count,
     delta_count_range,
-    delta_squarefree_count,
     delta_squarefree_range,
     gcd_seq_exact,
-    multiplicatively_independent,
-    upper_bound_monitor,
 )
-from .residues import (
-    LemmaScanResult,
-    QualifiedPrime,
-    is_lth_power_mod,
-    lemma_divides,
-    lemma_scan,
-    order_exact,
-    qualifies_prime,
-)
+from .residues import LemmaScanResult, lemma_scan

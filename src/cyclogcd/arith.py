@@ -1,9 +1,9 @@
 """Exact integer primitives shared by every other module.
 
 Sieving, deterministic primality, factorization (trial division then Pollard
-rho), the classical multiplicative functions, multiplicative orders and the
-offset logarithmic integral.  Everything here is pure and deterministic, so
-the functions are safe to call from any number of workers.
+rho), the classical multiplicative functions and the offset logarithmic
+integral.  Everything here is pure and deterministic, so the functions are
+safe to call from any number of workers.
 """
 
 import bisect
@@ -17,8 +17,10 @@ from .errors import VerificationError
 # (rare) larger cofactors.  Inputs in this project stay far below 64 bits.
 _TRIAL_LIMIT = 10**6
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: exact for every n below
+# 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all
+# thirteen bases (without 41 the bound is 318,665,857,834,031,151,167,461).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -65,7 +67,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin (exact for n < 3.317e24)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -106,10 +108,6 @@ class FactoredInt:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.factors))
-
-    def radical(self) -> int:
-        """Product of the distinct prime divisors (1 for value 1)."""
-        return math.prod(self.primes())
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""
@@ -188,22 +186,6 @@ def euler_phi(n: int) -> int:
     for p, e in fac.factors.items():
         result *= (p - 1) * p ** (e - 1)
     return result
-
-
-def mult_order(a: int, p: int) -> int:
-    """Smallest e >= 1 with a**e = 1 mod p, for prime p not dividing a.
-
-    Starts from p - 1 and strips prime factors that keep the power at 1.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if a % p == 0:
-        raise ValueError(f"{p} divides {a}; the order is undefined")
-    e = p - 1
-    for q in factorize(p - 1).primes():
-        while e % q == 0 and pow(a, e // q, p) == 1:
-            e //= q
-    return e
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps, depth):

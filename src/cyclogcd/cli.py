@@ -2,9 +2,9 @@
 
 One subcommand per experiment; every run validates its hypotheses up front,
 emits exactly one JSON or CSV report embedding the full configuration and
-library version, and exits 0 on success, 1 on a hypothesis/usage error, or
-2 when an internal certificate or invariant check fails (which should never
-happen and must never be silent).
+library version, and exits 0 on success, 1 on a hypothesis/usage error or
+an output path that cannot be written, or 2 when an internal certificate or
+invariant check fails (which should never happen and must never be silent).
 
 Each subcommand returns its report, the CSV columns and the rows they are
 read from; `_emit` derives the configuration echo and the CSV from those.
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (HypothesisError, ValueError) as exc:
+    except (HypothesisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -114,33 +114,3 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
     expected = prediction.ratio_float * li(x)
     relative_error = abs(count / expected - 1.0) if expected else math.inf
     return DensityCheck(count, expected, relative_error, prediction, x)
-
-
-def empirical_tolerance(count: int) -> float:
-    """Statistical tolerance used by the checks: max(0.15, 3/sqrt(count))."""
-    if count <= 0:
-        return math.inf
-    return max(0.15, 3.0 / math.sqrt(count))
-
-
-def group_complement_count(l: int, factors: int) -> int:
-    """Size of the complement of the coordinate-subgroup union in (Z/l)^factors.
-
-    Enumerates the subgroups H_i = {tuples with coordinate i trivial}, takes
-    the complement of their union by brute force, and checks the closed form
-    (l - 1)^factors before returning it.
-    """
-    if factors not in (2, 3):
-        raise ValueError("factors must be 2 or 3")
-    import itertools
-
-    everything = set(itertools.product(range(l), repeat=factors))
-    union = set()
-    for i in range(factors):
-        union |= {t for t in everything if t[i] == 0}
-    count = len(everything - union)
-    if count != (l - 1) ** factors:
-        raise VerificationError(
-            f"complement count {count} != ({l}-1)^{factors}"
-        )
-    return count

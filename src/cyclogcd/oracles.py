@@ -1,22 +1,25 @@
 """Brute-force ground truth.
 
-Exact gcd sequences of cyclotomic values over Z, the divisor counters
-delta(n) = #{d | n : d + 1 prime} (optionally with d squarefree), and the
-upper-bound monitor max_n log gcd(a^n - 1, b^n - 1) / n.  These exist to
-check the constructive machinery, so they stay deliberately naive.
+Exact gcd sequences of cyclotomic values over Z and the divisor counters
+delta(n) = #{d | n : d + 1 prime} (optionally with d squarefree).  These
+exist to check the constructive machinery, so they stay deliberately naive;
+the upper-bound monitor max_n log gcd(a^n - 1, b^n - 1) / n is read off the
+gcd_seq_exact rows with M = N = 1.
 """
 
 import math
 from dataclasses import dataclass
 from functools import partial
 
-from .arith import euler_phi, factorize, is_prime, primes_up_to, sieve_primes
+from .arith import euler_phi, factorize, sieve_primes
 from .cyclotomic import build_cyclotomic, eval_int
-from .errors import HypothesisError, VerificationError
+from .errors import VerificationError
 from .parallel import pmap, split_range
 
 # factor the gcd for the report only while it stays cheap
 _FACTOR_REPORT_CAP = 10**15
+# refuse a gcd sequence whose values would grow past this many bits
+_BIT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -43,16 +46,16 @@ def _gcd_rows_block(cfg, block) -> list[GcdSeqRow]:
     return rows
 
 
-def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, bit_cap: int = 10**6, jobs: int = 1) -> list[GcdSeqRow]:
+def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, jobs: int = 1) -> list[GcdSeqRow]:
     """Rows gcd(Phi_M(a^n), Phi_N(b^n)) for n = 1..n_max, exactly."""
     if a < 2 or b < 2:
         raise ValueError("bases must be at least 2")
     estimated_bits = int(
         n_max * math.log2(max(a, b)) * max(euler_phi(idx_a), euler_phi(idx_b))
     )
-    if estimated_bits > bit_cap:
+    if estimated_bits > _BIT_CAP:
         raise ValueError(
-            f"values would reach about {estimated_bits} bits, over the cap {bit_cap}"
+            f"values would reach about {estimated_bits} bits, over the cap {_BIT_CAP}"
         )
     blocks = split_range(1, n_max + 1, max(jobs * 2, 1))
     rows: list[GcdSeqRow] = []
@@ -61,34 +64,8 @@ def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, bit_cap: i
     return rows
 
 
-def delta_count(n: int) -> int:
-    """Number of divisors d of n with d + 1 prime.
-
-    Computed two independent ways (divisor enumeration with a primality
-    test; a scan over primes p <= n + 1 with (p - 1) | n) and cross-checked.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    by_divisors = sum(1 for d in factorize(n).divisors() if is_prime(d + 1))
-    by_primes = sum(1 for p in primes_up_to(n + 1) if n % (p - 1) == 0)
-    if by_divisors != by_primes:
-        raise VerificationError(f"delta paths disagree at n = {n}")
-    return by_divisors
-
-
-def delta_squarefree_count(n: int) -> int:
-    """Like delta_count but restricted to squarefree divisors d."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    count = 0
-    for d in factorize(n).divisors():
-        if is_prime(d + 1) and all(e == 1 for e in factorize(d).factors.values()):
-            count += 1
-    return count
-
-
 def delta_count_range(limit: int) -> list[int]:
-    """delta_count for every n in 1..limit (index 0 unused), dual-path.
+    """delta(n) for every n in 1..limit (index 0 unused), dual-path.
 
     Path A enumerates divisors per n from a smallest-prime-factor table and
     checks d + 1 against a sieve; path B walks, for each prime p, the
@@ -130,7 +107,7 @@ def delta_count_range(limit: int) -> list[int]:
 
 
 def delta_squarefree_range(limit: int) -> list[int]:
-    """delta_squarefree_count for every n in 1..limit (index 0 unused)."""
+    """delta(n) counting squarefree d only, for every n in 1..limit (index 0 unused)."""
     if limit < 1:
         raise ValueError("limit must be positive")
     table = [0] * (limit + 1)
@@ -140,38 +117,3 @@ def delta_squarefree_range(limit: int) -> list[int]:
             for j in range(d, limit + 1, d):
                 table[j] += 1
     return table
-
-
-def multiplicatively_independent(a: int, b: int) -> bool:
-    """True iff no relation a^i = b^j with (i, j) != (0, 0) holds in Q."""
-    fa, fb = factorize(a), factorize(b)
-    support = sorted(set(fa.factors) | set(fb.factors))
-    va = [fa.factors.get(p, 0) for p in support]
-    vb = [fb.factors.get(p, 0) for p in support]
-    if not any(va) or not any(vb):
-        return False  # a or b equals 1
-    k = len(support)
-    return any(va[i] * vb[j] != va[j] * vb[i] for i in range(k) for j in range(i + 1, k))
-
-
-def upper_bound_monitor(a: int, b: int, n_min: int, n_max: int) -> tuple[float, int]:
-    """max over n in [n_min, n_max] of log gcd(a^n - 1, b^n - 1) / n.
-
-    Requires multiplicatively independent bases; returns (max ratio, argmax).
-    """
-    if not multiplicatively_independent(a, b):
-        raise HypothesisError(
-            f"a = {a}, b = {b} are multiplicatively dependent; the monitor "
-            f"requires multiplicatively independent positive integers"
-        )
-    if n_min < 1 or n_max < n_min:
-        raise ValueError("need 1 <= n_min <= n_max")
-    best, arg = -1.0, n_min
-    va, vb = a**n_min, b**n_min
-    for n in range(n_min, n_max + 1):
-        ratio = math.log(math.gcd(va - 1, vb - 1)) / n
-        if ratio > best:
-            best, arg = ratio, n
-        va *= a
-        vb *= b
-    return best, arg

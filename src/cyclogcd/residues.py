@@ -1,9 +1,9 @@
-"""Power-residue tests and the qualifying-prime predicate.
+"""Power-residue hypotheses, the qualifying primes and the lemma scan.
 
 A prime p qualifies for (N, a, b) when p = 1 mod N, p != 1 mod N*l for every
 prime l | N, and neither a nor b is an l-th power mod p.  For such p and any
 n coprime to N divisible by (p-1)/N, p divides both Phi_N(a^n) and
-Phi_N(b^n); `lemma_divides` re-verifies that divisibility numerically rather
+Phi_N(b^n); `lemma_scan` re-verifies that divisibility numerically rather
 than trusting it.
 """
 
@@ -11,56 +11,10 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .arith import factorize, is_prime, primes_in_range
-from .cyclotomic import build_cyclotomic, eval_mod_prime
+from .arith import factorize, primes_in_range
+from .cyclotomic import build_cyclotomic
 from .errors import HypothesisError, VerificationError
 from .parallel import pmap, split_range
-
-
-def is_lth_power_mod(a: int, l: int, p: int) -> bool:
-    """True iff a is an l-th power mod p, via a**((p-1)/l) == 1.
-
-    Valid only when l divides p - 1 and p does not divide a.
-    """
-    if (p - 1) % l != 0:
-        raise ValueError(f"{l} does not divide {p} - 1")
-    if a % p == 0:
-        raise ValueError(f"{p} divides {a}")
-    return pow(a, (p - 1) // l, p) == 1
-
-
-@dataclass(frozen=True)
-class ResidueFlags:
-    """Conditions attached to one prime divisor l of the modulus."""
-
-    l: int
-    not_one_mod_nl: bool       # p != 1 (mod N*l)
-    a_not_lth_power: bool
-    b_not_lth_power: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.not_one_mod_nl and self.a_not_lth_power and self.b_not_lth_power
-
-
-@dataclass(frozen=True)
-class QualifiedPrime:
-    """Result of evaluating all qualifying conditions of p for (N, a, b).
-
-    `congruent` records p = 1 (mod N); the per-l flags are only evaluated
-    when it holds (the power tests need l | p - 1).
-    """
-
-    p: int
-    modulus: int
-    a: int
-    b: int
-    congruent: bool
-    flags: tuple[ResidueFlags, ...]
-
-    @property
-    def qualified(self) -> bool:
-        return self.congruent and all(f.ok for f in self.flags)
 
 
 def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
@@ -100,8 +54,8 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
     prime l | modulus, p divides neither base, a is not an l-th power mod p
     for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
     is the one statement of the conditions that champion, density and the
-    lemma scan share; `qualifies_prime` restates them independently.  The
-    d filter runs before the power tests, so primes it drops cost no powmod.
+    lemma scan share.  The d filter runs before the power tests, so primes
+    it drops cost no powmod.
     """
     ells = factorize(modulus).primes()
     # smallest l first: a test with l rejects about 1/l of the primes
@@ -119,70 +73,6 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
                     break
             else:
                 yield p, w
-
-
-def qualifies_prime(p: int, modulus: int, a: int, b: int) -> QualifiedPrime:
-    """Evaluate every qualifying condition of p for (modulus, a, b)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if a % p == 0 or b % p == 0:
-        raise ValueError(f"{p} divides a base; qualifying conditions are undefined")
-    ells = factorize(modulus).primes()
-    congruent = (p - 1) % modulus == 0
-    flags = []
-    if congruent:
-        for l in ells:
-            flags.append(
-                ResidueFlags(
-                    l,
-                    (p - 1) % (modulus * l) != 0,
-                    not is_lth_power_mod(a, l, p),
-                    not is_lth_power_mod(b, l, p),
-                )
-            )
-    return QualifiedPrime(p, modulus, a, b, congruent, tuple(flags))
-
-
-def lemma_divides(qp: QualifiedPrime, n: int) -> bool:
-    """Verify p | gcd(Phi_N(a^n), Phi_N(b^n)) for a qualified prime.
-
-    Preconditions are reported distinctly; the divisibility itself is
-    recomputed, and a failure raises VerificationError because it would
-    falsify the divisibility lemma (or reveal a bug).
-    """
-    if not qp.qualified:
-        raise ValueError(f"p = {qp.p} is not qualified for modulus {qp.modulus}")
-    w = (qp.p - 1) // qp.modulus
-    if n <= 0 or n % w != 0:
-        raise ValueError(f"(p-1)/N = {w} does not divide n = {n}")
-    if math.gcd(n, qp.modulus) != 1:
-        raise ValueError(f"n = {n} is not coprime to the modulus {qp.modulus}")
-    for base in (qp.a, qp.b):
-        if eval_mod_prime(qp.modulus, base, n, qp.p) != 0:
-            raise VerificationError(
-                f"divisibility failed: {qp.p} does not divide "
-                f"Phi_{qp.modulus}({base}^{n}) despite qualification"
-            )
-    return True
-
-
-def order_exact(a: int, n: int, p: int, target: int) -> bool:
-    """True iff the multiplicative order of a**n mod p equals target.
-
-    Runs on powmod tests at divisor exponents of target; target must divide
-    p - 1, and p must not divide a.
-    """
-    if (p - 1) % target != 0:
-        raise ValueError(f"target order {target} does not divide {p} - 1")
-    if a % p == 0:
-        raise ValueError(f"{p} divides {a}")
-    t = pow(a, n, p)
-    if pow(t, target, p) != 1:
-        return False
-    for q in factorize(target).primes():
-        if pow(t, target // q, p) == 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

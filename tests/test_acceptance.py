@@ -4,17 +4,19 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances and bounds are fixed here, not calibrated elsewhere.
 """
 
+import itertools
 import math
 import time
 
 import pytest
+from sympy import divisors, factorint, primerange
 
 from cyclogcd import __version__
 from cyclogcd.arith import li
 from cyclogcd.champion import ChampionParams, build_kernel, run_champion
 from cyclogcd.cli import main
 from cyclogcd.cyclotomic import eval_mod_prime
-from cyclogcd.density import empirical_density, group_complement_count, predicted_density
+from cyclogcd.density import empirical_density, predicted_density
 from cyclogcd.errors import HypothesisError
 from cyclogcd.ffield import (
     FqPolynomial,
@@ -24,7 +26,7 @@ from cyclogcd.ffield import (
     ff_scan,
     fq_context,
 )
-from cyclogcd.oracles import delta_count, delta_count_range, delta_squarefree_range, gcd_seq_exact, upper_bound_monitor
+from cyclogcd.oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
 from cyclogcd.residues import lemma_scan
 
 BASES = (2, 3, 5, 6, 7, 10)
@@ -109,6 +111,16 @@ def test_criterion_3_density():
            f"1/4 case: count={check8.count} err={check8.relative_error:.4f}; {elapsed:.1f}s")
 
 
+def group_complement_count(l, factors):
+    # size of (Z/l)^factors minus the union of the coordinate subgroups
+    # H_i = {tuples with coordinate i trivial}, by brute force
+    everything = set(itertools.product(range(l), repeat=factors))
+    union = set()
+    for i in range(factors):
+        union |= {t for t in everything if t[i] == 0}
+    return len(everything - union)
+
+
 def test_criterion_4_group_claim():
     for l in (2, 3, 5, 7, 11, 13):
         for f in (2, 3):
@@ -158,16 +170,24 @@ def test_criterion_7_delta_oracles():
     table = delta_count_range(10**5)       # dual-path agreement asserted inside
     sf = delta_squarefree_range(10**5)
     assert all(sf[n] <= table[n] for n in range(1, 10**5 + 1))
-    # golden values, confirmed by the dual-path single-call oracle
-    assert delta_count(1) == table[1] == 1
-    assert delta_count(12) == table[12] == 5
-    assert delta_count(7) == table[7] == 1
+    # every n from the definition, by sympy: d | n with d + 1 prime, d squarefree or not
+    squarefree = {p - 1: all(e == 1 for e in factorint(p - 1).values())
+                  for p in primerange(2, 10**5 + 2)}
+    for n in range(1, 10**5 + 1):
+        ds = [d for d in divisors(n) if d in squarefree]
+        assert table[n] == len(ds), n
+        assert sf[n] == sum(squarefree[d] for d in ds), n
+    assert table[1] == 1 and table[12] == 5 and table[7] == 1
     assert sf[12] == 3
-    _ok(7, "dual-path delta agreement for all n <= 1e5; goldens delta(1)=1, delta(12)=5, delta(7)=1")
+    _ok(7, "dual-path delta tables equal sympy's divisor counts for all n <= 1e5; "
+           "goldens delta(1)=1, delta(12)=5, delta(7)=1")
 
 
 def test_criterion_8_upper_bound_monitor():
-    ratio, arg = upper_bound_monitor(2, 3, 100, 2000)
+    # max log gcd(2^n - 1, 3^n - 1) / n, read off the (M, N) = (1, 1) gcd-seq rows
+    rows = gcd_seq_exact(2, 3, 1, 1, 2000)[99:]
+    best = max(rows, key=lambda r: r.log_gcd / r.n)
+    ratio, arg = best.log_gcd / best.n, best.n
     assert ratio < 0.7
     # the epsilon-for-all-large-n statement is asymptotic: reported, not asserted
     _ok(8, f"max log gcd(2^n-1, 3^n-1)/n over [100, 2000] = {ratio:.4f} at n={arg} "

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 
 from cyclogcd.arith import (
     FactoredInt,
@@ -9,7 +10,6 @@ from cyclogcd.arith import (
     is_prime,
     li,
     moebius,
-    mult_order,
     primes_in_range,
     sieve_primes,
 )
@@ -123,26 +123,6 @@ def test_divisor_sum_identities():
         assert sum(euler_phi(d) for d in divs) == n
 
 
-def test_mult_order_examples():
-    assert mult_order(1, 7) == 1
-    assert mult_order(2, 7) == 3
-    assert mult_order(3, 7) == 6
-    with pytest.raises(ValueError):
-        mult_order(7, 7)
-
-
-def test_mult_order_properties():
-    for p in sieve_primes(200):
-        for a in (2, 3, 5, 10):
-            if a % p == 0:
-                continue
-            e = mult_order(a, p)
-            assert (p - 1) % e == 0
-            assert pow(a, e, p) == 1
-            for q in factorize(e).primes():
-                assert pow(a, e // q, p) != 1
-
-
 # frozen from mpmath.li(x, offset=True) at 50 digits
 LI_ORACLE = {
     10: 5.1204357246747,
@@ -171,3 +151,15 @@ def test_is_prime_against_sieve():
     flags = set(sieve_primes(5000))
     for n in range(5000):
         assert is_prime(n) == (n in flags)
+
+
+def test_is_prime_strong_pseudoprime_to_first_twelve_primes():
+    n = 318665857834031151167461   # 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert not sympy.isprime(n)
+
+
+@pytest.mark.parametrize("centre", [2**64, 33 * 10**23])
+def test_is_prime_matches_sympy_near_large_centres(centre):
+    for n in range(centre - 3000, centre + 3000):
+        assert is_prime(n) == sympy.isprime(n), n

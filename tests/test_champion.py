@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from sympy.ntheory import is_nthpow_residue, n_order
 
 from cyclogcd import champion
 from cyclogcd.arith import factorize, sieve_primes
@@ -14,7 +15,6 @@ from cyclogcd.champion import (
     verify_champion,
 )
 from cyclogcd.errors import HypothesisError, VerificationError
-from cyclogcd.residues import order_exact, qualifies_prime
 
 
 def test_build_kernel_examples():
@@ -188,7 +188,7 @@ def test_pair_set_lower_bound_by_radical_class():
 
     for modulus, x, delta in ((2, 2000, 0.9), (6, 5000, 0.8), (1, 1000, 0.9)):
         kernel, _ = build_kernel(x, delta, modulus)
-        radical = factorize(modulus).radical()
+        radical = math.prod(factorize(modulus).primes())
         for d in factorize(kernel).divisors():
             target = kernel // d
             count = sum(1 for m in range(1, x + 1) if math.gcd(m, radical * kernel) == target)
@@ -233,30 +233,26 @@ def test_histogram_matches_pair_list_oracle(window, monkeypatch):
 
 
 def _brute_pairs(params):
-    # the pair set from its definition, by direct order and qualification tests
-    a, b, N, M, x = params.a, params.b, params.N, params.M, params.x
-    L = params.lcm_index
+    # the pair set from its definition, by sympy's power-residue and order tests
+    a, b, N, x = params.a, params.b, params.N, params.x
+    M, L = params.index_a, params.lcm_index
     kernel, _ = build_kernel(x, params.delta, L)
+    ells = factorize(L).primes()
     pairs = []
     for p in sieve_primes(x):
         if a % p == 0 or b % p == 0 or (p - 1) % L:
             continue
-        if M is None:
-            if not qualifies_prime(p, N, a, b).qualified:
-                continue
-        else:
-            ells = factorize(L).primes()
-            if any((p - 1) % (L * l) == 0 for l in ells):
-                continue
-            if any(M % l == 0 and pow(a, (p - 1) // l, p) == 1 for l in ells):
-                continue
-            if any(N % l == 0 and pow(b, (p - 1) // l, p) == 1 for l in ells):
-                continue
+        if any((p - 1) % (L * l) == 0 for l in ells):
+            continue
+        if any(M % l == 0 and is_nthpow_residue(a, l, p) for l in ells):
+            continue
+        if any(N % l == 0 and is_nthpow_residue(b, l, p) for l in ells):
+            continue
         for m in range(1, x + 1):
             n = m * (p - 1) // L
             if math.gcd(m, L) != 1 or n % kernel:
                 continue
-            if M is None or (order_exact(a, n, p, M) and order_exact(b, n, p, N)):
+            if n_order(pow(a, n, p), p) == M and n_order(pow(b, n, p), p) == N:
                 pairs.append((m, p))
     return pairs
 

@@ -298,3 +298,11 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["report"]["rows"][0] == {"n": 1, "delta": 1}
+
+
+def test_out_in_missing_directory_exit_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["delta", "--limit", "5", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not target.exists()

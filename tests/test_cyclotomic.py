@@ -1,6 +1,8 @@
 import pytest
+from sympy import cyclotomic_poly
+from sympy.ntheory import n_order
 
-from cyclogcd.arith import euler_phi, mult_order, sieve_primes
+from cyclogcd.arith import euler_phi, sieve_primes
 from cyclogcd.cyclotomic import (
     _divexact_by_x_pow_minus_1,
     build_cyclotomic,
@@ -56,6 +58,12 @@ def test_coefficients_leave_unit_range():
         assert all(abs(c) <= 1 for c in coeffs)
 
 
+def test_coefficients_match_sympy():
+    # 105 and 385 are the first indices with a coefficient of magnitude 2 and 3
+    for n in range(1, 401):
+        assert build_cyclotomic(n).coeffs == tuple(cyclotomic_poly(n, polys=True).all_coeffs()[::-1]), n
+
+
 def test_eval_int():
     assert eval_int(build_cyclotomic(1), 64) == 63
     assert eval_int(build_cyclotomic(2), 27) == 28
@@ -91,6 +99,7 @@ def test_root_iff_multiplicative_order():
     for p in sieve_primes(500):
         from cyclogcd.arith import factorize
 
+        orders = {t: n_order(t, p) for t in range(1, p)}
         for n_idx in factorize(p - 1).divisors():
             phi = build_cyclotomic(n_idx)
             reduced = [c % p for c in phi.coeffs]
@@ -98,7 +107,7 @@ def test_root_iff_multiplicative_order():
                 acc = 0
                 for c in reversed(reduced):
                     acc = (acc * t + c) % p
-                assert (acc == 0) == (mult_order(t, p) == n_idx)
+                assert (acc == 0) == (orders[t] == n_idx)
 
 
 def test_eval_poly_fq():

@@ -1,16 +1,17 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from cyclogcd.arith import li, sieve_primes
-from cyclogcd.density import (
-    dependence_exponent,
-    empirical_density,
-    empirical_tolerance,
-    group_complement_count,
-    predicted_density,
-)
+from cyclogcd.arith import euler_phi, li, sieve_primes
+from cyclogcd.density import dependence_exponent, empirical_density, predicted_density
 from cyclogcd.errors import HypothesisError
+
+
+def empirical_tolerance(count):
+    # statistical tolerance of the accuracy checks: max(0.15, 3/sqrt(count))
+    return max(0.15, 3.0 / math.sqrt(count)) if count > 0 else math.inf
 
 
 def test_dependence_exponent_examples():
@@ -116,9 +117,11 @@ def test_empirical_density_rejects_tiny_x():
 
 
 def test_group_complement_count():
-    for l in (2, 3, 5, 7, 11, 13):
-        for f in (2, 3):
-            assert group_complement_count(l, f) == (l - 1) ** f
-    assert group_complement_count(2, 3) == 1
-    assert group_complement_count(3, 3) == 8
-    assert group_complement_count(5, 2) == 16
+    # predicted_density's factor (l-1)^e / l^e is the share of (Z/l)^e outside
+    # the coordinate subgroups, counted here as the tuples with no zero entry
+    for l, a, b, e in ((2, 2, 3, 3), (2, 2, 8, 2), (3, 2, 3, 3), (3, 2, 4, 2),
+                       (5, 2, 3, 3), (5, 12, 18, 3), (5, 2, 4, 2), (7, 2, 3, 3)):
+        prediction = predicted_density(l, 1, a, b)
+        assert prediction.exponents == ((l, e),)
+        complement = sum(1 for t in itertools.product(range(l), repeat=e) if all(t))
+        assert prediction.ratio * euler_phi(l) * l**e == complement

@@ -1,17 +1,16 @@
 import math
 
 import pytest
+from sympy import divisors, factorint, isprime
 
-from cyclogcd.errors import HypothesisError
-from cyclogcd.oracles import (
-    delta_count,
-    delta_count_range,
-    delta_squarefree_count,
-    delta_squarefree_range,
-    gcd_seq_exact,
-    multiplicatively_independent,
-    upper_bound_monitor,
-)
+from cyclogcd.oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
+
+
+def monitor(a, b, n_min, n_max):
+    # max of log gcd(a^n - 1, b^n - 1) / n over [n_min, n_max], read off the
+    # (M, N) = (1, 1) gcd-seq rows; max keeps the first, so ties go to the smallest n
+    best = max(gcd_seq_exact(a, b, 1, 1, n_max)[n_min - 1:], key=lambda r: r.log_gcd / r.n)
+    return best.log_gcd / best.n, best.n
 
 
 def test_gcd_seq_basic():
@@ -48,21 +47,23 @@ def test_cyclotomic_rows_divide_full_rows():
 
 
 def test_delta_goldens():
-    # confirmed against divisor enumeration before freezing
-    assert delta_count(1) == 1
-    assert delta_count(12) == 5     # d in {1, 2, 4, 6, 12}
-    assert delta_count(7) == 1      # only d = 1 (7 + 1 = 8 is composite)
-    assert delta_squarefree_count(12) == 3   # d = 4 and d = 12 are not squarefree
-    assert delta_squarefree_count(1) == 1
+    table = delta_count_range(12)
+    sf = delta_squarefree_range(12)
+    assert table[1] == 1
+    assert table[12] == 5     # d in {1, 2, 4, 6, 12}
+    assert table[7] == 1      # only d = 1 (7 + 1 = 8 is composite)
+    assert sf[12] == 3        # d = 4 and d = 12 are not squarefree
+    assert sf[1] == 1
 
 
 def test_delta_range_agrees_with_single_calls():
+    # every n from the definition, by sympy
     table = delta_count_range(2000)
-    for n in (1, 2, 7, 12, 100, 720, 1999):
-        assert table[n] == delta_count(n)
     sf = delta_squarefree_range(2000)
-    for n in (1, 12, 360, 1999):
-        assert sf[n] == delta_squarefree_count(n)
+    for n in range(1, 2001):
+        ds = [d for d in divisors(n) if isprime(d + 1)]
+        assert table[n] == len(ds), n
+        assert sf[n] == sum(1 for d in ds if all(e == 1 for e in factorint(d).values())), n
 
 
 def test_delta_squarefree_never_exceeds_delta():
@@ -73,27 +74,16 @@ def test_delta_squarefree_never_exceeds_delta():
 
 
 def test_upper_bound_monitor_examples():
-    assert upper_bound_monitor(2, 3, 1, 1) == (0.0, 1)
-    ratio, arg = upper_bound_monitor(2, 3, 1, 10)
+    assert monitor(2, 3, 1, 1) == (0.0, 1)
+    ratio, arg = monitor(2, 3, 1, 10)
     assert arg == 4 and ratio == pytest.approx(math.log(5) / 4)
+    # the rows against gcd(a^n - 1, b^n - 1) computed directly
+    for a, b, n_min, n_max in ((2, 3, 1, 400), (2, 3, 100, 400), (5, 7, 1, 300), (6, 10, 50, 200)):
+        direct = max(math.log(math.gcd(a**n - 1, b**n - 1)) / n for n in range(n_min, n_max + 1))
+        assert monitor(a, b, n_min, n_max)[0] == direct
 
 
 def test_upper_bound_monitor_range_nesting():
-    inner, _ = upper_bound_monitor(2, 3, 100, 400)
-    outer, _ = upper_bound_monitor(2, 3, 1, 400)
+    inner, _ = monitor(2, 3, 100, 400)
+    outer, _ = monitor(2, 3, 1, 400)
     assert inner <= outer
-
-
-def test_upper_bound_monitor_requires_independence():
-    with pytest.raises(HypothesisError, match="dependent"):
-        upper_bound_monitor(2, 8, 1, 10)
-    with pytest.raises(HypothesisError):
-        upper_bound_monitor(4, 2, 1, 10)
-
-
-def test_multiplicative_independence():
-    assert multiplicatively_independent(2, 3)
-    assert multiplicatively_independent(12, 18)
-    assert not multiplicatively_independent(2, 8)
-    assert not multiplicatively_independent(4, 8)
-    assert not multiplicatively_independent(1, 5)

@@ -1,81 +1,75 @@
 import math
 
 import pytest
+from sympy import primefactors
+from sympy.ntheory import is_nthpow_residue, n_order
 
 from cyclogcd.arith import factorize, sieve_primes
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.errors import HypothesisError
-from cyclogcd.residues import (
-    check_squares_not_forced,
-    is_lth_power_mod,
-    lemma_divides,
-    lemma_scan,
-    order_exact,
-    qualifies_prime,
-    qualifying_primes,
-)
+from cyclogcd.residues import check_squares_not_forced, lemma_scan, qualifying_primes
+
+
+def qualifies(p, modulus, a, b):
+    # the qualifying conditions from their definition, for a prime p dividing neither base
+    if (p - 1) % modulus:
+        return False
+    return all((p - 1) % (modulus * l) and not is_nthpow_residue(a, l, p)
+               and not is_nthpow_residue(b, l, p) for l in primefactors(modulus))
+
+
+def yields(p, modulus, a, b, ells_a, ells_b):
+    return list(qualifying_primes(p, p + 1, modulus, a, b, ells_a, ells_b)) == [(p, (p - 1) // modulus)]
 
 
 def test_is_lth_power_mod_examples():
-    assert is_lth_power_mod(2, 2, 7)       # 4^2 = 16 = 2 mod 7
-    assert not is_lth_power_mod(3, 2, 7)   # squares mod 7 are {1, 2, 4}
-    assert is_lth_power_mod(1, 3, 7)
-    with pytest.raises(ValueError):
-        is_lth_power_mod(2, 5, 7)          # 5 does not divide 6
-    with pytest.raises(ValueError):
-        is_lth_power_mod(7, 2, 7)
+    # the power test of qualifying_primes with b untested: p is yielded iff a is no l-th power mod p
+    assert not yields(7, 2, 2, 1, (2,), ())   # 4^2 = 16 = 2 mod 7
+    assert yields(7, 2, 3, 1, (2,), ())       # squares mod 7 are {1, 2, 4}
+    assert not yields(7, 3, 1, 1, (3,), ())
+    assert not yields(7, 5, 2, 1, (5,), ())   # 5 does not divide 6
+    assert not yields(7, 2, 7, 1, (2,), ())   # 7 divides a
 
 
 def test_is_lth_power_mod_matches_enumeration():
     for p in sieve_primes(500):
-        for l in factorize(p - 1).primes():
+        for l, e in factorize(p - 1).factors.items():
             powers = {pow(t, l, p) for t in range(1, p)}
             for a in range(1, p):
-                assert is_lth_power_mod(a, l, p) == (a in powers)
+                # modulus l^e: p = 1 (mod l^e) but not (mod l^(e+1)), so only the power test decides
+                assert yields(p, l**e, a, 1, (l,), ()) == (a not in powers), (p, l, a)
 
 
 def test_qualifies_prime_examples():
-    assert qualifies_prime(7, 2, 3, 5).qualified
-    assert not qualifies_prime(5, 2, 3, 7).qualified   # 5 = 1 mod 4
-    assert not qualifies_prime(7, 2, 2, 3).qualified   # 2 is a square mod 7
-    with pytest.raises(ValueError):
-        qualifies_prime(7, 2, 14, 3)
-    with pytest.raises(ValueError):
-        qualifies_prime(8, 2, 3, 5)
+    def qualified(p, modulus, a, b):
+        ells = factorize(modulus).primes()
+        return yields(p, modulus, a, b, ells, ells)
+
+    assert qualified(7, 2, 3, 5)
+    assert not qualified(5, 2, 3, 7)    # 5 = 1 mod 4
+    assert not qualified(7, 2, 2, 3)    # 2 is a square mod 7
+    assert not qualified(7, 2, 14, 3)   # 7 divides a base
+    assert not qualified(8, 2, 3, 5)    # 8 is not prime
 
 
 def test_qualifies_prime_congruence_recorded():
-    qp = qualifies_prime(11, 3, 2, 5)  # 11 != 1 mod 3
-    assert not qp.congruent and not qp.qualified
-    qp = qualifies_prime(13, 3, 2, 3)  # 2, 3 are non-cubes mod 13; 13 != 1 mod 9
-    assert qp.congruent and qp.qualified
+    assert not yields(11, 3, 2, 5, (3,), (3,))   # 11 != 1 mod 3
+    assert yields(13, 3, 2, 3, (3,), (3,))       # 2, 3 are non-cubes mod 13; 13 != 1 mod 9
 
 
 def test_lemma_divides_examples():
-    assert lemma_divides(qualifies_prime(7, 2, 3, 5), 3)
-    assert lemma_divides(qualifies_prime(7, 1, 2, 3), 6)
-    assert lemma_divides(qualifies_prime(13, 3, 2, 3), 4)
+    # p | Phi_N(a^n) and Phi_N(b^n) for qualified p, (p-1)/N | n and gcd(n, N) = 1
+    for p, modulus, a, b, n in ((7, 2, 3, 5, 3), (7, 1, 2, 3, 6), (13, 3, 2, 3, 4)):
+        assert qualifies(p, modulus, a, b)
+        assert eval_mod_prime(modulus, a, n, p) == 0
+        assert eval_mod_prime(modulus, b, n, p) == 0
 
 
 def test_lemma_divides_preconditions_distinct():
-    qp = qualifies_prime(7, 2, 3, 5)
-    with pytest.raises(ValueError, match="does not divide"):
-        lemma_divides(qp, 4)
-    qp13 = qualifies_prime(13, 3, 2, 3)
-    assert qp13.qualified
-    with pytest.raises(ValueError, match="not coprime"):
-        lemma_divides(qp13, 12)  # (13-1)/3 = 4 divides 12 but gcd(12, 3) = 3
-    bad = qualifies_prime(5, 2, 3, 7)
-    with pytest.raises(ValueError, match="not qualified"):
-        lemma_divides(bad, 2)
-
-
-def test_order_exact_examples():
-    assert order_exact(3, 3, 7, 2)
-    assert order_exact(2, 0, 7, 1)
-    assert not order_exact(2, 1, 7, 6)
-    with pytest.raises(ValueError):
-        order_exact(2, 1, 7, 4)  # 4 does not divide 6
+    # each hypothesis of the lemma, dropped alone, admits p not dividing Phi_N(a^n)
+    assert qualifies(7, 2, 3, 5) and eval_mod_prime(2, 3, 4, 7) != 0      # 3 does not divide 4
+    assert qualifies(13, 3, 2, 3) and eval_mod_prime(3, 2, 12, 13) != 0   # gcd(12, 3) = 3
+    assert not qualifies(7, 2, 2, 3) and eval_mod_prime(2, 2, 3, 7) != 0  # 2 is a square mod 7
 
 
 def test_divisibility_iff_order():
@@ -87,7 +81,7 @@ def test_divisibility_iff_order():
                     continue
                 for n in (1, 2, 5, 12):
                     divides = eval_mod_prime(n_idx, a, n, p) == 0
-                    assert divides == order_exact(a, n, p, n_idx)
+                    assert divides == (n_order(pow(a, n, p), p) == n_idx)
 
 
 def test_lemma_scan_small():
@@ -104,14 +98,9 @@ def test_lemma_scan_rejects_power_bases():
 
 def test_constructed_n_coprimality():
     # for qualified p, n = m (p-1)/N with gcd(m, N) = 1 is coprime to N
-    for p in sieve_primes(2000):
-        if (p - 1) % 3 == 0:
-            qp = qualifies_prime(p, 3, 2, 5)
-            if not qp.qualified:
-                continue
-            w = (p - 1) // 3
-            for m in (1, 2, 4, 5):
-                assert math.gcd(m * w, 3) == 1
+    for p, w in qualifying_primes(2, 2000, 3, 2, 5, (3,), (3,)):
+        for m in (1, 2, 4, 5):
+            assert math.gcd(m * w, 3) == 1
 
 
 def test_qualifying_primes_matches_explainer():
@@ -120,7 +109,7 @@ def test_qualifying_primes_matches_explainer():
         for d in (1, 5, 7):
             got = list(qualifying_primes(2, 3000, modulus, a, b, ells, ells, d))
             want = [p for p in sieve_primes(2999)
-                    if a % p and b % p and qualifies_prime(p, modulus, a, b).qualified
+                    if a % p and b % p and qualifies(p, modulus, a, b)
                     and (p - 1) // modulus % d == 0]
             assert got == [(p, (p - 1) // modulus) for p in want]
 
@@ -130,7 +119,7 @@ def test_squares_forced_by_the_modulus():
     for modulus in (2, 4, 6, 8, 10, 12, 24, 40):
         for c in (2, 3, 5, 6, 7, 10, 12, 18):
             primes = [p for p in sieve_primes(5000) if p % modulus == 1 and c % p]
-            always = all(is_lth_power_mod(c, 2, p) for p in primes)
+            always = all(is_nthpow_residue(c, 2, p) for p in primes)
             try:
                 check_squares_not_forced(modulus, (("a", c),))
                 rejected = False
