@@ -33,7 +33,6 @@ from .density import (
 from .errors import HypothesisError, VerificationError
 from .ffield import (
     FFConstruction,
-    FFPairResult,
     FFScanResult,
     FFVerifyResult,
     FieldContext,
@@ -43,13 +42,11 @@ from .ffield import (
     ff_construction,
     ff_direct_verify,
     ff_equivalence_check,
-    ff_pair_verify,
     ff_scan,
     fq_context,
     irreducible_count,
     irreducible_test,
     is_lth_power_poly,
-    monic_polys,
     pi_criterion,
     poly_gcd,
     poly_pow,

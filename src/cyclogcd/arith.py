@@ -18,9 +18,10 @@ from .errors import VerificationError
 _TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witnesses: exact for every n below
-# 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all
-# thirteen bases (without 41 the bound is 318,665,857,834,031,151,167,461).
+# _MR_EXACT_LIMIT, the least strong pseudoprime to all thirteen bases
+# (without 41 the bound is 318,665,857,834,031,151,167,461).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -67,7 +68,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.317e24)."""
+    """Deterministic Miller-Rabin, exact for n < 3.317e24.
+
+    A failed witness proves n composite at any size; a larger n that passes
+    every witness is refused with ValueError rather than called prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -87,6 +92,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_LIMIT:
+        raise ValueError(
+            f"{n} passes every Miller-Rabin witness, which proves primality only below {_MR_EXACT_LIMIT}"
+        )
     return True
 
 

@@ -16,12 +16,11 @@ from the primes afterwards.
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 from .arith import factorize, sieve_primes
 from .cyclotomic import eval_mod_prime
 from .errors import HypothesisError, VerificationError
-from .parallel import pmap, split_range
+from .parallel import map_blocks
 from .residues import check_not_lth_powers, check_squares_not_forced, qualifying_primes
 
 # Slots counted per histogram window: one byte each, whatever x is.
@@ -137,9 +136,8 @@ def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, i
         factorize(params.N).primes(),
         orders,
     )
-    blocks = split_range(2, params.x + 1, max(jobs * 4, 1))
     primes: list[tuple[int, int]] = []
-    for chunk in pmap(partial(_qualify_block, cfg), blocks, jobs):
+    for chunk in map_blocks(_qualify_block, cfg, 2, params.x + 1, jobs):
         primes.extend(chunk)
     return primes
 

@@ -13,11 +13,10 @@ counts against ratio * li(x) stand in for any analytic error term.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .arith import FactoredInt, euler_phi, factorize, li
 from .errors import HypothesisError, VerificationError
-from .parallel import pmap, split_range
+from .parallel import map_blocks
 from .residues import check_squares_not_forced, qualifying_primes
 
 
@@ -109,8 +108,7 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
     prediction = predicted_density(modulus, d, a, b)
     ells = tuple(l for l, _ in prediction.exponents)
     params = (modulus, d, a, b, ells)
-    blocks = split_range(2, x + 1, max(jobs * 4, 1))
-    count = sum(pmap(partial(_count_block, params), blocks, jobs))
+    count = sum(map_blocks(_count_block, params, 2, x + 1, jobs))
     expected = prediction.ratio_float * li(x)
     relative_error = abs(count / expected - 1.0) if expected else math.inf
     return DensityCheck(count, expected, relative_error, prediction, x)

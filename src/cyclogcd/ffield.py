@@ -11,18 +11,20 @@ The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
 monic irreducible pi of degree N over F_Q with the power-residue criterion,
 and certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying
-pi) by exact polynomial arithmetic.
+pi) by exact polynomial arithmetic.  The scan's irreducible count is checked
+against the Moebius formula, and `ff_equivalence_check` rebuilds the
+qualifying set by exact divisibility alone, as an oracle on the scan.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .arith import factorize, is_prime, moebius
 from .cyclotomic import eval_poly_fq
 from .errors import HypothesisError, VerificationError
-from .parallel import pmap, split_range
+from .parallel import map_blocks
 
 _TABLE_CAP = 256  # build full multiplication/inverse tables up to this field size
 
@@ -80,9 +82,6 @@ class FieldContext:
         dx, dy = self.decode(x), self.decode(y)
         return self.encode([(u - v) % self.p for u, v in zip(dx, dy)])
 
-    def neg(self, x: int) -> int:
-        return self.sub(0, x)
-
     def _mul_raw(self, x: int, y: int) -> int:
         if self.e == 1:
             return x * y % self.p
@@ -129,9 +128,6 @@ class FieldContext:
         for x in range(1, q):
             inv[x] = self.pow_elem(x, q - 2)
         self._inv_table = inv
-
-    def elements(self):
-        return range(self.q)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +214,7 @@ class FqPolynomial:
 
     def __neg__(self) -> "FqPolynomial":
         ctx = self.ctx
-        return FqPolynomial(ctx, tuple(ctx.neg(c) for c in self.coeffs))
+        return FqPolynomial(ctx, tuple(ctx.sub(0, c) for c in self.coeffs))
 
     def __sub__(self, other: "FqPolynomial") -> "FqPolynomial":
         return self + (-other)
@@ -260,9 +256,6 @@ class FqPolynomial:
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "FqPolynomial") -> "FqPolynomial":
-        return divmod(self, other)[0]
 
     def monic(self) -> "FqPolynomial":
         if self.is_zero:
@@ -409,12 +402,12 @@ def embed_subfield(small: FieldContext, big: FieldContext) -> tuple[int, ...]:
             acc = big.add(big.mul(acc, z), c)  # prime-field c encodes as itself
         return acc
 
-    roots = [z for z in big.elements() if eval_mod(z) == 0]
+    roots = [z for z in range(big.q) if eval_mod(z) == 0]
     if not roots:
         raise VerificationError("subfield modulus has no root in the big field")
     rho = min(roots)
     table = []
-    for v in small.elements():
+    for v in range(small.q):
         acc, pw = 0, 1
         for digit in small.decode(v):
             acc = big.add(acc, big.mul(digit, pw))
@@ -491,19 +484,15 @@ def ff_construction(base: FieldContext, k: int, n0: int, m: int) -> FFConstructi
     return FFConstruction(base, big, k, n0, m, r, t, Q, embed_subfield(base, big))
 
 
-def _monic_from_index(ctx: FieldContext, degree: int, idx: int) -> FqPolynomial:
-    coeffs = []
-    for _ in range(degree):
-        idx, digit = divmod(idx, ctx.q)
-        coeffs.append(digit)
-    coeffs.append(1)
-    return FqPolynomial(ctx, tuple(coeffs))
-
-
-def monic_polys(ctx: FieldContext, degree: int):
-    """All monic polynomials of the given degree, in a fixed enumeration order."""
-    for idx in range(ctx.q**degree):
-        yield _monic_from_index(ctx, degree, idx)
+def _monic_irreducibles(ctx: FieldContext, degree: int, lo: int, hi: int):
+    """The monic irreducibles of the given degree with index in [lo, hi), in
+    index order; index i holds the low coefficients as base-q digits of i,
+    constant digit first, so [0, q^degree) covers every monic polynomial."""
+    for idx in range(lo, hi):
+        low = tuple(idx // ctx.q**i % ctx.q for i in range(degree))
+        pi = FqPolynomial(ctx, low + (1,))
+        if irreducible_test(pi):
+            yield pi
 
 
 def pi_criterion(pi: FqPolynomial, f: FqPolynomial, m: int, r: int) -> bool:
@@ -540,13 +529,9 @@ def _scan_block(cfg, block) -> tuple[int, list[tuple[int, ...]]]:
     ctx = fq_context(p, e)
     a = FqPolynomial(ctx, a_coeffs)
     b = FqPolynomial(ctx, b_coeffs)
-    lo, hi = block
     total = 0
     qualifying = []
-    for idx in range(lo, hi):
-        pi = _monic_from_index(ctx, N, idx)
-        if not irreducible_test(pi):
-            continue
+    for pi in _monic_irreducibles(ctx, N, *block):
         total += 1
         if (a % pi).is_zero or (b % pi).is_zero:
             continue
@@ -555,18 +540,18 @@ def _scan_block(cfg, block) -> tuple[int, list[tuple[int, ...]]]:
     return total, qualifying
 
 
-def check_ff_bases(base: FieldContext, a: FqPolynomial, b: FqPolynomial, u: int, v: int) -> None:
-    """Hypothesis gate for base polynomials a, b entering Phi_u and Phi_v."""
-    for name, f, idx in (("a", a, u), ("b", b, v)):
-        if f.ctx is not base:
+def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> None:
+    """Hypothesis gate for the base polynomials a, b entering Phi_m."""
+    for name, f in (("a", a), ("b", b)):
+        if f.ctx is not constr.base:
             raise ValueError(f"{name} is not over the base field")
         if f.degree < 1 or not f.is_monic:
             raise HypothesisError(f"{name} must be a nonconstant monic polynomial")
-        for l in factorize(idx).primes():
+        for l in factorize(constr.m).primes():
             if is_lth_power_poly(f, l):
                 raise HypothesisError(
                     f"{name} = {f} is an l-th power in the polynomial ring for l = {l}; the "
-                    f"bases must not be l-th powers for any prime l dividing the index {idx}"
+                    f"bases must not be l-th powers for any prime l dividing the index {constr.m}"
                 )
 
 
@@ -579,18 +564,23 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jo
     `predicted_alt` weights each l by its multiplicity e in m instead:
     Q^N/(N r^2) * prod (l-1)^e / l^e.  The empirical count is authoritative.
     """
-    check_ff_bases(constr.base, a, b, constr.m, constr.m)
+    check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     big = constr.big
     a_big, b_big = constr.lift(a), constr.lift(b)
     cfg = (big.p, big.e, a_big.coeffs, b_big.coeffs, N, constr.m, constr.r)
-    blocks = split_range(0, big.q**N, max(jobs * 4, 1))
     total = 0
     qualifying: list[tuple[int, ...]] = []
-    for block_total, block_qual in pmap(partial(_scan_block, cfg), blocks, jobs):
+    for block_total, block_qual in map_blocks(_scan_block, cfg, 0, big.q**N, jobs):
         total += block_total
         qualifying.extend(block_qual)
     qualifying.sort()
+    expected = irreducible_count(big.q, N)
+    if total != expected:
+        raise VerificationError(
+            f"the scan found {total} monic irreducibles of degree {N} over F_{big.q}, "
+            f"the Moebius count is {expected}"
+        )
     density = 1.0 / constr.r**2
     density_alt = 1.0 / constr.r**2
     for l, e in sorted(factorize(constr.m).factors.items()):
@@ -623,17 +613,15 @@ def ff_direct_verify(
     N: int,
     a: FqPolynomial,
     b: FqPolynomial,
+    scan: FFScanResult,
     n_cap: int = 5000,
-    scan: FFScanResult | None = None,
 ) -> FFVerifyResult:
     """Compute gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field and
-    certify deg gcd >= N * (qualifying pi count)."""
-    check_ff_bases(constr.base, a, b, constr.m, constr.m)
+    certify deg gcd >= N * (qualifying pi count of `scan`)."""
+    check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
-    if scan is None:
-        scan = ff_scan(constr, N, a, b)
     value_a = eval_poly_fq(constr.m, poly_pow(a, n))
     value_b = eval_poly_fq(constr.m, poly_pow(b, n))
     g = poly_gcd(value_a, value_b)
@@ -654,94 +642,30 @@ def ff_direct_verify(
 
 
 def ff_equivalence_check(
-    constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial
+    constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, scan: FFScanResult
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Exhaustively compare the power criterion with exact divisibility.
+    """Check a scan against exact divisibility, without the power criterion.
 
-    For every monic irreducible pi of degree N not dividing ab, the criterion
-    (for both bases) must agree with pi | gcd(Phi_m(a^n), Phi_m(b^n)).
-    Returns (number of pi checked, list of mismatching pi coefficients).
+    Every monic irreducible pi of degree N over F_Q not dividing ab is tested
+    for pi | gcd(Phi_m(a^n), Phi_m(b^n)) by exact remainders of both values.
+    Returns (number of pi checked, the sorted coefficient tuples of the pi
+    on which the dividing set and scan.qualifying differ).
     """
-    check_ff_bases(constr.base, a, b, constr.m, constr.m)
+    check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(a, n)))
     value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(b, n)))
     a_big, b_big = constr.lift(a), constr.lift(b)
     checked = 0
-    mismatches = []
-    for pi in monic_polys(constr.big, N):
-        if not irreducible_test(pi):
-            continue
+    dividing = set()
+    for pi in _monic_irreducibles(constr.big, N, 0, constr.Q**N):
+        divides = (value_a % pi).is_zero and (value_b % pi).is_zero
         if (a_big % pi).is_zero or (b_big % pi).is_zero:
             # pi | base implies Phi_m(base^n) = Phi_m(0) = +-1 mod pi, never 0
-            if (value_a % pi).is_zero and (value_b % pi).is_zero:
+            if divides:
                 raise VerificationError(f"pi = {pi} divides despite dividing a base")
             continue
         checked += 1
-        crit = pi_criterion(pi, a_big, constr.m, constr.r) and pi_criterion(
-            pi, b_big, constr.m, constr.r
-        )
-        divides = (value_a % pi).is_zero and (value_b % pi).is_zero
-        if crit != divides:
-            mismatches.append(pi.coeffs)
-    return checked, mismatches
-
-
-@dataclass(frozen=True)
-class FFPairResult:
-    u: int
-    v: int
-    N: int
-    n: int
-    deg_gcd: int
-    count: int
-    certified_bound: int
-    ratio_to_n: float
-
-
-def ff_pair_verify(
-    base: FieldContext,
-    k: int,
-    n0: int,
-    u: int,
-    v: int,
-    a: FqPolynomial,
-    b: FqPolynomial,
-    N: int,
-    n_cap: int = 5000,
-) -> FFPairResult:
-    """Mixed-index variant: certify deg gcd(Phi_u(a^n), Phi_v(b^n)) >= N * count.
-
-    No derived criterion exists here, so divisibility by each pi is checked
-    directly by exact remainders.  Parameters come from the construction with
-    m = lcm(u, v).
-    """
-    d = math.gcd(u, v)
-    if math.gcd(u // d, d) != 1 or math.gcd(v // d, d) != 1:
-        raise HypothesisError(
-            f"indices u = {u}, v = {v} need gcd(u/d, d) = gcd(v/d, d) = 1 for d = gcd(u, v)"
-        )
-    lcm_idx = math.lcm(u, v)
-    if math.gcd(lcm_idx, base.q) != 1:
-        raise HypothesisError(f"lcm(u, v) = {lcm_idx} must be prime to q = {base.q}")
-    check_ff_bases(base, a, b, u, v)
-    constr = ff_construction(base, k, n0, lcm_idx)
-    n = constr.n_for(N)
-    if n > n_cap:
-        raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
-    value_a = eval_poly_fq(u, poly_pow(a, n))
-    value_b = eval_poly_fq(v, poly_pow(b, n))
-    g = poly_gcd(value_a, value_b)
-    lifted_a, lifted_b = constr.lift(value_a), constr.lift(value_b)
-    count = 0
-    for pi in monic_polys(constr.big, N):
-        if not irreducible_test(pi):
-            continue
-        if (lifted_a % pi).is_zero and (lifted_b % pi).is_zero:
-            count += 1
-    certified = N * count
-    if g.degree < certified:
-        raise VerificationError(f"deg gcd = {g.degree} below certified bound {certified}")
-    return FFPairResult(
-        u=u, v=v, N=N, n=n, deg_gcd=g.degree, count=count, certified_bound=certified, ratio_to_n=g.degree / n
-    )
+        if divides:
+            dividing.add(pi.coeffs)
+    return checked, sorted(dividing.symmetric_difference(scan.qualifying))

@@ -9,12 +9,11 @@ gcd_seq_exact rows with M = N = 1.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import euler_phi, factorize, sieve_primes
 from .cyclotomic import build_cyclotomic, eval_int
 from .errors import VerificationError
-from .parallel import pmap, split_range
+from .parallel import map_blocks
 
 # factor the gcd for the report only while it stays cheap
 _FACTOR_REPORT_CAP = 10**15
@@ -57,9 +56,8 @@ def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, jobs: int 
         raise ValueError(
             f"values would reach about {estimated_bits} bits, over the cap {_BIT_CAP}"
         )
-    blocks = split_range(1, n_max + 1, max(jobs * 2, 1))
     rows: list[GcdSeqRow] = []
-    for chunk in pmap(partial(_gcd_rows_block, (a, b, idx_a, idx_b)), blocks, jobs):
+    for chunk in map_blocks(_gcd_rows_block, (a, b, idx_a, idx_b), 1, n_max + 1, jobs):
         rows.extend(chunk)
     return rows
 

@@ -7,6 +7,7 @@ concatenation), so the final result is independent of how many workers ran.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 ENV_JOBS = "CYCLOGCD_JOBS"
 
@@ -46,15 +47,18 @@ def split_range(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def pmap(fn, items, jobs: int = 1) -> list:
-    """Map `fn` over `items`, preserving order.
+def map_blocks(fn, cfg, lo: int, hi: int, jobs: int = 1) -> list:
+    """[fn(cfg, block) for each block of [lo, hi)], in block order.
 
-    With jobs <= 1 this is a plain loop (no pool overhead); otherwise a
-    process pool is used and results are collected in input order, which is
-    what keeps merged output schedule-independent.
+    The range is cut into four contiguous blocks per worker, so a slow block
+    does not leave the other workers idle.  With jobs <= 1 this is a plain
+    loop (no pool overhead); otherwise a process pool runs the blocks and
+    the results are collected in block order, which is what keeps merged
+    output schedule-independent.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
-        return list(ex.map(fn, items))
+    task = partial(fn, cfg)
+    blocks = split_range(lo, hi, max(jobs * 4, 1))
+    if jobs <= 1 or len(blocks) <= 1:
+        return [task(block) for block in blocks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as ex:
+        return list(ex.map(task, blocks))

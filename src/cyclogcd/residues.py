@@ -9,12 +9,11 @@ than trusting it.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import factorize, primes_in_range
 from .cyclotomic import build_cyclotomic
 from .errors import HypothesisError, VerificationError
-from .parallel import pmap, split_range
+from .parallel import map_blocks
 
 
 def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
@@ -123,9 +122,8 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     if modulus % 2 == 0:
         check_squares_not_forced(modulus, (("a", a), ("b", b)))
     cfg = (a, b, modulus, m_max, ells, build_cyclotomic(modulus).coeffs)
-    blocks = split_range(2, p_max + 1, max(jobs * 4, 1))
     qualified = checked = 0
-    for q, c in pmap(partial(_lemma_scan_block, cfg), blocks, jobs):
+    for q, c in map_blocks(_lemma_scan_block, cfg, 2, p_max + 1, jobs):
         qualified += q
         checked += c
     return LemmaScanResult(modulus, a, b, p_max, m_max, qualified, checked, 0)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -64,6 +65,16 @@ def test_primes_in_range_matches_trial_division():
         for lo, hi in blocks:
             assert primes_in_range(lo, hi) == want(lo, hi), (lo, hi)
         assert [p for lo, hi in blocks for p in primes_in_range(lo, hi)] == oracle
+
+
+def test_factorize_matches_sympy_past_the_trial_bound():
+    # factors above 10^6 are split by Pollard rho, not trial division
+    rng = random.Random(7)
+    large = [sympy.nextprime(rng.randrange(10**6, 10**9)) for _ in range(12)]
+    cases = [p * q for p, q in zip(large, large[1:])]
+    cases += [large[0] ** 2, 2**5 * 3 * large[1] * large[2], large[3] * large[4] * large[5]]
+    for n in cases:
+        assert factorize(n).factors == sympy.factorint(n), n
 
 
 def test_factorize_examples():
@@ -157,6 +168,19 @@ def test_is_prime_strong_pseudoprime_to_first_twelve_primes():
     n = 318665857834031151167461   # 399165290221 * 798330580441
     assert not is_prime(n)
     assert not sympy.isprime(n)
+
+
+def test_is_prime_refuses_above_its_exact_range():
+    bound = 3317044064679887385961981   # 1287836182261 * 2575672364521
+    assert not sympy.isprime(bound)
+    with pytest.raises(ValueError, match="passes every Miller-Rabin witness"):
+        is_prime(bound)
+    for n in range(bound + 1, bound + 3000):
+        if sympy.isprime(n):
+            with pytest.raises(ValueError):
+                is_prime(n)
+        else:
+            assert is_prime(n) is False, n
 
 
 @pytest.mark.parametrize("centre", [2**64, 33 * 10**23])

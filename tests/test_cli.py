@@ -257,6 +257,13 @@ def test_ff_rejects_bad_q(capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_pseudoprime_base_is_exit_one(capsys):
+    # a strong pseudoprime to every Miller-Rabin witness is no proven prime
+    code = main(["champion", "--a", "3317044064679887385961981", "--b", "3", "--N", "2", "--x", "100"])
+    assert code == 1
+    assert "passes every Miller-Rabin witness" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_one(capsys):
     assert main(["champion", "--a", "2"]) == 1
     assert main(["no-such-command"]) == 1
@@ -289,6 +296,26 @@ def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
                  "--delta", "0.5"])
     assert code == 2
     assert "divides none of" in capsys.readouterr().err
+
+
+def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
+    from cyclogcd import ffield
+
+    real = ffield._monic_irreducibles
+
+    def one_short(ctx, degree, lo, hi):
+        # drop the first irreducible of the whole range
+        found = real(ctx, degree, lo, hi)
+        if lo == 0:
+            next(found)
+        return found
+
+    monkeypatch.setattr(ffield, "_monic_irreducibles", one_short)
+    monkeypatch.delenv("CYCLOGCD_JOBS", raising=False)   # the patch reaches no worker process
+    code = main(["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
+                 "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"])
+    assert code == 2
+    assert "the Moebius count is 4" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

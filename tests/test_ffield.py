@@ -1,4 +1,10 @@
+import itertools
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError
@@ -9,13 +15,11 @@ from cyclogcd.ffield import (
     ff_construction,
     ff_direct_verify,
     ff_equivalence_check,
-    ff_pair_verify,
     ff_scan,
     fq_context,
     irreducible_count,
     irreducible_test,
     is_lth_power_poly,
-    monic_polys,
     pi_criterion,
     poly_gcd,
     poly_pow,
@@ -29,6 +33,11 @@ F4 = fq_context(2, 2)
 
 def P(ctx, *coeffs):
     return FqPolynomial.of(ctx, coeffs)
+
+
+def monic_polys(ctx, degree):
+    for low in itertools.product(range(ctx.q), repeat=degree):
+        yield FqPolynomial(ctx, low + (1,))
 
 
 def test_context_moduli_deterministic():
@@ -107,6 +116,13 @@ def test_irreducible_examples():
         irreducible_test(P(F2, 1))
 
 
+def test_irreducible_test_matches_sympy():
+    for p in (2, 3, 5):
+        for degree in (1, 2, 3, 4):
+            for f in monic_polys(fq_context(p, 1), degree):
+                assert irreducible_test(f) == gf_irreducible_p(list(reversed(f.coeffs)), p, ZZ), f
+
+
 def test_irreducible_counts_match_necklace_formula():
     for ctx in (F2, F3, F4):
         for degree in (1, 2, 3, 4):
@@ -159,6 +175,11 @@ B_POLY = P(F2, 1, 1)
 FROZEN_SCAN = {1: (4, 2, 2), 2: (6, 2, 6), 3: (20, 10, 30), 4: (60, 26, 110)}
 
 
+@lru_cache(maxsize=None)
+def scan_of(N):
+    return ff_scan(CONSTR, N, A_POLY, B_POLY)
+
+
 def test_construction_invariants():
     assert (CONSTR.r, CONSTR.t, CONSTR.Q) == (1, 2, 4)
     for N in range(1, 7):
@@ -182,7 +203,7 @@ def test_pi_criterion_m_one_reduces_to_r_test():
 
 def test_ff_scan_frozen_counts():
     for N, (total, count, _) in FROZEN_SCAN.items():
-        scan = ff_scan(CONSTR, N, A_POLY, B_POLY)
+        scan = scan_of(N)
         assert scan.total_irreducible == total
         assert scan.count == count
         assert scan.total_irreducible == irreducible_count(4, N)
@@ -198,7 +219,7 @@ def test_ff_scan_parallel_deterministic():
 
 def test_ff_direct_verify_frozen():
     for N, (_, count, deg) in FROZEN_SCAN.items():
-        res = ff_direct_verify(CONSTR, N, A_POLY, B_POLY)
+        res = ff_direct_verify(CONSTR, N, A_POLY, B_POLY, scan_of(N))
         assert res.deg_gcd == deg
         assert res.certified_bound == N * count
         assert res.deg_gcd >= res.certified_bound
@@ -207,19 +228,33 @@ def test_ff_direct_verify_frozen():
 
 def test_ff_direct_verify_cap():
     with pytest.raises(ValueError, match="cap"):
-        ff_direct_verify(CONSTR, 4, A_POLY, B_POLY, n_cap=50)
+        ff_direct_verify(CONSTR, 4, A_POLY, B_POLY, scan_of(4), n_cap=50)
 
 
 def test_ff_equivalence():
-    # criterion <=> exact divisibility for every irreducible pi, degrees 1..4
+    # scan <=> exact divisibility for every irreducible pi, degrees 1..4
     for N in range(1, 5):
-        checked, mismatches = ff_equivalence_check(CONSTR, N, A_POLY, B_POLY)
+        checked, mismatches = ff_equivalence_check(CONSTR, N, A_POLY, B_POLY, scan_of(N))
         assert mismatches == []
         assert checked >= FROZEN_SCAN[N][1]
 
 
+def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():
+    scan = scan_of(3)
+    dropped = scan.qualifying[4]
+    rest = tuple(c for c in scan.qualifying if c != dropped)
+    assert ff_equivalence_check(CONSTR, 3, A_POLY, B_POLY, replace(scan, qualifying=rest))[1] == [dropped]
+    extra = next(pi.coeffs for pi in monic_polys(CONSTR.big, 3)
+                 if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
+    doctored = replace(scan, qualifying=tuple(sorted(scan.qualifying + (extra,))))
+    assert ff_equivalence_check(CONSTR, 3, A_POLY, B_POLY, doctored)[1] == [extra]
+    t = (0, 1)   # T divides the base a, so it never qualifies
+    doctored = replace(scan_of(1), qualifying=scan_of(1).qualifying + (t,))
+    assert ff_equivalence_check(CONSTR, 1, A_POLY, B_POLY, doctored)[1] == [t]
+
+
 def test_ff_identical_bases_gcd_is_whole_value():
-    res = ff_direct_verify(CONSTR, 1, A_POLY, A_POLY)
+    res = ff_direct_verify(CONSTR, 1, A_POLY, A_POLY, ff_scan(CONSTR, 1, A_POLY, A_POLY))
     # gcd = Phi_3(a^n) itself: degree phi(3) * n * deg(a)
     assert res.deg_gcd == 2 * res.n * A_POLY.degree
 
@@ -232,32 +267,10 @@ def test_ff_hypothesis_gates():
         ff_scan(CONSTR, 1, cube, B_POLY)
 
 
-def test_ff_pair_verify_matches_symmetric_case():
-    sym = ff_direct_verify(CONSTR, 2, A_POLY, B_POLY)
-    pair = ff_pair_verify(F2, 1, 1, 3, 3, A_POLY, B_POLY, 2)
-    assert (pair.deg_gcd, pair.count, pair.n) == (sym.deg_gcd, sym.count, sym.n)
-
-
-def test_ff_pair_verify_mixed():
-    res = ff_pair_verify(F2, 1, 1, 1, 3, A_POLY, B_POLY, 2)
-    assert res.n == 5
-    assert res.deg_gcd >= res.certified_bound == 2 * res.count
-    res31 = ff_pair_verify(F2, 1, 1, 3, 1, A_POLY, B_POLY, 2)
-    assert res31.deg_gcd >= res31.certified_bound
-    with pytest.raises(HypothesisError):
-        ff_pair_verify(F2, 1, 1, 2, 4, A_POLY, B_POLY, 1)  # gcd(v/d, d) != 1
-
-
 def test_ff_pair_verify_refuses_a_base_over_another_field():
+    # the base gate check_ff_bases, which every ff entry point runs first
     with pytest.raises(ValueError, match="a is not over the base field"):
-        ff_pair_verify(F2, 1, 1, 1, 3, P(F4, 0, 1), B_POLY, 2)
-
-
-def test_ff_pair_unit_indices():
-    # u = v = 1 is the plain gcd(a^n - 1, b^n - 1) construction
-    res = ff_pair_verify(F2, 1, 1, 1, 1, A_POLY, B_POLY, 2)
-    assert res.n == 3   # Q = 2, n = 2^2 - 1
-    assert res.deg_gcd >= res.certified_bound
+        ff_scan(CONSTR, 2, P(F4, 0, 1), B_POLY)
 
 
 def test_eval_poly_fq_in_extension():
