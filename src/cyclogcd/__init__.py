@@ -47,7 +47,6 @@ from .ffield import (
     irreducible_count,
     irreducible_test,
     is_lth_power_poly,
-    pi_criterion,
     poly_gcd,
     poly_pow,
     poly_powmod,

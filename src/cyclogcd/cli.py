@@ -9,12 +9,13 @@ invariant check fails (which should never happen and must never be silent).
 Each subcommand returns its report, the CSV columns and the rows they are
 read from; `_emit` derives the configuration echo and the CSV from those.
 Reports are byte-identical for identical configurations regardless of the
-parallelism width (CYCLOGCD_JOBS overrides --jobs).
+parallelism width --jobs.
 """
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import sys
 
@@ -60,25 +61,24 @@ def _emit(args, report: dict, columns: list[str], rows: list[dict]) -> None:
     """Write one report with the configuration it was computed from.
 
     The configuration is every option but --jobs and --out, which cannot
-    change the report; a CSV row holds the `columns` of one of `rows`.
+    change the report; a CSV row holds the `columns` of one of `rows`.  The
+    report goes straight to its destination; JSON is written in batches of
+    the encoder's chunks, so an unbuffered stdout sees few writes.
     """
     config = {k: v for k, v in vars(args).items() if k not in ("jobs", "out", "run")}
-    if args.format == "json":
-        doc = {"config": config, "report": report, "version": __version__}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# version={__version__}\n")
-        buf.write(f"# config={json.dumps(config, sort_keys=True)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            doc = {"config": config, "report": report, "version": __version__}
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+            while text := "".join(itertools.islice(chunks, 1 << 16)):
+                fh.write(text)
+            fh.write("\n")
+        else:
+            fh.write(f"# version={__version__}\n")
+            fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_cell(row[c]) for c in columns] for row in rows)
 
 
 def _cmd_gcd_seq(args, jobs):
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism width (env CYCLOGCD_JOBS overrides)")
+                       help="parallelism width, clamped to the CPU count")
 
     p = sub.add_parser("gcd-seq", help="exact gcd(Phi_M(a^n), Phi_N(b^n)) rows")
     p.add_argument("--a", type=int, required=True)

@@ -2,21 +2,20 @@
 degree-growth construction over F_q[T].
 
 Field contexts are built over the prime field with a deterministic modulus
-(the lexicographically least monic irreducible by ascending coefficient
-sequence), so every run and every implementation of this convention agrees
-on element encodings.  Elements are encoded as integers in [0, p^e) via
+(the first monic irreducible in index order, see `_monic_irreducibles`), so
+every run and every implementation of this convention agrees on element
+encodings.  Elements are encoded as integers in [0, p^e) via
 base-p digits, constant digit first.
 
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
-monic irreducible pi of degree N over F_Q with the power-residue criterion,
-and certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying
-pi) by exact polynomial arithmetic.  The scan's irreducible count is checked
-against the Moebius formula, and `ff_equivalence_check` rebuilds the
-qualifying set by exact divisibility alone, as an oracle on the scan.
+monic irreducible pi of degree N over F_Q with the power-residue criterion
+on the norms of the bases (as mr | Q - 1), and certifies deg gcd(Phi_m(a^n),
+Phi_m(b^n)) >= N * (number of qualifying pi) by exact polynomial arithmetic.
+The Moebius formula checks the scan's irreducible count; `ff_equivalence_check`
+rebuilds the qualifying set by exact divisibility alone, as an oracle.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,10 +39,7 @@ class FieldContext:
         self.p = p
         self.e = e
         self.q = p**e
-        if e == 1:
-            self.modulus: tuple[int, ...] = (0, 1)
-        else:
-            self.modulus = _least_irreducible_modulus(p, e)
+        self.modulus = (0, 1) if e == 1 else _least_irreducible_modulus(p, e)
         self._mul_table = None
         self._inv_table = None
         if self.q <= _TABLE_CAP:
@@ -137,14 +133,7 @@ def fq_context(p: int, e: int) -> FieldContext:
 
 
 def _least_irreducible_modulus(p: int, e: int) -> tuple[int, ...]:
-    base = fq_context(p, 1)
-    for low in itertools.product(range(p), repeat=e):
-        # `low` is (c0, ..., c_{e-1}); product varies the first slot slowest,
-        # which is exactly ascending lexicographic order on the sequence.
-        f = FqPolynomial.of(base, low + (1,))
-        if irreducible_test(f):
-            return low + (1,)
-    raise VerificationError(f"no irreducible of degree {e} over GF({p})")  # impossible
+    return next(_monic_irreducibles(fq_context(p, 1), e, 0, p**e)).coeffs
 
 
 @dataclass(frozen=True)
@@ -346,21 +335,13 @@ def irreducible_count(q: int, n: int) -> int:
     return total // n
 
 
-def _series_mul_trunc(ctx, a, b, trunc):
-    out = [0] * trunc
-    for i, u in enumerate(a[:trunc]):
-        if u:
-            for j, v in enumerate(b[: trunc - i]):
-                if v:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(u, v))
-    return out
-
-
 def is_lth_power_poly(f: FqPolynomial, l: int) -> bool:
     """True iff monic f equals g**l for some g in the same polynomial ring.
 
-    Solves for the candidate root coefficient by coefficient (possible since
-    l is invertible in the field) and then checks g**l == f exactly.
+    Solves for the monic candidate root g of degree d from the top
+    coefficient down: the coefficient of T^((l-1)d + j) in g**l is l*g_j
+    plus terms in the higher coefficients of g, and l is invertible in the
+    field.  Then checks g**l == f exactly.
     """
     ctx = f.ctx
     if not f.is_monic:
@@ -370,19 +351,13 @@ def is_lth_power_poly(f: FqPolynomial, l: int) -> bool:
     if f.degree % l != 0:
         return False
     d = f.degree // l
-    rev_f = list(reversed(f.coeffs))  # rev_f[0] == 1
-    g_rev = [1] + [0] * d
+    g = [0] * d + [1]
     l_inv = ctx.inv(l % ctx.p)
-    for j in range(1, d + 1):
-        power = g_rev[: j + 1]
-        acc = [1] + [0] * j
-        for _ in range(l):
-            acc = _series_mul_trunc(ctx, acc, power, j + 1)
-        have = acc[j]
-        want = rev_f[j] if j < len(rev_f) else 0
-        g_rev[j] = ctx.mul(ctx.sub(want, have), l_inv)
-    g = FqPolynomial.of(ctx, tuple(reversed(g_rev)))
-    return poly_pow(g, l) == f
+    for j in range(d - 1, -1, -1):
+        # g_j, ..., g_0 are still 0 here, so this is the higher terms' part
+        have = poly_pow(FqPolynomial(ctx, tuple(g)), l).coeffs[(l - 1) * d + j]
+        g[j] = ctx.mul(ctx.sub(f.coeffs[(l - 1) * d + j], have), l_inv)
+    return poly_pow(FqPolynomial(ctx, tuple(g)), l) == f
 
 
 def embed_subfield(small: FieldContext, big: FieldContext) -> tuple[int, ...]:
@@ -495,22 +470,14 @@ def _monic_irreducibles(ctx: FieldContext, degree: int, lo: int, hi: int):
             yield pi
 
 
-def pi_criterion(pi: FqPolynomial, f: FqPolynomial, m: int, r: int) -> bool:
-    """True iff f is an r-th power mod pi and not an l-th power for any l | m.
-
-    Realized through the power tests f^((Q^N - 1)/r) = 1 and
-    f^((Q^N - 1)/l) != 1 in the residue field of pi.
-    """
-    if (f % pi).is_zero:
-        raise ValueError("pi divides the tested polynomial")
-    total = pi.ctx.q**pi.degree - 1
-    one = FqPolynomial.one(pi.ctx)
-    if poly_powmod(f, total // r, pi) != one:
-        return False
-    for l in factorize(m).primes():
-        if poly_powmod(f, total // l, pi) == one:
-            return False
-    return True
+def _norm(pi: FqPolynomial, f: FqPolynomial) -> int:
+    """Norm(f mod pi) = f^((Q^N - 1)/(Q - 1)) mod pi, an element of F_Q for a
+    monic irreducible pi of degree N over F_Q; it is 0 iff pi | f."""
+    q = pi.ctx.q
+    norm = poly_powmod(f, (q**pi.degree - 1) // (q - 1), pi)
+    if norm.degree > 0:
+        raise VerificationError(f"the norm of {f} mod pi = {pi} is not in the coefficient field")
+    return norm.coeffs[0] if norm.coeffs else 0
 
 
 @dataclass(frozen=True)
@@ -525,17 +492,12 @@ class FFScanResult:
 
 
 def _scan_block(cfg, block) -> tuple[int, list[tuple[int, ...]]]:
-    p, e, a_coeffs, b_coeffs, N, m, r = cfg
-    ctx = fq_context(p, e)
-    a = FqPolynomial(ctx, a_coeffs)
-    b = FqPolynomial(ctx, b_coeffs)
+    a, b, N, accepted = cfg
     total = 0
     qualifying = []
-    for pi in _monic_irreducibles(ctx, N, *block):
+    for pi in _monic_irreducibles(a.ctx, N, *block):
         total += 1
-        if (a % pi).is_zero or (b % pi).is_zero:
-            continue
-        if pi_criterion(pi, a, m, r) and pi_criterion(pi, b, m, r):
+        if _norm(pi, a) in accepted and _norm(pi, b) in accepted:
             qualifying.append(pi.coeffs)
     return total, qualifying
 
@@ -556,8 +518,14 @@ def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> 
 
 
 def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jobs: int = 1) -> FFScanResult:
-    """Count the monic irreducible pi of degree N over F_Q passing the
-    criterion for both bases; report the density predictions next to it.
+    """Count the monic irreducible pi of degree N over F_Q at which both
+    bases are r-th powers and neither is an l-th power for a prime l | m;
+    report the density predictions next to it.
+
+    Since mr | Q - 1, f^((Q^N - 1)/r) = Norm(f)^((Q - 1)/r) mod pi, and
+    likewise for each l, so pi qualifies iff the norms of a and b mod pi
+    lie in the set of c in F_Q* with c^((Q - 1)/r) = 1 and no
+    c^((Q - 1)/l) = 1.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
     jointly independent: Q^N/(N r^2) * prod_{l | m} (1 - 1/l)^2.
@@ -567,11 +535,13 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jo
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     big = constr.big
-    a_big, b_big = constr.lift(a), constr.lift(b)
-    cfg = (big.p, big.e, a_big.coeffs, b_big.coeffs, N, constr.m, constr.r)
+    Q, ls = constr.Q, factorize(constr.m).primes()
+    accepted = frozenset(c for c in range(1, Q) if big.pow_elem(c, (Q - 1) // constr.r) == 1
+                         and all(big.pow_elem(c, (Q - 1) // l) != 1 for l in ls))
+    cfg = (constr.lift(a), constr.lift(b), N, accepted)
     total = 0
     qualifying: list[tuple[int, ...]] = []
-    for block_total, block_qual in map_blocks(_scan_block, cfg, 0, big.q**N, jobs):
+    for block_total, block_qual in map_blocks(_scan_block, cfg, 0, Q**N, jobs):
         total += block_total
         qualifying.extend(block_qual)
     qualifying.sort()

@@ -9,26 +9,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-ENV_JOBS = "CYCLOGCD_JOBS"
 
-
-def effective_jobs(requested: int | None = None) -> int:
-    """Resolve the parallelism width; the environment variable wins.
+def effective_jobs(requested: int = 1) -> int:
+    """Resolve the parallelism width.
 
     Widths below 1 are rejected and widths above the CPU count are clamped
     to it, so no setting can ask for more worker processes than CPUs.
     """
-    env = os.environ.get(ENV_JOBS)
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_JOBS} = {env!r} is not an integer") from None
-    else:
-        jobs = 1 if requested is None else requested
-    if jobs < 1:
-        raise ValueError(f"the parallelism width must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if requested < 1:
+        raise ValueError(f"the parallelism width must be at least 1, got {requested}")
+    return min(requested, os.cpu_count() or 1)
 
 
 def split_range(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:

@@ -310,8 +310,8 @@ def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
             next(found)
         return found
 
+    fq_context(2, 2)   # F_4's modulus comes from the same enumeration: build it unpatched
     monkeypatch.setattr(ffield, "_monic_irreducibles", one_short)
-    monkeypatch.delenv("CYCLOGCD_JOBS", raising=False)   # the patch reaches no worker process
     code = main(["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
                  "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"])
     assert code == 2

@@ -3,13 +3,15 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
+from sympy import primefactors
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from cyclogcd.cyclotomic import eval_poly_fq
-from cyclogcd.errors import HypothesisError
+from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
     FqPolynomial,
+    _norm,
     choose_params,
     embed_subfield,
     ff_construction,
@@ -20,7 +22,6 @@ from cyclogcd.ffield import (
     irreducible_count,
     irreducible_test,
     is_lth_power_poly,
-    pi_criterion,
     poly_gcd,
     poly_pow,
     poly_powmod,
@@ -42,10 +43,24 @@ def monic_polys(ctx, degree):
 
 def test_context_moduli_deterministic():
     assert F4.modulus == (1, 1, 1)             # u^2 + u + 1, the only choice
-    assert fq_context(3, 2).modulus == (1, 0, 1)  # u^2 + 1 is least over F_3
+    assert fq_context(3, 2).modulus == (1, 0, 1)  # u^2 + 1 is first over F_3
+    assert fq_context(2, 3).modulus == (1, 1, 0, 1)     # u^3 + u + 1
+    assert fq_context(2, 4).modulus == (1, 1, 0, 0, 1)  # u^4 + u + 1
     assert fq_context(2, 1).modulus == (0, 1)
     with pytest.raises(ValueError):
         fq_context(4, 1)
+
+
+def test_context_moduli_are_the_first_irreducibles_by_index():
+    # index order: the low coefficients read as base-p digits, constant first
+    for p, e in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
+        modulus = fq_context(p, e).modulus
+        index = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+        assert modulus[-1] == 1 and len(modulus) == e + 1
+        assert gf_irreducible_p(list(reversed(modulus)), p, ZZ)
+        for earlier in range(index):
+            low = [earlier // p**i % p for i in range(e)]
+            assert not gf_irreducible_p([1] + low[::-1], p, ZZ), (p, e, low)
 
 
 def test_field_arithmetic_of_f4():
@@ -130,6 +145,16 @@ def test_irreducible_counts_match_necklace_formula():
             assert found == irreducible_count(ctx.q, degree)
 
 
+def test_is_lth_power_poly_matches_all_powers():
+    # every monic f of degree <= D against the set of g**l over monic g
+    for p, e, l, D in ((3, 1, 2, 6), (2, 2, 3, 6), (5, 1, 2, 4), (5, 1, 3, 3)):
+        ctx = fq_context(p, e)
+        powers = {poly_pow(g, l) for d in range(D // l + 1) for g in monic_polys(ctx, d)}
+        for degree in range(D + 1):
+            for f in monic_polys(ctx, degree):
+                assert is_lth_power_poly(f, l) == (f in powers), (ctx, l, f)
+
+
 def test_is_lth_power_poly():
     b = P(F2, 1, 1)
     assert is_lth_power_poly(poly_pow(b, 3), 3)
@@ -188,17 +213,42 @@ def test_construction_invariants():
         assert n % 2 == 1          # n = n0 = 1 mod q^k
 
 
-def test_pi_criterion_m_one_reduces_to_r_test():
-    constr = ff_construction(F2, 2, 1, 1)   # m = 1: r-th power test alone
-    assert constr.r == 3
-    big = constr.big
-    a = constr.lift(A_POLY)
-    for pi in monic_polys(big, 1):
-        if (a % pi).is_zero:
-            continue
-        total = big.q - 1
-        expected = poly_powmod(a, total // constr.r, pi) == FqPolynomial.one(big)
-        assert pi_criterion(pi, a, 1, constr.r) == expected
+def _power_criterion(pi, f, constr):
+    # the criterion as powmods mod pi: f^((Q^N-1)/r) = 1 and f^((Q^N-1)/l) != 1
+    if (f % pi).is_zero:
+        return False
+    total = constr.Q**pi.degree - 1
+    one = FqPolynomial.one(pi.ctx)
+    return (poly_powmod(f, total // constr.r, pi) == one
+            and all(poly_powmod(f, total // l, pi) != one for l in primefactors(constr.m)))
+
+
+def test_ff_scan_matches_the_power_criterion():
+    # r = 3 with m = 1, where no pi makes both T and T + 1 cubes, so one base
+    # twice; m = 3; and m = 15, where two primes l divide m
+    counts = []
+    for k, m, N, a, b in ((2, 1, 1, A_POLY, A_POLY), (2, 1, 2, A_POLY, A_POLY),
+                          (1, 3, 2, A_POLY, B_POLY), (1, 15, 1, A_POLY, B_POLY),
+                          (1, 15, 2, A_POLY, B_POLY)):
+        constr = ff_construction(F2, k, 1, m)
+        assert constr.r == (3 if m == 1 else 1)
+        a_big, b_big = constr.lift(a), constr.lift(b)
+        expected = [pi.coeffs for pi in monic_polys(constr.big, N) if irreducible_test(pi)
+                    and _power_criterion(pi, a_big, constr) and _power_criterion(pi, b_big, constr)]
+        scan = ff_scan(constr, N, a, b)
+        assert scan.qualifying == tuple(sorted(expected)), (k, m, N)
+        counts.append(scan.count)
+    assert all(counts), counts
+
+
+def test_norm_is_the_product_of_the_conjugates():
+    # Norm(T mod pi) = (-1)^N pi(0) = pi(0) in characteristic 2
+    for pi in monic_polys(F4, 2):
+        if irreducible_test(pi):
+            assert _norm(pi, FqPolynomial.variable(F4)) == pi.coeffs[0]
+    # T^2 is reducible: (T + 1)^5 = T + 1 mod T^2 over F_4 is not a constant
+    with pytest.raises(VerificationError, match="norm"):
+        _norm(P(F4, 0, 0, 1), P(F4, 1, 1))
 
 
 def test_ff_scan_frozen_counts():

@@ -1,7 +1,11 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cyclogcd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cyclogcd"
 
 
 def test_no_assert_in_src():
@@ -12,3 +16,14 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_suite_passes_under_python_o():
+    # -O strips asserts from the package; pytest still rewrites those of the
+    # test module, so every golden and every exit-code check keeps failing loudly
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_cli.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
