@@ -15,6 +15,7 @@ parallelism width --jobs.
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import sys
@@ -62,8 +63,8 @@ def _emit(args, report: dict, columns: list[str], rows: list[dict]) -> None:
 
     The configuration is every option but --jobs and --out, which cannot
     change the report; a CSV row holds the `columns` of one of `rows`.  The
-    report goes straight to its destination; JSON is written in batches of
-    the encoder's chunks, so an unbuffered stdout sees few writes.
+    report goes straight to its destination in batches, of the JSON
+    encoder's chunks or of CSV rows, so an unbuffered stdout sees few writes.
     """
     config = {k: v for k, v in vars(args).items() if k not in ("jobs", "out", "run")}
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
@@ -76,9 +77,16 @@ def _emit(args, report: dict, columns: list[str], rows: list[dict]) -> None:
         else:
             fh.write(f"# version={__version__}\n")
             fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+            cells = ([_cell(row[c]) for c in columns] for row in rows)
+            while batch := list(itertools.islice(cells, 1 << 12)):
+                writer.writerows(batch)
+                fh.write(buf.getvalue())
+                buf.seek(0)
+                buf.truncate()
+            fh.write(buf.getvalue())
 
 
 def _cmd_gcd_seq(args, jobs):
@@ -156,7 +164,7 @@ def _cmd_ff(args, jobs):
     constr = ff_construction(base, args.k, args.n0, args.m)
     per_n = []
     for N in range(1, args.deg_max + 1):
-        scan = ff_scan(constr, N, a, b, jobs=jobs)
+        scan = ff_scan(constr, N, a, b)
         entry = {
             "N": N, "n": scan.n, "pi_count": scan.count,
             "predicted": scan.predicted, "predicted_alt": scan.predicted_alt,

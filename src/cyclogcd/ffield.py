@@ -9,10 +9,11 @@ base-p digits, constant digit first.
 
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
-monic irreducible pi of degree N over F_Q with the power-residue criterion
-on the norms of the bases (as mr | Q - 1), and certifies deg gcd(Phi_m(a^n),
-Phi_m(b^n)) >= N * (number of qualifying pi) by exact polynomial arithmetic.
-The Moebius formula checks the scan's irreducible count; `ff_equivalence_check`
+the monic irreducible pi of degree N over F_Q as the Frobenius orbits of
+F_{Q^N}, qualifies each by the discrete logarithms of the bases at a root,
+and certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying
+pi) by exact polynomial arithmetic, with one division by their product.
+The Moebius formula checks the scan's orbit count; `ff_equivalence_check`
 rebuilds the qualifying set by exact divisibility alone, as an oracle.
 """
 
@@ -23,9 +24,10 @@ from functools import lru_cache
 from .arith import factorize, is_prime, moebius
 from .cyclotomic import eval_poly_fq
 from .errors import HypothesisError, VerificationError
-from .parallel import map_blocks
+from .orbits import Extension, frobenius_orbits
 
-_TABLE_CAP = 256  # build full multiplication/inverse tables up to this field size
+_TABLE_CAP = 256  # build full addition/multiplication/inverse tables up to this field size
+_ORBIT_CAP = 2**20  # largest Q^N for which ff_scan builds the tables of orbits.Extension
 
 
 class FieldContext:
@@ -40,8 +42,7 @@ class FieldContext:
         self.e = e
         self.q = p**e
         self.modulus = (0, 1) if e == 1 else _least_irreducible_modulus(p, e)
-        self._mul_table = None
-        self._inv_table = None
+        self._add_table = self._sub_table = self._mul_table = self._inv_table = None
         if self.q <= _TABLE_CAP:
             self._build_tables()
 
@@ -66,17 +67,21 @@ class FieldContext:
             v = v * self.p + d
         return v
 
-    def add(self, x: int, y: int) -> int:
+    def _add_raw(self, x: int, y: int, sign: int) -> int:
         if self.e == 1:
-            return (x + y) % self.p
+            return (x + sign * y) % self.p
         dx, dy = self.decode(x), self.decode(y)
-        return self.encode([(u + v) % self.p for u, v in zip(dx, dy)])
+        return self.encode([(u + sign * v) % self.p for u, v in zip(dx, dy)])
+
+    def add(self, x: int, y: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[x][y]
+        return self._add_raw(x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x - y) % self.p
-        dx, dy = self.decode(x), self.decode(y)
-        return self.encode([(u - v) % self.p for u, v in zip(dx, dy)])
+        if self._sub_table is not None:
+            return self._sub_table[x][y]
+        return self._add_raw(x, y, -1)
 
     def _mul_raw(self, x: int, y: int) -> int:
         if self.e == 1:
@@ -119,6 +124,8 @@ class FieldContext:
 
     def _build_tables(self):
         q = self.q
+        self._add_table = [[self._add_raw(x, y, 1) for y in range(q)] for x in range(q)]
+        self._sub_table = [[self._add_raw(x, y, -1) for y in range(q)] for x in range(q)]
         self._mul_table = [[self._mul_raw(x, y) for y in range(q)] for x in range(q)]
         inv = [0] * q
         for x in range(1, q):
@@ -470,16 +477,6 @@ def _monic_irreducibles(ctx: FieldContext, degree: int, lo: int, hi: int):
             yield pi
 
 
-def _norm(pi: FqPolynomial, f: FqPolynomial) -> int:
-    """Norm(f mod pi) = f^((Q^N - 1)/(Q - 1)) mod pi, an element of F_Q for a
-    monic irreducible pi of degree N over F_Q; it is 0 iff pi | f."""
-    q = pi.ctx.q
-    norm = poly_powmod(f, (q**pi.degree - 1) // (q - 1), pi)
-    if norm.degree > 0:
-        raise VerificationError(f"the norm of {f} mod pi = {pi} is not in the coefficient field")
-    return norm.coeffs[0] if norm.coeffs else 0
-
-
 @dataclass(frozen=True)
 class FFScanResult:
     N: int
@@ -491,15 +488,14 @@ class FFScanResult:
     qualifying: tuple[tuple[int, ...], ...]  # coefficient tuples over F_Q
 
 
-def _scan_block(cfg, block) -> tuple[int, list[tuple[int, ...]]]:
-    a, b, N, accepted = cfg
-    total = 0
-    qualifying = []
-    for pi in _monic_irreducibles(a.ctx, N, *block):
-        total += 1
-        if _norm(pi, a) in accepted and _norm(pi, b) in accepted:
-            qualifying.append(pi.coeffs)
-    return total, qualifying
+def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
+    """The first monic irreducible mu of degree N by index with mu(0) != 0
+    for which T is primitive in F_Q[T]/(mu)."""
+    one, t = FqPolynomial.one(base), FqPolynomial.variable(base)
+    order = base.q**N - 1
+    ls = factorize(order).primes()
+    return next(mu.coeffs for mu in _monic_irreducibles(base, N, 0, base.q**N) if mu.coeffs[0]
+                and all(poly_powmod(t, order // l, mu) != one for l in ls))
 
 
 def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> None:
@@ -517,15 +513,16 @@ def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> 
                 )
 
 
-def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jobs: int = 1) -> FFScanResult:
+def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) -> FFScanResult:
     """Count the monic irreducible pi of degree N over F_Q at which both
     bases are r-th powers and neither is an l-th power for a prime l | m;
     report the density predictions next to it.
 
-    Since mr | Q - 1, f^((Q^N - 1)/r) = Norm(f)^((Q - 1)/r) mod pi, and
-    likewise for each l, so pi qualifies iff the norms of a and b mod pi
-    lie in the set of c in F_Q* with c^((Q - 1)/r) = 1 and no
-    c^((Q - 1)/l) = 1.
+    Each pi is the minimal polynomial of one Frobenius orbit of elements
+    theta of degree N in F_{Q^N}, and F_Q[T]/(pi) = F_Q(theta), so with y
+    a generator of F_{Q^N}^*, pi qualifies iff for both bases f, f(theta)
+    != 0, r | log_y f(theta) and no prime l | m divides log_y f(theta).
+    Tables of F_{Q^N} are built only up to Q^N = _ORBIT_CAP.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
     jointly independent: Q^N/(N r^2) * prod_{l | m} (1 - 1/l)^2.
@@ -534,21 +531,26 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jo
     """
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
-    big = constr.big
-    Q, ls = constr.Q, factorize(constr.m).primes()
-    accepted = frozenset(c for c in range(1, Q) if big.pow_elem(c, (Q - 1) // constr.r) == 1
-                         and all(big.pow_elem(c, (Q - 1) // l) != 1 for l in ls))
-    cfg = (constr.lift(a), constr.lift(b), N, accepted)
+    if constr.Q**N > _ORBIT_CAP:
+        raise ValueError(f"Q^N = {constr.Q}^{N} exceeds the orbit-table cap {_ORBIT_CAP}")
+    ext = Extension(constr.big, _primitive_modulus(constr.big, N))
+    ls = factorize(constr.m).primes()
+
+    def qualifies(v: int) -> bool:
+        return v != 0 and ext.log[v] % constr.r == 0 and all(ext.log[v] % l for l in ls)
+
+    bases = (constr.lift(a).coeffs, constr.lift(b).coeffs)
     total = 0
     qualifying: list[tuple[int, ...]] = []
-    for block_total, block_qual in map_blocks(_scan_block, cfg, 0, Q**N, jobs):
-        total += block_total
-        qualifying.extend(block_qual)
+    for orbit in frobenius_orbits(ext):
+        total += 1
+        if all(qualifies(ext.eval(f, orbit[0])) for f in bases):
+            qualifying.append(ext.min_poly(orbit))
     qualifying.sort()
-    expected = irreducible_count(big.q, N)
+    expected = irreducible_count(constr.Q, N)
     if total != expected:
         raise VerificationError(
-            f"the scan found {total} monic irreducibles of degree {N} over F_{big.q}, "
+            f"the scan found {total} monic irreducibles of degree {N} over F_{constr.Q}, "
             f"the Moebius count is {expected}"
         )
     density = 1.0 / constr.r**2
@@ -566,6 +568,15 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, jo
         total_irreducible=total,
         qualifying=tuple(qualifying),
     )
+
+
+def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
+    """The product of polys, by a pairwise product tree."""
+    polys = polys or [FqPolynomial.one(ctx)]
+    while len(polys) > 1:
+        odd = polys[-1:] if len(polys) % 2 else []
+        polys = [f * g for f, g in zip(polys[::2], polys[1::2])] + odd
+    return polys[0]
 
 
 @dataclass(frozen=True)
@@ -595,12 +606,15 @@ def ff_direct_verify(
     value_a = eval_poly_fq(constr.m, poly_pow(a, n))
     value_b = eval_poly_fq(constr.m, poly_pow(b, n))
     g = poly_gcd(value_a, value_b)
-    # every qualifying pi must divide the lifted gcd: the per-pi certificate
+    # the qualifying pi are distinct monic irreducibles, so all of them divide
+    # the lifted gcd iff their product does; the per-pi loop names a culprit
     g_big = constr.lift(g)
-    for coeffs in scan.qualifying:
-        pi = FqPolynomial(constr.big, coeffs)
-        if not (g_big % pi).is_zero:
-            raise VerificationError(f"qualifying pi = {pi} does not divide the gcd")
+    pis = [FqPolynomial(constr.big, coeffs) for coeffs in scan.qualifying]
+    if not (g_big % _product(pis, constr.big)).is_zero:
+        for pi in pis:
+            if not (g_big % pi).is_zero:
+                raise VerificationError(f"qualifying pi = {pi} does not divide the gcd")
+        raise VerificationError("the product of the qualifying pi does not divide the gcd")
     certified = N * scan.count
     if g.degree < certified:
         raise VerificationError(

@@ -1,6 +1,6 @@
 """Deterministic work splitting.
 
-Scans over primes, pairs and polynomial ranges are partitioned into
+Integer scans, over primes or over ranges of n, are partitioned into
 contiguous blocks; block results are merged in block order (sums, ordered
 concatenation), so the final result is independent of how many workers ran.
 """

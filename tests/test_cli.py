@@ -46,6 +46,19 @@ def test_gcd_seq_csv(capsys):
     assert lines[6].startswith("4,5,")
 
 
+def test_csv_rows_across_batches_and_none(capsys):
+    # rows go out in batches of 4096: one partial batch past two full ones, and none
+    code, out = run_cli(["delta", "--limit", "9000", "--format", "csv"], capsys)
+    assert code == 0
+    _, json_out = run_cli(["delta", "--limit", "9000"], capsys)
+    rows = json.loads(json_out)["report"]["rows"]
+    assert out.split("\n")[2:] == ["n,delta"] + [f"{r['n']},{r['delta']}" for r in rows] + [""]
+    code, out = run_cli(["gcd-seq", "--a", "2", "--b", "3", "--N", "1", "--n-max", "0",
+                         "--format", "csv"], capsys)
+    assert code == 0
+    assert out.split("\n")[2:] == ["n,gcd,log_gcd,distinct_prime_count", ""]
+
+
 def test_density_reports_fraction_and_decimal(capsys):
     code, out = run_cli(
         ["density", "--N", "2", "--d", "1", "--a", "2", "--b", "3", "--x", "5000"], capsys
@@ -301,21 +314,27 @@ def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
 def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
     from cyclogcd import ffield
 
-    real = ffield._monic_irreducibles
+    real = ffield.frobenius_orbits
 
-    def one_short(ctx, degree, lo, hi):
-        # drop the first irreducible of the whole range
-        found = real(ctx, degree, lo, hi)
-        if lo == 0:
-            next(found)
+    def one_short(ext):
+        # drop the first orbit, which is 0 for degree 1
+        found = real(ext)
+        next(found)
         return found
 
-    fq_context(2, 2)   # F_4's modulus comes from the same enumeration: build it unpatched
-    monkeypatch.setattr(ffield, "_monic_irreducibles", one_short)
+    monkeypatch.setattr(ffield, "frobenius_orbits", one_short)
     code = main(["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
                  "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"])
     assert code == 2
     assert "the Moebius count is 4" in capsys.readouterr().err
+
+
+def test_ff_above_the_orbit_table_cap_is_exit_one(capsys):
+    # Q = 2^21 at degree 1: refused before any table is built
+    code = main(["ff", "--q", "2", "--k", "21", "--n0", str(2**21 - 1), "--m", "1",
+                 "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "1"])
+    assert code == 1
+    assert "Q^N = 2097152^1 exceeds the orbit-table cap 1048576" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

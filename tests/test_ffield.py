@@ -1,4 +1,6 @@
+import functools
 import itertools
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -10,8 +12,9 @@ from sympy.polys.galoistools import gf_irreducible_p
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
+    _ORBIT_CAP,
     FqPolynomial,
-    _norm,
+    _primitive_modulus,
     choose_params,
     embed_subfield,
     ff_construction,
@@ -26,6 +29,7 @@ from cyclogcd.ffield import (
     poly_pow,
     poly_powmod,
 )
+from cyclogcd.orbits import Extension, frobenius_orbits
 
 F2 = fq_context(2, 1)
 F3 = fq_context(3, 1)
@@ -195,9 +199,12 @@ CONSTR = ff_construction(F2, 1, 1, 3)
 A_POLY = P(F2, 0, 1)
 B_POLY = P(F2, 1, 1)
 
-# frozen by the exhaustive scan itself (cross-validated against the exact
-# divisibility route in test_ff_equivalence below)
-FROZEN_SCAN = {1: (4, 2, 2), 2: (6, 2, 6), 3: (20, 10, 30), 4: (60, 26, 110)}
+# N: (irreducibles, qualifying pi, deg gcd), frozen by the exhaustive
+# candidate scan (cross-validated against the exact divisibility route in
+# test_ff_equivalence below); deg gcd is verified up to N = 5, as the exact
+# gcds beyond take seconds
+FROZEN_SCAN = {1: (4, 2, 2), 2: (6, 2, 6), 3: (20, 10, 30), 4: (60, 26, 110), 5: (204, 92, 462),
+               6: (670, 296, None), 7: (2340, 1044, None)}
 
 
 @lru_cache(maxsize=None)
@@ -224,31 +231,76 @@ def _power_criterion(pi, f, constr):
 
 
 def test_ff_scan_matches_the_power_criterion():
-    # r = 3 with m = 1, where no pi makes both T and T + 1 cubes, so one base
-    # twice; m = 3; and m = 15, where two primes l divide m
-    counts = []
-    for k, m, N, a, b in ((2, 1, 1, A_POLY, A_POLY), (2, 1, 2, A_POLY, A_POLY),
-                          (1, 3, 2, A_POLY, B_POLY), (1, 15, 1, A_POLY, B_POLY),
-                          (1, 15, 2, A_POLY, B_POLY)):
-        constr = ff_construction(F2, k, 1, m)
-        assert constr.r == (3 if m == 1 else 1)
+    # every monic irreducible pi tested by powmods: odd p, Q != p, r > 1 with
+    # k = 2, m = 15 with two primes l | m, and bases over F_4 \ F_2; one base
+    # twice where no pi makes two distinct bases r-th powers
+    T, T1 = (0, 1), (1, 1)
+    cases = [(F2, 2, 1, 1, 1, T, T), (F2, 2, 1, 1, 2, T, T), (F2, 1, 1, 3, 2, T, T1),
+             (F2, 1, 1, 15, 1, T, T1), (F2, 1, 1, 15, 2, T, T1), (F2, 2, 1, 5, 2, T, T1),
+             (F2, 2, 3, 3, 2, T, T1), (F3, 1, 1, 2, 4, T, T1), (F3, 2, 4, 2, 3, T, T1),
+             (F3, 2, 1, 2, 2, T, T), (fq_context(7, 1), 1, 1, 3, 3, (3, 1), (5, 1)),
+             (F4, 1, 1, 3, 3, (2, 1), (3, 1))]
+    seen = set()
+    for base, k, n0, m, N, a, b in cases:
+        constr = ff_construction(base, k, n0, m)
+        assert constr.Q**N <= 4096
+        a, b = P(base, *a), P(base, *b)
         a_big, b_big = constr.lift(a), constr.lift(b)
         expected = [pi.coeffs for pi in monic_polys(constr.big, N) if irreducible_test(pi)
                     and _power_criterion(pi, a_big, constr) and _power_criterion(pi, b_big, constr)]
         scan = ff_scan(constr, N, a, b)
-        assert scan.qualifying == tuple(sorted(expected)), (k, m, N)
-        counts.append(scan.count)
-    assert all(counts), counts
+        assert scan.qualifying == tuple(sorted(expected)), (base, k, n0, m, N)
+        assert scan.count > 0, (base, k, n0, m, N)
+        seen |= {("odd p", base.p > 2), ("Q != p", constr.Q != base.p),
+                 ("r > 1", constr.r > 1 and k == 2), ("m = 15", m == 15)}
+    assert {label for label, hit in seen if hit} == {"odd p", "Q != p", "r > 1", "m = 15"}
 
 
 def test_norm_is_the_product_of_the_conjugates():
-    # Norm(T mod pi) = (-1)^N pi(0) = pi(0) in characteristic 2
-    for pi in monic_polys(F4, 2):
-        if irreducible_test(pi):
-            assert _norm(pi, FqPolynomial.variable(F4)) == pi.coeffs[0]
-    # T^2 is reducible: (T + 1)^5 = T + 1 mod T^2 over F_4 is not a constant
-    with pytest.raises(VerificationError, match="norm"):
-        _norm(P(F4, 0, 0, 1), P(F4, 1, 1))
+    # Norm(T mod pi) = T^((Q^N-1)/(Q-1)) mod pi by a powmod is the product of
+    # the orbit of roots read off the tables, and (-1)^N pi(0)
+    for base, N in ((F4, 1), (F4, 2), (F4, 3), (F3, 1), (F3, 2), (F3, 3)):
+        ext = Extension(base, _primitive_modulus(base, N))
+        t = FqPolynomial.variable(base)
+        sign = 1 if N % 2 == 0 else base.sub(0, 1)
+        for orbit in frobenius_orbits(ext):
+            pi = FqPolynomial(base, ext.min_poly(orbit))
+            norm = functools.reduce(ext.mul, orbit, 1)
+            assert norm == base.mul(sign, pi.coeffs[0]) and norm < base.q
+            assert poly_powmod(t, (base.q**N - 1) // (base.q - 1), pi).coeffs == ((norm,) if norm else ())
+
+
+def test_orbit_tables_use_the_first_primitive_modulus():
+    # y generates F_{Q^N}^*, so exp is a bijection onto the nonzero elements,
+    # and no monic irreducible earlier by index has that property
+    for base, N in ((F2, 1), (F2, 4), (F3, 1), (F3, 3), (F4, 3), (fq_context(7, 1), 2), (fq_context(3, 2), 2)):
+        ext = Extension(base, _primitive_modulus(base, N))
+        order = base.q**N - 1
+        assert sorted(ext.exp) == list(range(1, order + 1))
+        assert all(ext.log[ext.exp[k]] == k for k in range(order))
+        t, one = FqPolynomial.variable(base), FqPolynomial.one(base)
+
+        def primitive(mu):
+            return mu.coeffs[0] != 0 and all(poly_powmod(t, order // l, mu) != one for l in primefactors(order))
+        candidates = [mu for mu in monic_polys(base, N) if irreducible_test(mu) and primitive(mu)]
+        # index order: the low coefficients as base-q digits, constant first
+        first = min(candidates, key=lambda mu: sum(c * base.q**i for i, c in enumerate(mu.coeffs)))
+        assert _primitive_modulus(base, N) == first.coeffs, (base, N)
+        if N > 1:   # y is no root of a polynomial over F_Q of degree 1
+            with pytest.raises(VerificationError, match="coefficient outside"):
+                ext.min_poly((ext.exp[1],))
+
+
+def test_orbit_tables_refuse_a_modulus_where_y_is_not_primitive():
+    # y^5 = 1 modulo the irreducible T^4 + T^3 + T^2 + T + 1 over F_2
+    with pytest.raises(VerificationError, match="order 5 < 15"):
+        Extension(F2, (1, 1, 1, 1, 1))
+
+
+def test_ff_scan_refuses_tables_above_the_cap():
+    assert 4**10 == _ORBIT_CAP   # the last degree under the cap for Q = 4
+    with pytest.raises(ValueError, match="orbit-table cap"):
+        ff_scan(CONSTR, 11, A_POLY, B_POLY)
 
 
 def test_ff_scan_frozen_counts():
@@ -261,14 +313,10 @@ def test_ff_scan_frozen_counts():
         assert abs(scan.count - scan.predicted) <= 5 * 4 ** (N / 2)
 
 
-def test_ff_scan_parallel_deterministic():
-    seq = ff_scan(CONSTR, 3, A_POLY, B_POLY, jobs=1)
-    par = ff_scan(CONSTR, 3, A_POLY, B_POLY, jobs=4)
-    assert seq == par
-
-
 def test_ff_direct_verify_frozen():
     for N, (_, count, deg) in FROZEN_SCAN.items():
+        if deg is None:
+            continue
         res = ff_direct_verify(CONSTR, N, A_POLY, B_POLY, scan_of(N))
         assert res.deg_gcd == deg
         assert res.certified_bound == N * count
@@ -287,6 +335,21 @@ def test_ff_equivalence():
         checked, mismatches = ff_equivalence_check(CONSTR, N, A_POLY, B_POLY, scan_of(N))
         assert mismatches == []
         assert checked >= FROZEN_SCAN[N][1]
+
+
+def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
+    scan = scan_of(3)
+    extra = next(pi for pi in monic_polys(CONSTR.big, 3)
+                 if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
+    # placed first and then last, so a product that loses either end still fails
+    for qualifying in ((extra.coeffs,) + scan.qualifying, scan.qualifying + (extra.coeffs,)):
+        doctored = replace(scan, qualifying=qualifying, count=scan.count + 1)
+        with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {extra} does not divide")):
+            ff_direct_verify(CONSTR, 3, A_POLY, B_POLY, doctored)
+    # a qualifying pi listed twice divides the gcd, but its square does not
+    twice = replace(scan, qualifying=scan.qualifying + scan.qualifying[:1])
+    with pytest.raises(VerificationError, match="product of the qualifying pi"):
+        ff_direct_verify(CONSTR, 3, A_POLY, B_POLY, twice)
 
 
 def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():
