@@ -38,7 +38,6 @@ from .ffield import (
     FieldContext,
     FqPolynomial,
     choose_params,
-    embed_subfield,
     ff_construction,
     ff_direct_verify,
     ff_equivalence_check,

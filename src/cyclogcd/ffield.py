@@ -1,11 +1,11 @@
 """Finite fields F_{p^e}, dense polynomials over them, and the linear
 degree-growth construction over F_q[T].
 
-Field contexts are built over the prime field with a deterministic modulus
-(the first monic irreducible in index order, see `_monic_irreducibles`), so
+The fields form one tower F_p ⊂ F_q ⊂ F_Q ⊂ F_{Q^N}: each level is
+`extension(base, N)` = base[y]/(mu), with mu the first monic irreducible of
+degree N by index in which y is primitive (see `_monic_irreducibles`), so
 every run and every implementation of this convention agrees on element
-encodings.  Elements are encoded as integers in [0, p^e) via
-base-p digits, constant digit first.
+encodings, and each subfield is the set of elements below its size.
 
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
@@ -18,129 +18,148 @@ rebuilds the qualifying set by exact divisibility alone, as an oracle.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize, is_prime, moebius
 from .cyclotomic import eval_poly_fq
 from .errors import HypothesisError, VerificationError
-from .orbits import Extension, frobenius_orbits
+from .orbits import frobenius_orbits, min_poly
 
-_TABLE_CAP = 256  # build full addition/multiplication/inverse tables up to this field size
-_ORBIT_CAP = 2**20  # largest Q^N for which ff_scan builds the tables of orbits.Extension
+_FIELD_CAP = 2**20  # the largest field whose exp/log/Zech tables are built
 
 
 class FieldContext:
-    """An explicit finite field F_{p^e} with deterministic modulus."""
+    """An explicit finite field; elements are the integers in [0, q).
 
-    def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be at least 1")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        self.modulus = (0, 1) if e == 1 else _least_irreducible_modulus(p, e)
-        self._add_table = self._sub_table = self._mul_table = self._inv_table = None
-        if self.q <= _TABLE_CAP:
-            self._build_tables()
+    `FieldContext(p)` is the prime field F_p, computed modulo p.  Every other
+    field is `FieldContext(base, mu)` = F_s[y]/(mu) for a monic irreducible mu
+    of degree N over a subfield `base` of size s, in which y is primitive.
+    Its elements are encoded base s, constant digit first, each digit in the
+    encoding of the base, so the elements below s are the base itself and
+    those below p are F_p.  exp[k] = y^k for 0 <= k < q - 1, log inverts it
+    on the nonzero elements, and the Zech logarithms zech[k] = log(1 + y^k)
+    (-1 where 1 + y^k = 0) make each operation a few table lookups.
+    """
 
-    # Contexts are cached singletons (see fq_context); pickle resolves to the
-    # worker's singleton so identity-based equality keeps working.
-    def __reduce__(self):
-        return (fq_context, (self.p, self.e))
+    def __init__(self, base: "FieldContext | int", mu: tuple[int, ...] = ()):
+        if isinstance(base, int):
+            if not is_prime(base):
+                raise ValueError(f"characteristic {base} is not prime")
+            self.p, self.e, self.q, self.base, self.modulus, self.zech = base, 1, base, None, (), None
+            return
+        s, N = base.q, len(mu) - 1
+        self.p, self.e, self.q = base.p, base.e * N, s**N
+        self.base, self.modulus, self.degree, self.order = base, tuple(mu), N, s**N - 1
+        # y * v moves the digits of v up one place; the top digit c comes back
+        # as c * y^N = -c * (mu_0 + ... + mu_{N-1} y^(N-1)), added digit by
+        # digit at the places i where c mu_i != 0
+        top = s ** (N - 1)
+        wrap = [[(s**i, base.sub(0, base.mul(c, m))) for i, m in enumerate(mu[:N]) if c and m]
+                for c in range(s)]
+        self.exp = array("i", [0]) * self.order
+        self.log = array("i", [0]) * self.q
+        v = 1
+        for k in range(self.order):
+            if v == 1 and k:
+                raise VerificationError(f"y has order {k} < {self.order} modulo {mu}: it is not primitive")
+            self.exp[k] = v
+            self.log[v] = k
+            c, v = v // top, v % top * s
+            for unit, d in wrap[c]:
+                digit = v // unit % s
+                v += (base.add(digit, d) - digit) * unit
+        # 1 + y^k differs from y^k in the constant digit only
+        self.zech = array("i", [-1]) * self.order
+        for k, v in enumerate(self.exp):
+            one_more = v - v % s + base.add(v % s, 1)
+            if one_more:
+                self.zech[k] = self.log[one_more]
+        self.half = self.order // 2 if self.p > 2 else 0  # -1 = y^half
 
     def __repr__(self):
         return f"FieldContext(GF({self.q}))"
 
-    def decode(self, v: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.e):
-            v, d = divmod(v, self.p)
-            digits.append(d)
-        return tuple(digits)
-
-    def encode(self, digits) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def _add_raw(self, x: int, y: int, sign: int) -> int:
-        if self.e == 1:
-            return (x + sign * y) % self.p
-        dx, dy = self.decode(x), self.decode(y)
-        return self.encode([(u + sign * v) % self.p for u, v in zip(dx, dy)])
-
+    # A negative index into exp or zech wraps around modulo q - 1, which
+    # reduces the sums and differences of logarithms below.
     def add(self, x: int, y: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[x][y]
-        return self._add_raw(x, y, 1)
+        if self.zech is None:
+            return (x + y) % self.p
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = self.log[x]
+        z = self.zech[self.log[y] - lx]  # x + y = x (1 + y/x)
+        return self.exp[lx + z - self.order] if z >= 0 else 0
 
     def sub(self, x: int, y: int) -> int:
-        if self._sub_table is not None:
-            return self._sub_table[x][y]
-        return self._add_raw(x, y, -1)
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return x * y % self.p
-        dx, dy = self.decode(x), self.decode(y)
-        conv = [0] * (2 * self.e - 1)
-        for i, u in enumerate(dx):
-            if u:
-                for j, v in enumerate(dy):
-                    conv[i + j] = (conv[i + j] + u * v) % self.p
-        # reduce by the monic modulus
-        for i in range(len(conv) - 1, self.e - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j in range(self.e):
-                    conv[i - self.e + j] = (conv[i - self.e + j] - c * self.modulus[j]) % self.p
-        return self.encode(conv[: self.e])
+        if self.zech is None:
+            return (x - y) % self.p
+        if y:
+            y = self.exp[self.log[y] + self.half - self.order]
+        return self.add(x, y)
 
     def mul(self, x: int, y: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[x][y]
-        return self._mul_raw(x, y)
-
-    def pow_elem(self, x: int, k: int) -> int:
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return result
+        if self.zech is None:
+            return x * y % self.p
+        if not x or not y:
+            return 0
+        return self.exp[self.log[x] + self.log[y] - self.order]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[x]
-        return self.pow_elem(x, self.q - 2)
+        if self.zech is None:
+            return pow(x, -1, self.p)
+        return self.exp[-self.log[x]]
 
-    def _build_tables(self):
-        q = self.q
-        self._add_table = [[self._add_raw(x, y, 1) for y in range(q)] for x in range(q)]
-        self._sub_table = [[self._add_raw(x, y, -1) for y in range(q)] for x in range(q)]
-        self._mul_table = [[self._mul_raw(x, y) for y in range(q)] for x in range(q)]
-        inv = [0] * q
-        for x in range(1, q):
-            inv[x] = self.pow_elem(x, q - 2)
-        self._inv_table = inv
+    def add_scaled(self, acc: list[int], shift: int, c: int, coeffs) -> None:
+        """acc[shift + j] += c * coeffs[j] for every j, in place: the inner
+        loop of polynomial arithmetic, without a call per coefficient."""
+        if self.zech is None:
+            p = self.p
+            for j, v in enumerate(coeffs, shift):
+                acc[j] = (acc[j] + c * v) % p
+            return
+        if not c:
+            return
+        exp, log, zech, order, lc = self.exp, self.log, self.zech, self.order, self.log[c]
+        for j, v in enumerate(coeffs, shift):
+            if v:
+                lw = (lc + log[v]) % order  # w = c v
+                a = acc[j]
+                if not a:
+                    acc[j] = exp[lw]
+                else:
+                    z = zech[log[a] - lw]  # a + w = w (1 + a/w)
+                    acc[j] = exp[lw + z - order] if z >= 0 else 0
+
+    def eval(self, coeffs: tuple[int, ...], x: int) -> int:
+        """f(x) for f given by its coefficients, constant first, in this field
+        or a subfield."""
+        acc = 0
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
 
 
 @lru_cache(maxsize=None)
 def fq_context(p: int, e: int) -> FieldContext:
-    """The canonical context for F_{p^e} (cached singleton)."""
-    return FieldContext(p, e)
+    """The canonical F_{p^e}: the prime field, or its degree-e extension."""
+    if e < 1:
+        raise ValueError("extension degree must be at least 1")
+    return FieldContext(p) if e == 1 else extension(fq_context(p, 1), e)
 
 
-def _least_irreducible_modulus(p: int, e: int) -> tuple[int, ...]:
-    return next(_monic_irreducibles(fq_context(p, 1), e, 0, p**e)).coeffs
+@lru_cache(maxsize=None)
+def extension(base: FieldContext, degree: int) -> FieldContext:
+    """base[y]/(mu) for the first monic irreducible mu of the given degree by
+    index in which y is primitive (cached); refused above _FIELD_CAP elements."""
+    if base.q**degree > _FIELD_CAP:
+        raise ValueError(f"a field of {base.q}^{degree} elements exceeds the table cap {_FIELD_CAP}")
+    return FieldContext(base, _primitive_modulus(base, degree))
 
 
 @dataclass(frozen=True)
@@ -204,8 +223,7 @@ class FqPolynomial:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
+        ctx.add_scaled(out, 0, 1, b)
         return FqPolynomial.of(ctx, out)
 
     def __neg__(self) -> "FqPolynomial":
@@ -223,9 +241,7 @@ class FqPolynomial:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, u in enumerate(self.coeffs):
             if u:
-                for j, v in enumerate(other.coeffs):
-                    if v:
-                        out[i + j] = ctx.add(out[i + j], ctx.mul(u, v))
+                ctx.add_scaled(out, i, u, other.coeffs)
         return FqPolynomial.of(ctx, out)
 
     def __divmod__(self, other: "FqPolynomial"):
@@ -238,16 +254,15 @@ class FqPolynomial:
         if dq < 0:
             return FqPolynomial.zero(ctx), self
         quot = [0] * (dq + 1)
-        lead_inv = ctx.inv(other.coeffs[-1])
+        neg_lead_inv = ctx.sub(0, ctx.inv(other.coeffs[-1]))
         for i in range(len(rem) - 1, len(other.coeffs) - 2, -1):
             c = rem[i]
             if c == 0:
                 continue
-            factor = ctx.mul(c, lead_inv)
+            factor = ctx.mul(c, neg_lead_inv)  # rem -= quot[shift] T^shift * other
             shift = i - (len(other.coeffs) - 1)
-            quot[shift] = factor
-            for j, v in enumerate(other.coeffs):
-                rem[shift + j] = ctx.sub(rem[shift + j], ctx.mul(factor, v))
+            quot[shift] = ctx.sub(0, factor)
+            ctx.add_scaled(rem, shift, factor, other.coeffs)
         return FqPolynomial.of(ctx, quot), FqPolynomial.of(ctx, rem)
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
@@ -367,42 +382,12 @@ def is_lth_power_poly(f: FqPolynomial, l: int) -> bool:
     return poly_pow(FqPolynomial(ctx, tuple(g)), l) == f
 
 
-def embed_subfield(small: FieldContext, big: FieldContext) -> tuple[int, ...]:
-    """Element map F_{p^e} -> F_{p^E} for e | E, found by root-finding.
-
-    The modulus of the small field is rooted in the big field; the least
-    encoded root is chosen, which makes the embedding deterministic.
-    """
-    if small.p != big.p or big.e % small.e != 0:
-        raise ValueError("no subfield embedding exists")
-    if small.e == 1:
-        return tuple(range(small.p))
-
-    def eval_mod(z):
-        acc = 0
-        for c in reversed(small.modulus):
-            acc = big.add(big.mul(acc, z), c)  # prime-field c encodes as itself
-        return acc
-
-    roots = [z for z in range(big.q) if eval_mod(z) == 0]
-    if not roots:
-        raise VerificationError("subfield modulus has no root in the big field")
-    rho = min(roots)
-    table = []
-    for v in range(small.q):
-        acc, pw = 0, 1
-        for digit in small.decode(v):
-            acc = big.add(acc, big.mul(digit, pw))
-            pw = big.mul(pw, rho)
-        table.append(acc)
-    return tuple(table)
-
-
 def choose_params(q: int, k: int, n0: int, m: int) -> tuple[int, int, int]:
     """Pick (r, t, Q): r minimal with gcd(r, m) = 1 and r*m*n0 = -1 mod q^k;
-    t minimal with t >= k and q^t = 1 mod mr; Q = q^t."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    t minimal with t >= k and q^t = 1 mod mr; Q = q^t, refused above
+    _FIELD_CAP, the largest field any scan can build."""
+    if k < 1 or m < 1:
+        raise ValueError("k and m must be at least 1")
     if math.gcd(n0, q) != 1:
         raise HypothesisError(
             f"n_0 = {n0} shares a factor with q = {q}; only congruence classes "
@@ -411,17 +396,18 @@ def choose_params(q: int, k: int, n0: int, m: int) -> tuple[int, int, int]:
     if math.gcd(m, q) != 1:
         raise HypothesisError(f"m = {m} must be prime to q = {q}")
     qk = q**k
-    r = None
-    for cand in range(1, qk * m + 2):
-        if math.gcd(cand, m) == 1 and (cand * m * n0 + 1) % qk == 0:
-            r = cand
-            break
-    if r is None:
-        raise VerificationError("no admissible r found")  # cannot happen
+    # r = -(m n_0)^-1 mod q^k; the class holds an r prime to m within m steps,
+    # as q^k is prime to m
+    r = -pow(m * n0, -1, qk) % qk
+    while math.gcd(r, m) != 1:
+        r += qk
     mr = m * r
     t = k
-    while pow(q, t, mr) != 1 % mr:
+    while q**t <= _FIELD_CAP and pow(q, t, mr) != 1 % mr:
         t += 1
+    if q**t > _FIELD_CAP:
+        raise ValueError(f"no Q = {q}^t up to the table cap {_FIELD_CAP} has t >= {k} and "
+                         f"Q = 1 mod mr = {mr}")
     return r, t, q**t
 
 
@@ -437,7 +423,6 @@ class FFConstruction:
     r: int
     t: int
     Q: int
-    embedding: tuple[int, ...]
 
     def n_for(self, N: int) -> int:
         """n = (Q^N - 1)/(mr); lands in the class n_0 mod q^k by construction."""
@@ -451,19 +436,20 @@ class FFConstruction:
         return n
 
     def lift(self, f: FqPolynomial) -> FqPolynomial:
-        """Reinterpret a base-field polynomial over the big field."""
+        """Reinterpret a base-field polynomial over the big field, whose
+        elements below q are the base field."""
         if f.ctx is not self.base:
             raise ValueError("polynomial is not over the base field")
-        return FqPolynomial.of(self.big, tuple(self.embedding[c] for c in f.coeffs))
+        return FqPolynomial(self.big, f.coeffs)
 
 
 def ff_construction(base: FieldContext, k: int, n0: int, m: int) -> FFConstruction:
     r, t, Q = choose_params(base.q, k, n0, m)
-    big = fq_context(base.p, base.e * t)
+    big = extension(base, t) if t > 1 else base
     if not (big.q == Q and math.gcd(r, m) == 1 and (r * m * n0 + 1) % base.q**k == 0
             and (Q - 1) % (m * r) == 0 and t >= k):
         raise VerificationError(f"construction invariants fail for r = {r}, t = {t}, Q = {Q}")
-    return FFConstruction(base, big, k, n0, m, r, t, Q, embed_subfield(base, big))
+    return FFConstruction(base, big, k, n0, m, r, t, Q)
 
 
 def _monic_irreducibles(ctx: FieldContext, degree: int, lo: int, hi: int):
@@ -522,7 +508,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     theta of degree N in F_{Q^N}, and F_Q[T]/(pi) = F_Q(theta), so with y
     a generator of F_{Q^N}^*, pi qualifies iff for both bases f, f(theta)
     != 0, r | log_y f(theta) and no prime l | m divides log_y f(theta).
-    Tables of F_{Q^N} are built only up to Q^N = _ORBIT_CAP.
+    F_{Q^N} is the degree-N extension of F_Q, so Q^N is capped at _FIELD_CAP.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
     jointly independent: Q^N/(N r^2) * prod_{l | m} (1 - 1/l)^2.
@@ -531,9 +517,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     """
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
-    if constr.Q**N > _ORBIT_CAP:
-        raise ValueError(f"Q^N = {constr.Q}^{N} exceeds the orbit-table cap {_ORBIT_CAP}")
-    ext = Extension(constr.big, _primitive_modulus(constr.big, N))
+    ext = extension(constr.big, N)
     ls = factorize(constr.m).primes()
 
     def qualifies(v: int) -> bool:
@@ -545,7 +529,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     for orbit in frobenius_orbits(ext):
         total += 1
         if all(qualifies(ext.eval(f, orbit[0])) for f in bases):
-            qualifying.append(ext.min_poly(orbit))
+            qualifying.append(min_poly(ext, orbit))
     qualifying.sort()
     expected = irreducible_count(constr.Q, N)
     if total != expected:

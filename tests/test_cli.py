@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,7 +337,25 @@ def test_ff_above_the_orbit_table_cap_is_exit_one(capsys):
     code = main(["ff", "--q", "2", "--k", "21", "--n0", str(2**21 - 1), "--m", "1",
                  "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "1"])
     assert code == 1
-    assert "Q^N = 2097152^1 exceeds the orbit-table cap 1048576" in capsys.readouterr().err
+    assert "no Q = 2^t up to the table cap 1048576 has t >= 21" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, named", [
+    # r = 2^40 - 1 is the first of its class mod q^k, which a scan over r reaches late
+    (["--q", "2", "--k", "40", "--n0", "1", "--m", "1"], "has t >= 40"),
+    # Q = 4^23 = 2^46, whose elements a root search in F_Q would walk
+    (["--q", "4", "--k", "1", "--n0", "1", "--m", "47"], "Q = 1 mod mr = 47"),
+    # a safe prime m with 2 primitive: q^t = 1 mod m first at t = m - 1
+    (["--q", "2", "--k", "1", "--n0", "1", "--m", "1000000000010867"], "mr = 1000000000010867"),
+])
+def test_ff_past_the_table_cap_exits_one_at_once(params, named):
+    # in a subprocess with a timeout, so a search that hangs fails instead of stalling
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclogcd.cli", "ff", *params, "--a-poly", "0,1", "--b-poly", "1,1",
+         "--deg-max", "1"], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert named in proc.stderr
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,22 +1,23 @@
 import functools
 import itertools
+import math
 import re
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from sympy import primefactors
+from sympy import primefactors, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip, gf_sub
 
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
-    _ORBIT_CAP,
+    _FIELD_CAP,
+    FieldContext,
     FqPolynomial,
-    _primitive_modulus,
     choose_params,
-    embed_subfield,
+    extension,
     ff_construction,
     ff_direct_verify,
     ff_equivalence_check,
@@ -29,11 +30,12 @@ from cyclogcd.ffield import (
     poly_pow,
     poly_powmod,
 )
-from cyclogcd.orbits import Extension, frobenius_orbits
+from cyclogcd.orbits import frobenius_orbits, min_poly
 
 F2 = fq_context(2, 1)
 F3 = fq_context(3, 1)
 F4 = fq_context(2, 2)
+F9 = fq_context(3, 2)
 
 
 def P(ctx, *coeffs):
@@ -47,24 +49,13 @@ def monic_polys(ctx, degree):
 
 def test_context_moduli_deterministic():
     assert F4.modulus == (1, 1, 1)             # u^2 + u + 1, the only choice
-    assert fq_context(3, 2).modulus == (1, 0, 1)  # u^2 + 1 is first over F_3
+    assert F9.modulus == (2, 1, 1)             # u^2 + 1 is first, but u has order 4 there
     assert fq_context(2, 3).modulus == (1, 1, 0, 1)     # u^3 + u + 1
     assert fq_context(2, 4).modulus == (1, 1, 0, 0, 1)  # u^4 + u + 1
-    assert fq_context(2, 1).modulus == (0, 1)
+    assert fq_context(2, 1).base is None                # F_2 computes modulo 2
+    assert fq_context(2, 4) is extension(F2, 4) and F4.base is F2
     with pytest.raises(ValueError):
         fq_context(4, 1)
-
-
-def test_context_moduli_are_the_first_irreducibles_by_index():
-    # index order: the low coefficients read as base-p digits, constant first
-    for p, e in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
-        modulus = fq_context(p, e).modulus
-        index = sum(c * p**i for i, c in enumerate(modulus[:-1]))
-        assert modulus[-1] == 1 and len(modulus) == e + 1
-        assert gf_irreducible_p(list(reversed(modulus)), p, ZZ)
-        for earlier in range(index):
-            low = [earlier // p**i % p for i in range(e)]
-            assert not gf_irreducible_p([1] + low[::-1], p, ZZ), (p, e, low)
 
 
 def test_field_arithmetic_of_f4():
@@ -74,11 +65,46 @@ def test_field_arithmetic_of_f4():
     assert F4.add(2, 1) == 3
     assert F4.inv(2) == 3 and F4.inv(3) == 2
     for x in range(1, 4):
-        assert F4.pow_elem(x, 3) == 1
+        assert F4.mul(x, F4.mul(x, x)) == 1
+
+
+def _digits(v, p, e):
+    # the element v of F_{p^e} over F_p as a sympy dense polynomial, leading digit first
+    return gf_strip([v // p**i % p for i in reversed(range(e))])
+
+
+def test_field_kernel_matches_sympy():
+    # every field of at most 81 elements: its arithmetic as polynomials over
+    # F_p modulo its modulus, by sympy's galoistools
+    for p in primerange(82):
+        e = 1
+        while p**e <= 81:
+            ctx = fq_context(p, e)
+            mod = list(reversed(ctx.modulus)) if e > 1 else [1, 0]  # F_p = F_p[u]/(u)
+            assert gf_irreducible_p(mod, p, ZZ), (p, e)
+            poly = functools.partial(_digits, p=p, e=e)
+            for x in range(p**e):
+                for y in range(p**e):
+                    assert poly(ctx.add(x, y)) == gf_add(poly(x), poly(y), p, ZZ), (p, e, x, y)
+                    assert poly(ctx.sub(x, y)) == gf_sub(poly(x), poly(y), p, ZZ), (p, e, x, y)
+                    assert poly(ctx.mul(x, y)) == gf_rem(gf_mul(poly(x), poly(y), p, ZZ), mod, p, ZZ)
+                if x:
+                    assert gf_rem(gf_mul(poly(x), poly(ctx.inv(x)), p, ZZ), mod, p, ZZ) == [1]
+            e += 1
+
+
+def test_tower_exp_tables_are_powers_of_y():
+    # exp[k] = y^k as T^k mod mu over the subfield, digits constant first
+    for base, N in ((F4, 2), (F4, 3), (F9, 2)):
+        ext = extension(base, N)
+        mu, t = FqPolynomial(base, ext.modulus), FqPolynomial.variable(base)
+        for k in range(ext.order):
+            coeffs = poly_powmod(t, k, mu).coeffs
+            assert ext.exp[k] == sum(c * base.q**i for i, c in enumerate(coeffs)), (base, N, k)
 
 
 def test_field_axioms_sampled():
-    for ctx in (F4, fq_context(3, 2), fq_context(5, 1)):
+    for ctx in (F4, F9, fq_context(5, 1), extension(F4, 2)):
         q = ctx.q
         for x in range(q):
             for y in range(q):
@@ -169,16 +195,14 @@ def test_is_lth_power_poly():
         is_lth_power_poly(poly_pow(b, 2), 2)  # l equals the characteristic
 
 
-def test_embed_subfield_is_a_homomorphism():
-    f16 = fq_context(2, 4)
-    table = embed_subfield(F4, f16)
-    assert table[0] == 0 and table[1] == 1
-    for x in range(4):
-        for y in range(4):
-            assert table[F4.add(x, y)] == f16.add(table[x], table[y])
-            assert table[F4.mul(x, y)] == f16.mul(table[x], table[y])
-    with pytest.raises(ValueError):
-        embed_subfield(F3, f16)
+def test_subfields_are_the_elements_below_their_size():
+    # F_q inside F_Q = F_q[y]/(mu) is the constants, the elements below q
+    for small, big in ((F2, F4), (F4, extension(F4, 2)), (F4, ff_construction(F4, 1, 1, 5).big),
+                       (F2, extension(F4, 3)), (F3, F9), (F9, extension(F9, 2))):
+        for x in range(small.q):
+            for y in range(small.q):
+                assert big.add(x, y) == small.add(x, y), (small, big, x, y)
+                assert big.mul(x, y) == small.mul(x, y), (small, big, x, y)
 
 
 def test_choose_params_examples():
@@ -193,6 +217,28 @@ def test_choose_params_examples():
         choose_params(2, 1, 2, 3)   # n0 shares a factor with q
     with pytest.raises(HypothesisError):
         choose_params(2, 1, 1, 2)   # m not prime to q
+    with pytest.raises(ValueError, match="table cap"):
+        choose_params(4, 1, 1, 47)  # the order of 4 mod 47 is 23, and 4^23 = 2^46
+
+
+def test_choose_params_matches_the_linear_scan():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for k in (1, 2, 3):
+            qk = q**k
+            for n0 in range(1, qk):
+                for m in range(1, 16):
+                    if math.gcd(n0, q) != 1 or math.gcd(m, q) != 1:
+                        continue
+                    r = next(c for c in itertools.count(1)
+                             if (c * m * n0 + 1) % qk == 0 and math.gcd(c, m) == 1)
+                    # the first t >= k with q^t = 1 mod mr, or the first past the cap
+                    t = next(t for t in itertools.count(k)
+                             if q**t > _FIELD_CAP or pow(q, t, m * r) == 1 % (m * r))
+                    if q**t > _FIELD_CAP:
+                        with pytest.raises(ValueError, match="table cap"):
+                            choose_params(q, k, n0, m)
+                    else:
+                        assert choose_params(q, k, n0, m) == (r, t, q**t), (q, k, n0, m)
 
 
 CONSTR = ff_construction(F2, 1, 1, 3)
@@ -239,7 +285,7 @@ def test_ff_scan_matches_the_power_criterion():
              (F2, 1, 1, 15, 1, T, T1), (F2, 1, 1, 15, 2, T, T1), (F2, 2, 1, 5, 2, T, T1),
              (F2, 2, 3, 3, 2, T, T1), (F3, 1, 1, 2, 4, T, T1), (F3, 2, 4, 2, 3, T, T1),
              (F3, 2, 1, 2, 2, T, T), (fq_context(7, 1), 1, 1, 3, 3, (3, 1), (5, 1)),
-             (F4, 1, 1, 3, 3, (2, 1), (3, 1))]
+             (F4, 1, 1, 3, 3, (2, 1), (3, 1)), (F4, 1, 1, 5, 2, T, T1)]
     seen = set()
     for base, k, n0, m, N, a, b in cases:
         constr = ff_construction(base, k, n0, m)
@@ -260,11 +306,11 @@ def test_norm_is_the_product_of_the_conjugates():
     # Norm(T mod pi) = T^((Q^N-1)/(Q-1)) mod pi by a powmod is the product of
     # the orbit of roots read off the tables, and (-1)^N pi(0)
     for base, N in ((F4, 1), (F4, 2), (F4, 3), (F3, 1), (F3, 2), (F3, 3)):
-        ext = Extension(base, _primitive_modulus(base, N))
+        ext = extension(base, N)
         t = FqPolynomial.variable(base)
         sign = 1 if N % 2 == 0 else base.sub(0, 1)
         for orbit in frobenius_orbits(ext):
-            pi = FqPolynomial(base, ext.min_poly(orbit))
+            pi = FqPolynomial(base, min_poly(ext, orbit))
             norm = functools.reduce(ext.mul, orbit, 1)
             assert norm == base.mul(sign, pi.coeffs[0]) and norm < base.q
             assert poly_powmod(t, (base.q**N - 1) // (base.q - 1), pi).coeffs == ((norm,) if norm else ())
@@ -272,9 +318,12 @@ def test_norm_is_the_product_of_the_conjugates():
 
 def test_orbit_tables_use_the_first_primitive_modulus():
     # y generates F_{Q^N}^*, so exp is a bijection onto the nonzero elements,
-    # and no monic irreducible earlier by index has that property
-    for base, N in ((F2, 1), (F2, 4), (F3, 1), (F3, 3), (F4, 3), (fq_context(7, 1), 2), (fq_context(3, 2), 2)):
-        ext = Extension(base, _primitive_modulus(base, N))
+    # and no monic irreducible earlier by index has that property; the fields
+    # F_{p^e} of fq_context are the extensions of F_p
+    F5, F7 = fq_context(5, 1), fq_context(7, 1)
+    for base, N in ((F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5), (F2, 6), (F3, 1), (F3, 2), (F3, 3),
+                    (F3, 4), (F5, 1), (F5, 2), (F7, 1), (F7, 2), (F4, 1), (F4, 2), (F4, 3), (F9, 1), (F9, 2)):
+        ext = extension(base, N)
         order = base.q**N - 1
         assert sorted(ext.exp) == list(range(1, order + 1))
         assert all(ext.log[ext.exp[k]] == k for k in range(order))
@@ -285,21 +334,21 @@ def test_orbit_tables_use_the_first_primitive_modulus():
         candidates = [mu for mu in monic_polys(base, N) if irreducible_test(mu) and primitive(mu)]
         # index order: the low coefficients as base-q digits, constant first
         first = min(candidates, key=lambda mu: sum(c * base.q**i for i, c in enumerate(mu.coeffs)))
-        assert _primitive_modulus(base, N) == first.coeffs, (base, N)
+        assert ext.modulus == first.coeffs, (base, N)
         if N > 1:   # y is no root of a polynomial over F_Q of degree 1
             with pytest.raises(VerificationError, match="coefficient outside"):
-                ext.min_poly((ext.exp[1],))
+                min_poly(ext, (ext.exp[1],))
 
 
 def test_orbit_tables_refuse_a_modulus_where_y_is_not_primitive():
     # y^5 = 1 modulo the irreducible T^4 + T^3 + T^2 + T + 1 over F_2
     with pytest.raises(VerificationError, match="order 5 < 15"):
-        Extension(F2, (1, 1, 1, 1, 1))
+        FieldContext(F2, (1, 1, 1, 1, 1))
 
 
 def test_ff_scan_refuses_tables_above_the_cap():
-    assert 4**10 == _ORBIT_CAP   # the last degree under the cap for Q = 4
-    with pytest.raises(ValueError, match="orbit-table cap"):
+    assert 4**10 == _FIELD_CAP   # the last degree under the cap for Q = 4
+    with pytest.raises(ValueError, match="table cap"):
         ff_scan(CONSTR, 11, A_POLY, B_POLY)
 
 
@@ -335,6 +384,11 @@ def test_ff_equivalence():
         checked, mismatches = ff_equivalence_check(CONSTR, N, A_POLY, B_POLY, scan_of(N))
         assert mismatches == []
         assert checked >= FROZEN_SCAN[N][1]
+    # the tower F_4 < F_16 < F_256, each a degree-2 extension
+    constr, a, b = ff_construction(F4, 1, 1, 5), P(F4, 0, 1), P(F4, 1, 1)
+    scan = ff_scan(constr, 2, a, b)
+    assert (constr.big.base, scan.count, scan.total_irreducible) == (F4, 4, 120)
+    assert ff_equivalence_check(constr, 2, a, b, scan) == (120, [])
 
 
 def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
@@ -389,12 +443,5 @@ def test_ff_pair_verify_refuses_a_base_over_another_field():
 def test_eval_poly_fq_in_extension():
     # Phi_3(T) factors into the two qualifying linears over F_4
     phi3 = eval_poly_fq(3, FqPolynomial.variable(F4))
-    roots = [z for z in range(4) if _eval(phi3, z) == 0]
+    roots = [z for z in range(4) if F4.eval(phi3.coeffs, z) == 0]
     assert roots == [2, 3]
-
-
-def _eval(f, z):
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = f.ctx.add(f.ctx.mul(acc, z), c)
-    return acc
