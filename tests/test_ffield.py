@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from sympy import primefactors, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip, gf_sub
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem, gf_strip, gf_sub
 
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
@@ -56,6 +56,24 @@ def test_context_moduli_deterministic():
     assert fq_context(2, 4) is extension(F2, 4) and F4.base is F2
     with pytest.raises(ValueError):
         fq_context(4, 1)
+
+
+def test_context_moduli_are_the_first_irreducibles_by_index():
+    # first by index among the monic irreducibles in which u is primitive;
+    # index order: the low coefficients read as base-p digits, constant first
+    def u_is_primitive(f, p, order):
+        return all(gf_pow_mod([1, 0], order // l, f, p, ZZ) != [1] for l in primefactors(order))
+
+    for p, e in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
+        modulus = fq_context(p, e).modulus
+        index = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+        assert modulus[-1] == 1 and len(modulus) == e + 1
+        high_first = list(reversed(modulus))
+        assert gf_irreducible_p(high_first, p, ZZ) and u_is_primitive(high_first, p, p**e - 1)
+        for earlier in range(index):
+            low = [earlier // p**i % p for i in range(e)]
+            f = [1] + low[::-1]
+            assert not (gf_irreducible_p(f, p, ZZ) and u_is_primitive(f, p, p**e - 1)), (p, e, low)
 
 
 def test_field_arithmetic_of_f4():
