@@ -33,16 +33,25 @@ def sieve_primes(limit: int) -> list[int]:
     return _sieve(2, limit + 1)
 
 
-def _sieve(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi) for lo >= 2, marking multiples of the primes up to
-    sqrt(hi - 1), which come from the same sieve one level down."""
-    if hi <= lo:
+def _sieve(lo: int, hi: int, step: int = 1) -> list[int]:
+    """Primes p = 1 (mod step) in [lo, hi) for lo >= 2, ascending.
+
+    A flag stands for k in p = 1 + step*k.  A sieving prime q up to
+    sqrt(hi - 1), from the same sieve one level down, divides no such p when
+    q | step; otherwise q | p exactly when k = -step^-1 (mod q), and those k
+    are struck from the first p >= q^2, so q itself survives.
+    """
+    k_lo, k_hi = -(-(lo - 1) // step), -(-(hi - 1) // step)
+    if k_hi <= k_lo:
         return []
-    flags = bytearray(b"\x01") * (hi - lo)
-    for p in _sieve(2, math.isqrt(hi - 1) + 1):
-        start = max(p * p, -(-lo // p) * p) - lo
-        flags[start::p] = bytes(len(range(start, hi - lo, p)))
-    return list(itertools.compress(range(lo, hi), flags))
+    flags = bytearray(b"\x01") * (k_hi - k_lo)
+    for q in _sieve(2, math.isqrt(hi - 1) + 1):
+        if step % q == 0:
+            continue
+        k_first = max(k_lo, -(-(q * q - 1) // step))
+        start = k_first - k_lo + (-pow(step, -1, q) - k_first) % q
+        flags[start::q] = bytes(len(range(start, k_hi - k_lo, q)))
+    return list(itertools.compress(range(1 + step * k_lo, 1 + step * k_hi, step), flags))
 
 
 # Growing prime cache backing factorize / delta scans; extended geometrically.
@@ -62,9 +71,12 @@ def primes_up_to(limit: int) -> list[int]:
     return _prime_cache[: bisect.bisect_right(_prime_cache, limit)]
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi) by segmented sieve; workers use this on their block."""
-    return _sieve(max(lo, 2), hi)
+def primes_in_range(lo: int, hi: int, step: int = 1) -> list[int]:
+    """Primes p = 1 (mod step) in [lo, hi) by segmented sieve; workers use
+    this on their block."""
+    if step < 1:
+        raise ValueError(f"step must be positive, got {step}")
+    return _sieve(max(lo, 2), hi, step)
 
 
 def is_prime(n: int) -> bool:

@@ -53,22 +53,36 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
     prime l | modulus, p divides neither base, a is not an l-th power mod p
     for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
     is the one statement of the conditions that champion, density and the
-    lemma scan share.  The d filter runs before the power tests, so primes
-    it drops cost no powmod.
+    lemma scan share.  Only the progression p = 1 (mod modulus*d) is sieved,
+    which covers both congruences, so no other prime is ever visited.  The
+    square test (l = 2) runs Euler's criterion once per class of p mod 4c
+    for each base c; every other l costs one powmod per prime.
     """
     ells = factorize(modulus).primes()
     # smallest l first: a test with l rejects about 1/l of the primes
     powers = sorted([(a, l) for l in ells_a] + [(b, l) for l in ells_b], key=lambda t: t[1])
-    for p in primes_in_range(lo, hi):
-        w, r = divmod(p - 1, modulus)
-        if r or w % d or a % p == 0 or b % p == 0:
+    # (c, p mod 4c) -> whether c is a square mod p.  The class decides it: for
+    # an odd prime p not dividing c this is the Legendre symbol (c/p), and by
+    # quadratic reciprocity and its supplements (2/p) depends on p mod 8 and
+    # (q/p), for an odd prime q | c, on p mod 4q; all of these divide 4c.
+    squares = {}
+    for p in primes_in_range(lo, hi, modulus * d):
+        w = (p - 1) // modulus
+        if a % p == 0 or b % p == 0:
             continue
         for l in ells:
             if w % l == 0:
                 break
         else:
             for c, l in powers:
-                if pow(c, (p - 1) // l, p) == 1:
+                if l == 2:
+                    key = (c, p % (4 * c))
+                    residue = squares.get(key)
+                    if residue is None:
+                        residue = squares[key] = pow(c, (p - 1) // 2, p) == 1
+                else:
+                    residue = pow(c, (p - 1) // l, p) == 1
+                if residue:
                     break
             else:
                 yield p, w
@@ -87,26 +101,30 @@ class LemmaScanResult:
 
 
 def _lemma_scan_block(cfg, block) -> tuple[int, int]:
-    a, b, modulus, m_max, ells, coeffs = cfg
+    a, b, modulus, classes, ells, coeffs = cfg
     qualified = checked = 0
     for p, w in qualifying_primes(*block, modulus, a, b, ells, ells):
         qualified += 1
         reduced = [c % p for c in coeffs]
         for base in (a, b):
             u = pow(base, w, p)
-            for m in range(1, m_max + 1):
-                if math.gcd(m, modulus) != 1:
-                    continue
+            # u^N = base^(p-1) = 1 by Fermat; each class below rests on it
+            if pow(u, modulus, p) != 1:
+                raise VerificationError(
+                    f"divisibility lemma scan failed at p = {p}, base = {base}: "
+                    f"u = {base}^{w} has u^{modulus} != 1 (mod {p})"
+                )
+            for m, count in classes:
                 t = pow(u, m, p)
                 acc = 0
                 for c in reversed(reduced):
                     acc = (acc * t + c) % p
-                checked += 1
                 if acc != 0:
                     raise VerificationError(
                         f"divisibility lemma failed at p = {p}, base = {base}, "
                         f"n = {m}*{w} for modulus {modulus}"
                     )
+                checked += count
     return qualified, checked
 
 
@@ -114,14 +132,19 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     """Exhaustively verify the divisibility lemma for every qualified prime
     p <= p_max and every admissible n = m(p-1)/modulus with m <= m_max.
 
-    Any counterexample raises VerificationError; the result records how much
-    ground was covered.
+    Each case (p, base, m) is settled exactly but evaluated once per class of
+    m mod modulus, after u = base^((p-1)/modulus) is checked to have
+    u^modulus = 1.  Any counterexample raises VerificationError; the result
+    records how much ground was covered.
     """
     ells = factorize(modulus).primes()
     check_not_lth_powers(a, b, ells)
     if modulus % 2 == 0:
         check_squares_not_forced(modulus, (("a", a), ("b", b)))
-    cfg = (a, b, modulus, m_max, ells, build_cyclotomic(modulus).coeffs)
+    # (smallest member, member count) of each class mod N of admissible m <= m_max
+    firsts = [m for m in range(1, min(modulus, m_max) + 1) if math.gcd(m, modulus) == 1]
+    classes = [(m, (m_max - m) // modulus + 1) for m in firsts]
+    cfg = (a, b, modulus, classes, ells, build_cyclotomic(modulus).coeffs)
     qualified = checked = 0
     for q, c in map_blocks(_lemma_scan_block, cfg, 2, p_max + 1, jobs):
         qualified += q

@@ -67,6 +67,25 @@ def test_primes_in_range_matches_trial_division():
         assert [p for lo, hi in blocks for p in primes_in_range(lo, hi)] == oracle
 
 
+def test_primes_in_range_progression_matches_sympy():
+    # primes p = 1 (mod step); 7 (step 6) and 13 (step 12) lie in their own
+    # progression and sieve the ranges past their squares, but must survive
+    def want(lo, hi, step):
+        return [p for p in sympy.primerange(lo, hi) if (p - 1) % step == 0]
+
+    ranges = [(0, 200), (1, 200), (2, 200), (0, 3), (1, 2), (2, 3), (7, 8), (13, 14), (7, 7),
+              (50, 40), (5, 0), (40, 50), (48, 50), (168, 170), (100, 5000), (10000, 12000)]
+    for step in (1, 2, 4, 6, 12, 18, 30):
+        for lo, hi in ranges:
+            assert primes_in_range(lo, hi, step) == want(lo, hi, step), (lo, hi, step)
+        oracle = want(0, 20000, step)
+        for pieces in (1, 3, 4, 8, 37):
+            blocks = split_range(0, 20000, pieces)
+            assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step)] == oracle
+    with pytest.raises(ValueError):
+        primes_in_range(2, 100, 0)
+
+
 def test_factorize_matches_sympy_past_the_trial_bound():
     # factors above 10^6 are split by Pollard rho, not trial division
     rng = random.Random(7)

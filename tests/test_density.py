@@ -106,9 +106,11 @@ def test_empirical_density_entangled_d():
 
 
 def test_empirical_density_parallel_agrees():
-    seq = empirical_density(2 * 10**4, 2, 1, 2, 3, jobs=1)
-    par = empirical_density(2 * 10**4, 2, 1, 2, 3, jobs=4)
-    assert seq == par
+    # every block sieves its own progression and fills its own square memo
+    for modulus, d, a, b in ((2, 1, 2, 3), (6, 1, 5, 7), (2, 1, 12, 45), (2, 5, 2, 3)):
+        seq = empirical_density(2 * 10**4, modulus, d, a, b, jobs=1)
+        for jobs in (2, 4):
+            assert empirical_density(2 * 10**4, modulus, d, a, b, jobs=jobs) == seq, (modulus, d, a, b, jobs)
 
 
 def test_empirical_density_rejects_tiny_x():

@@ -1,12 +1,15 @@
 import math
 
 import pytest
-from sympy import primefactors
+from sympy import primefactors, primerange
+from sympy.external.gmpy import legendre  # the kernel of sympy's legendre_symbol
 from sympy.ntheory import is_nthpow_residue, n_order
 
+from cyclogcd import residues
 from cyclogcd.arith import factorize, sieve_primes
 from cyclogcd.cyclotomic import eval_mod_prime
-from cyclogcd.errors import HypothesisError
+from cyclogcd.errors import HypothesisError, VerificationError
+from cyclogcd.parallel import split_range
 from cyclogcd.residues import check_squares_not_forced, lemma_scan, qualifying_primes
 
 
@@ -91,6 +94,28 @@ def test_lemma_scan_small():
     assert result.cases_checked > result.qualified_primes
 
 
+def test_lemma_scan_counts_every_admissible_m():
+    # each class of m mod N is evaluated once but counts all of its members
+    for modulus, a, b in ((1, 2, 3), (2, 3, 5), (3, 2, 5), (6, 5, 7)):
+        ells = factorize(modulus).primes()
+        for m_max in (1, 5, 20):
+            result = lemma_scan(modulus, a, b, 3000, m_max)
+            admissible = sum(1 for m in range(1, m_max + 1) if math.gcd(m, modulus) == 1)
+            assert result.qualified_primes == len(list(qualifying_primes(2, 3001, modulus, a, b, ells, ells)))
+            assert result.cases_checked == result.qualified_primes * 2 * admissible
+
+
+def test_lemma_scan_refuses_doctored_primes(monkeypatch):
+    # 2 is a square mod 7, so Phi_2(2^(1*3)) = 9 is not divisible by 7
+    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(7, 3)]))
+    with pytest.raises(VerificationError, match=r"p = 7, base = 2, n = 1\*3 "):
+        lemma_scan(2, 2, 3, 100, 5)
+    # 9 is no prime: u = 2^4 = 7 (mod 9) has u^2 = 4, so the classes of m mod 2 cannot stand in for m
+    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(9, 4)]))
+    with pytest.raises(VerificationError, match=r"p = 9, base = 2: u = 2\^4 has u\^2 != 1"):
+        lemma_scan(2, 2, 3, 100, 5)
+
+
 def test_lemma_scan_rejects_power_bases():
     with pytest.raises(HypothesisError, match="l-th power in Q"):
         lemma_scan(2, 4, 3, 100, 5)
@@ -112,6 +137,23 @@ def test_qualifying_primes_matches_explainer():
                     if a % p and b % p and qualifies(p, modulus, a, b)
                     and (p - 1) // modulus % d == 0]
             assert got == [(p, (p - 1) // modulus) for p in want]
+
+
+def test_square_class_memo_matches_legendre():
+    # the l = 2 verdicts, kept per class of p mod 4c, against the Legendre symbol of every prime;
+    # c even, not squarefree or larger than a block, and the memo is per call, so splits agree
+    primes = list(primerange(2, 10**5))
+    for modulus in (2, 4, 6, 10):
+        ells = primefactors(modulus)
+        for c in (2, 8, 12, 18, 45, 1000003):
+            want = [(p, (p - 1) // modulus) for p in primes
+                    if p % modulus == 1 and c % p and all((p - 1) % (modulus * l) for l in ells)
+                    and legendre(c, p) == -1]
+            assert list(qualifying_primes(2, 10**5, modulus, c, 1, (2,), ())) == want, (modulus, c)
+            for pieces in (4, 8):
+                blocks = split_range(2, 10**5, pieces)
+                assert [t for block in blocks
+                        for t in qualifying_primes(*block, modulus, c, 1, (2,), ())] == want, (modulus, c)
 
 
 def test_squares_forced_by_the_modulus():
