@@ -1,9 +1,9 @@
 """Exact integer primitives shared by every other module.
 
 Sieving, deterministic primality, factorization (trial division then Pollard
-rho), the classical multiplicative functions and the offset logarithmic
-integral.  Everything here is pure and deterministic, so the functions are
-safe to call from any number of workers.
+rho), the Jacobi symbol, the classical multiplicative functions and the
+offset logarithmic integral.  Everything here is pure and deterministic, so
+the functions are safe to call from any number of workers.
 """
 
 import bisect
@@ -33,18 +33,22 @@ def sieve_primes(limit: int) -> list[int]:
     return _sieve(2, limit + 1)
 
 
-def _sieve(lo: int, hi: int, step: int = 1) -> list[int]:
-    """Primes p = 1 (mod step) in [lo, hi) for lo >= 2, ascending.
+def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
+    """Primes p = 1 (mod step) in [lo, hi) for lo >= 2 whose k in
+    p = 1 + step*k has wheel[k % len(wheel)] set, ascending.
 
-    A flag stands for k in p = 1 + step*k.  A sieving prime q up to
-    sqrt(hi - 1), from the same sieve one level down, divides no such p when
-    q | step; otherwise q | p exactly when k = -step^-1 (mod q), and those k
-    are struck from the first p >= q^2, so q itself survives.
+    A flag stands for k and starts as its wheel entry; the wheel is aligned
+    on k itself, so the blocks of a split range agree.  A sieving prime q up
+    to sqrt(hi - 1), from the same sieve one level down, divides no such p
+    when q | step; otherwise q | p exactly when k = -step^-1 (mod q), and
+    those k are struck from the first p >= q^2, so q itself survives.
     """
     k_lo, k_hi = -(-(lo - 1) // step), -(-(hi - 1) // step)
     if k_hi <= k_lo:
         return []
-    flags = bytearray(b"\x01") * (k_hi - k_lo)
+    period = len(wheel)
+    shift = k_lo % period
+    flags = bytearray((wheel * -(-(k_hi - k_lo + shift) // period))[shift : shift + k_hi - k_lo])
     for q in _sieve(2, math.isqrt(hi - 1) + 1):
         if step % q == 0:
             continue
@@ -71,12 +75,34 @@ def primes_up_to(limit: int) -> list[int]:
     return _prime_cache[: bisect.bisect_right(_prime_cache, limit)]
 
 
-def primes_in_range(lo: int, hi: int, step: int = 1) -> list[int]:
-    """Primes p = 1 (mod step) in [lo, hi) by segmented sieve; workers use
-    this on their block."""
+def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
+    """Primes p = 1 (mod step) in [lo, hi) by segmented sieve, kept only
+    where wheel[k % len(wheel)] is set for p = 1 + step*k; workers use this
+    on their block."""
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
-    return _sieve(max(lo, 2), hi, step)
+    if not wheel:
+        raise ValueError("the wheel must have at least one entry")
+    return _sieve(max(lo, 2), hi, step, wheel)
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1: 0 when gcd(a, n) > 1, else
+    +-1, and the Legendre symbol when n is prime."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"the Jacobi symbol needs an odd positive n, got {n}")
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        # reciprocity: (a/n) = -(n/a) exactly when a = n = 3 (mod 4)
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def is_prime(n: int) -> bool:

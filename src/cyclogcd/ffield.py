@@ -178,6 +178,12 @@ class FqPolynomial:
         coeffs = list(coeffs)
         if any(not 0 <= c < ctx.q for c in coeffs):
             raise ValueError("coefficient out of field range")
+        return cls._trimmed(ctx, coeffs)
+
+    @classmethod
+    def _trimmed(cls, ctx: FieldContext, coeffs: list) -> "FqPolynomial":
+        # for lists of field elements the arithmetic built, so in range by
+        # construction; drops the trailing zeros in place
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return cls(ctx, tuple(coeffs))
@@ -224,7 +230,7 @@ class FqPolynomial:
             a, b = b, a
         out = list(a)
         ctx.add_scaled(out, 0, 1, b)
-        return FqPolynomial.of(ctx, out)
+        return FqPolynomial._trimmed(ctx, out)
 
     def __neg__(self) -> "FqPolynomial":
         ctx = self.ctx
@@ -242,7 +248,7 @@ class FqPolynomial:
         for i, u in enumerate(self.coeffs):
             if u:
                 ctx.add_scaled(out, i, u, other.coeffs)
-        return FqPolynomial.of(ctx, out)
+        return FqPolynomial._trimmed(ctx, out)
 
     def __divmod__(self, other: "FqPolynomial"):
         self._require_same_ctx(other)
@@ -263,7 +269,7 @@ class FqPolynomial:
             shift = i - (len(other.coeffs) - 1)
             quot[shift] = ctx.sub(0, factor)
             ctx.add_scaled(rem, shift, factor, other.coeffs)
-        return FqPolynomial.of(ctx, quot), FqPolynomial.of(ctx, rem)
+        return FqPolynomial._trimmed(ctx, quot), FqPolynomial._trimmed(ctx, rem)
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         return divmod(self, other)[1]

@@ -6,7 +6,6 @@ concatenation), so the final result is independent of how many workers ran.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 
@@ -42,13 +41,17 @@ def map_blocks(fn, cfg, lo: int, hi: int, jobs: int = 1) -> list:
 
     The range is cut into four contiguous blocks per worker, so a slow block
     does not leave the other workers idle.  With jobs <= 1 this is a plain
-    loop (no pool overhead); otherwise a process pool runs the blocks and
-    the results are collected in block order, which is what keeps merged
-    output schedule-independent.
+    loop (no pool overhead, and the pool machinery is not even imported);
+    otherwise a process pool of at most one worker per CPU runs the blocks
+    and the results are collected in block order, which is what keeps
+    merged output schedule-independent.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     task = partial(fn, cfg)
     blocks = split_range(lo, hi, max(jobs * 4, 1))
     if jobs <= 1 or len(blocks) <= 1:
         return [task(block) for block in blocks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as ex:
         return list(ex.map(task, blocks))

@@ -7,13 +7,17 @@ Phi_N(b^n); `lemma_scan` re-verifies that divisibility numerically rather
 than trusting it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, primes_in_range
+from .arith import factorize, jacobi, primes_in_range
 from .cyclotomic import build_cyclotomic
 from .errors import HypothesisError, VerificationError
 from .parallel import map_blocks
+
+# The longest wheel of admissible classes qualifying_primes builds, in classes of k
+_WHEEL_CAP = 1 << 12
 
 
 def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
@@ -27,6 +31,12 @@ def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
                 )
 
 
+def _quadratic_field(c: int) -> tuple[int, int]:
+    """The squarefree part of c and the discriminant of Q(sqrt c)."""
+    core = math.prod(q for q, e in factorize(c).factors.items() if e % 2)
+    return core, core if core % 4 == 1 else 4 * core
+
+
 def check_squares_not_forced(modulus: int, bases) -> None:
     """Reject a base whose quadratic character is fixed on p = 1 (mod modulus).
 
@@ -36,13 +46,27 @@ def check_squares_not_forced(modulus: int, bases) -> None:
     no prime can qualify.
     """
     for name, c in bases:
-        core = math.prod(q for q, e in factorize(c).factors.items() if e % 2)
-        disc = core if core % 4 == 1 else 4 * core
+        core, disc = _quadratic_field(c)
         if core != 1 and modulus % disc == 0:
             raise HypothesisError(
                 f"{name} = {c} is a square mod every prime p = 1 (mod {modulus}): the "
                 f"discriminant {disc} of Q(sqrt {core}) divides {modulus}, so no prime qualifies"
             )
+
+
+@functools.lru_cache(maxsize=64)
+def _admissible_wheel(modulus: int, d: int, period: int, cores: tuple[int, ...]) -> bytes:
+    """Entry k of the wheel, for k mod period, is set iff the primes
+    p = 1 + modulus*d*k in that class can qualify: w = d*k has l ∤ w for
+    each prime l | modulus, and the Jacobi symbol (core / p) is -1 for each
+    squarefree core.  `period` is a multiple of rad(modulus) and of the
+    progression's period mod each core's discriminant."""
+    step = modulus * d
+    ells = factorize(modulus).primes()
+    return bytes(
+        all(d * k % l for l in ells) and all(jacobi(core, 1 + step * k) == -1 for core in cores)
+        for k in range(period)
+    )
 
 
 def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, ells_b, d: int = 1):
@@ -53,39 +77,40 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
     prime l | modulus, p divides neither base, a is not an l-th power mod p
     for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
     is the one statement of the conditions that champion, density and the
-    lemma scan share.  Only the progression p = 1 (mod modulus*d) is sieved,
-    which covers both congruences, so no other prime is ever visited.  The
-    square test (l = 2) runs Euler's criterion once per class of p mod 4c
-    for each base c; every other l costs one powmod per prime.
+    lemma scan share.
+
+    Only p = 1 + modulus*d*k is sieved, which covers both congruences, and
+    the sieve starts from a wheel of the classes of k that pass every other
+    condition the class decides: l ∤ w = d*k for each l, and each square
+    test (l = 2) of a base c.  For an odd prime p not dividing c, (c/p) is
+    the Jacobi symbol (core(c) / p), core(c) the squarefree part of c, and
+    by quadratic reciprocity it depends only on p mod the discriminant of
+    Q(sqrt c).  A square test whose discriminant would stretch the wheel
+    past _WHEEL_CAP classes or past the range runs Euler's criterion per
+    prime instead, like every odd l.
     """
-    ells = factorize(modulus).primes()
     # smallest l first: a test with l rejects about 1/l of the primes
     powers = sorted([(a, l) for l in ells_a] + [(b, l) for l in ells_b], key=lambda t: t[1])
-    # (c, p mod 4c) -> whether c is a square mod p.  The class decides it: for
-    # an odd prime p not dividing c this is the Legendre symbol (c/p), and by
-    # quadratic reciprocity and its supplements (2/p) depends on p mod 8 and
-    # (q/p), for an odd prime q | c, on p mod 4q; all of these divide 4c.
-    squares = {}
-    for p in primes_in_range(lo, hi, modulus * d):
-        w = (p - 1) // modulus
+    step = modulus * d
+    period = math.prod(factorize(modulus).primes())
+    settled = {}  # base -> squarefree core, for the square tests the wheel decides
+    # the wheel costs one Jacobi symbol per class and settled base, and p must be odd
+    limit = min(_WHEEL_CAP, (hi - lo) // step) if step % 2 == 0 else 0
+    for c in sorted({c for c, l in powers if l == 2}):
+        core, disc = _quadratic_field(c)
+        grown = math.lcm(step * period, disc) // step
+        if grown <= limit:
+            period, settled[c] = grown, core
+    powers = [(c, l) for c, l in powers if l != 2 or c not in settled]
+    wheel = _admissible_wheel(modulus, d, period, tuple(settled.values()))
+    for p in primes_in_range(lo, hi, step, wheel):
         if a % p == 0 or b % p == 0:
             continue
-        for l in ells:
-            if w % l == 0:
+        for c, l in powers:
+            if pow(c, (p - 1) // l, p) == 1:
                 break
         else:
-            for c, l in powers:
-                if l == 2:
-                    key = (c, p % (4 * c))
-                    residue = squares.get(key)
-                    if residue is None:
-                        residue = squares[key] = pow(c, (p - 1) // 2, p) == 1
-                else:
-                    residue = pow(c, (p - 1) // l, p) == 1
-                if residue:
-                    break
-            else:
-                yield p, w
+            yield p, (p - 1) // modulus
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@ import random
 
 import pytest
 import sympy
+from sympy.external.gmpy import jacobi as sympy_jacobi  # the kernel of sympy's jacobi_symbol
 
 from cyclogcd.arith import (
     FactoredInt,
     euler_phi,
     factorize,
     is_prime,
+    jacobi,
     li,
     moebius,
     primes_in_range,
@@ -84,6 +86,37 @@ def test_primes_in_range_progression_matches_sympy():
             assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step)] == oracle
     with pytest.raises(ValueError):
         primes_in_range(2, 100, 0)
+
+
+def test_primes_in_range_wheel_matches_sympy():
+    # the wheel entry of p = 1 + step*k is wheel[k % len(wheel)] for the global k, so a lo
+    # off the period and every block split keep the same primes
+    def want(lo, hi, step, wheel):
+        return [p for p in sympy.primerange(lo, hi)
+                if (p - 1) % step == 0 and wheel[(p - 1) // step % len(wheel)]]
+
+    wheels = (b"\x01", b"\x00", b"\x00\x01", b"\x01\x00\x00", bytes([1, 0, 1, 1, 0, 0, 1]),
+              bytes(k % 3 != 0 and k % 5 != 2 for k in range(60)))
+    for step in (1, 2, 6, 12, 30):
+        for wheel in wheels:
+            for lo, hi in ((0, 200), (2, 3), (7, 8), (13, 14), (50, 40), (97, 5003), (1001, 12000)):
+                assert primes_in_range(lo, hi, step, wheel) == want(lo, hi, step, wheel), (lo, hi, step, wheel)
+            oracle = want(37, 20000, step, wheel)
+            for pieces in (4, 8):
+                blocks = split_range(37, 20000, pieces)
+                assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step, wheel)] == oracle
+    assert primes_in_range(2, 100, 1, bytearray(b"\x01")) == sieve_primes(99)
+    with pytest.raises(ValueError):
+        primes_in_range(2, 100, 2, b"")
+
+
+def test_jacobi_matches_sympy():
+    for n in range(1, 1000, 2):
+        for a in range(-20, 201):
+            assert jacobi(a, n) == sympy_jacobi(a, n), (a, n)
+    for n in (0, -3, 2, 10):
+        with pytest.raises(ValueError):
+            jacobi(3, n)
 
 
 def test_factorize_matches_sympy_past_the_trial_bound():

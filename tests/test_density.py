@@ -106,7 +106,7 @@ def test_empirical_density_entangled_d():
 
 
 def test_empirical_density_parallel_agrees():
-    # every block sieves its own progression and fills its own square memo
+    # every block sieves its own progression, seeded from the wheel aligned on k
     for modulus, d, a, b in ((2, 1, 2, 3), (6, 1, 5, 7), (2, 1, 12, 45), (2, 5, 2, 3)):
         seq = empirical_density(2 * 10**4, modulus, d, a, b, jobs=1)
         for jobs in (2, 4):

@@ -156,6 +156,41 @@ def test_square_class_memo_matches_legendre():
                         for t in qualifying_primes(*block, modulus, c, 1, (2,), ())] == want, (modulus, c)
 
 
+def test_qualifying_primes_matches_brute_force():
+    # the conditions checked for every prime on its own, with Euler's criterion and no
+    # classes.  1000003 is too large a discriminant for the wheel and keeps the powmod.  For
+    # modulus 2, bases 8 and 1001 need a wheel of 4004 classes: the whole range builds it, and
+    # its 4 and 8 blocks, shorter than that, test 1001 by the powmod instead
+    hi = 30000
+    primes = list(primerange(2, hi))
+
+    def want(modulus, a, b, ells_a, ells_b, d):
+        out = []
+        ells = primefactors(modulus)
+        for p in primes:
+            w = (p - 1) // modulus
+            if ((p - 1) % modulus or w % d or a % p == 0 or b % p == 0
+                    or any(w % l == 0 for l in ells)):
+                continue
+            if all(pow(a, (p - 1) // l, p) != 1 for l in ells_a) and all(
+                    pow(b, (p - 1) // l, p) != 1 for l in ells_b):
+                out.append((p, w))
+        return out
+
+    for modulus in range(1, 13):
+        ells = tuple(primefactors(modulus))
+        for d in (1, 2, 3, 5):
+            for a, b in ((8, 12), (18, 45), (45, 1000003), (8, 1001)):
+                for ells_a, ells_b in ((ells, ells), (ells, ()), ((), ells), (ells[:1], ells[1:])):
+                    case = (modulus, a, b, ells_a, ells_b, d)
+                    oracle = want(*case)
+                    assert list(qualifying_primes(2, hi, *case)) == oracle, case
+                    if ells_a == ells_b:
+                        for pieces in (4, 8):
+                            blocks = split_range(2, hi, pieces)
+                            assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+
+
 def test_squares_forced_by_the_modulus():
     # rejected exactly when every p = 1 (mod modulus) up to 5000 has c as a square
     for modulus in (2, 4, 6, 8, 10, 12, 24, 40):

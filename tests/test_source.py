@@ -22,7 +22,7 @@ def test_cli_suite_passes_under_python_o():
     # -O strips asserts from the package; pytest still rewrites those of the
     # test modules, so every golden, every exit-code check and the field
     # certificates (a y that is not primitive, a minimal polynomial outside F_Q),
-    # the lemma scan's u^N = 1 check and the square-class memo keep failing loudly
+    # the lemma scan's u^N = 1 check and the wheel of admissible classes keep failing loudly
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_cli.py",
@@ -30,3 +30,14 @@ def test_cli_suite_passes_under_python_o():
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # --jobs 1 never starts a pool, so starting the CLI does not import one
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclogcd.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
