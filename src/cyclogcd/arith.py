@@ -7,8 +7,8 @@ the functions are safe to call from any number of workers.
 """
 
 import bisect
-import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import VerificationError
@@ -24,6 +24,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# a set flag of _sieve; the scan for them runs in C and makes no int for a struck k
+_SET_FLAG = re.compile(b"\x01")
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -55,7 +58,8 @@ def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]
         k_first = max(k_lo, -(-(q * q - 1) // step))
         start = k_first - k_lo + (-pow(step, -1, q) - k_first) % q
         flags[start::q] = bytes(len(range(start, k_hi - k_lo, q)))
-    return list(itertools.compress(range(1 + step * k_lo, 1 + step * k_hi, step), flags))
+    first = 1 + step * k_lo
+    return [first + step * m.start() for m in _SET_FLAG.finditer(flags)]
 
 
 # Growing prime cache backing factorize / delta scans; extended geometrically.
@@ -81,8 +85,8 @@ def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> 
     on their block."""
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
-    if not wheel:
-        raise ValueError("the wheel must have at least one entry")
+    if not wheel or wheel.strip(b"\x00\x01"):
+        raise ValueError("the wheel must have at least one entry, each 0 or 1")
     return _sieve(max(lo, 2), hi, step, wheel)
 
 

@@ -143,6 +143,11 @@ def _cmd_delta(args, jobs):
 
 
 def _cmd_verify_lemma(args, jobs):
+    # a scan of no prime or no m would certify nothing
+    if args.p_max < 2:
+        raise ValueError(f"--p-max must be at least 2, got {args.p_max}")
+    if args.m_max < 1:
+        raise ValueError(f"--m-max must be at least 1, got {args.m_max}")
     result = lemma_scan(args.N, args.a, args.b, args.p_max, args.m_max, jobs=jobs)
     report = {
         "N": result.modulus, "a": result.a, "b": result.b,
@@ -157,6 +162,8 @@ def _cmd_verify_lemma(args, jobs):
 
 
 def _cmd_ff(args, jobs):
+    if args.deg_max < 1:
+        raise ValueError(f"--deg-max must be at least 1, got {args.deg_max}")
     verify = args.subcommand == "ff-verify"
     base = _field_from_size(args.q)
     a = parse_poly(args.a_poly, base)

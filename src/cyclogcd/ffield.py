@@ -3,7 +3,7 @@ degree-growth construction over F_q[T].
 
 The fields form one tower F_p ⊂ F_q ⊂ F_Q ⊂ F_{Q^N}: each level is
 `extension(base, N)` = base[y]/(mu), with mu the first monic irreducible of
-degree N by index in which y is primitive (see `_monic_irreducibles`), so
+degree N by index in which y is primitive (see `_primitive_modulus`), so
 every run and every implementation of this convention agrees on element
 encodings, and each subfield is the set of elements below its size.
 
@@ -155,8 +155,10 @@ def fq_context(p: int, e: int) -> FieldContext:
 
 @lru_cache(maxsize=None)
 def extension(base: FieldContext, degree: int) -> FieldContext:
-    """base[y]/(mu) for the first monic irreducible mu of the given degree by
-    index in which y is primitive (cached); refused above _FIELD_CAP elements."""
+    """base[y]/(mu) for the first monic mu of the given degree by index in
+    which y has order |base|^degree - 1, which makes mu irreducible and y
+    primitive (see _primitive_modulus; cached); refused above _FIELD_CAP
+    elements."""
     if base.q**degree > _FIELD_CAP:
         raise ValueError(f"a field of {base.q}^{degree} elements exceeds the table cap {_FIELD_CAP}")
     return FieldContext(base, _primitive_modulus(base, degree))
@@ -301,28 +303,68 @@ class FqPolynomial:
 
 
 def poly_pow(f: FqPolynomial, n: int) -> FqPolynomial:
-    """Exact n-th power (no reduction)."""
-    result = FqPolynomial.one(f.ctx)
+    """Exact n-th power (no reduction), by the base-q digits d_i of n.
+
+    Over F_q, f(T)^q = f(T^q), so f^n is the product over i of
+    (f^(d_i))(T^(q^i)): one power below q per digit, by square-and-multiply,
+    its coefficients spread q^i places apart.
+    """
+    ctx = f.ctx
+    result, spread = FqPolynomial.one(ctx), 1
     while n:
-        if n & 1:
-            result = result * f
-        f = f * f
-        n >>= 1
+        n, d = divmod(n, ctx.q)
+        if d:
+            g, h = FqPolynomial.one(ctx), f
+            while d:
+                if d & 1:
+                    g = h * g
+                d >>= 1
+                if d:
+                    h = h * h
+            coeffs = [0] * (spread * g.degree + 1)
+            coeffs[::spread] = g.coeffs
+            # the sparse factor on the left, where __mul__ skips its zero coefficients
+            result = FqPolynomial(ctx, tuple(coeffs)) * result
+        spread *= ctx.q
+    return result
+
+
+def _mulmod(ctx: FieldContext, x, y, neg_low: list) -> list:
+    """x * y mod mu for residues x, y: at most deg mu coefficients, constant
+    first; neg_low holds -mu_0, ..., -mu_{N-1} of the monic mu.  Each product
+    term c T^i at i >= N folds back as c T^(i-N) (-mu_0 - ... - mu_{N-1} T^(N-1)),
+    from the top down.  Only the nonzero coefficients of x cost a pass."""
+    N = len(neg_low)
+    prod = [0] * (2 * N - 1)
+    for i, u in enumerate(x):
+        if u:
+            ctx.add_scaled(prod, i, u, y)
+    for i in range(2 * N - 2, N - 1, -1):
+        if prod[i]:
+            ctx.add_scaled(prod, i - N, prod[i], neg_low)
+    del prod[N:]
+    return prod
+
+
+def _powmod(ctx: FieldContext, x, exponent: int, neg_low: list) -> list:
+    """x^exponent mod mu on residues, as in _mulmod, by left-to-right binary
+    powering; each multiply takes x as the operand whose zeros are skipped."""
+    result = [1] + [0] * (len(neg_low) - 1)
+    for bit in bin(exponent)[2:]:
+        result = _mulmod(ctx, result, result, neg_low)
+        if bit == "1":
+            result = _mulmod(ctx, x, result, neg_low)
     return result
 
 
 def poly_powmod(base: FqPolynomial, exponent: int, modulus: FqPolynomial) -> FqPolynomial:
-    """base**exponent mod modulus; exponent may be Q^N sized."""
+    """base**exponent mod modulus; exponent may be Q^N sized.  The modulus
+    reduces by its monic associate, the base once up front."""
     if modulus.degree < 1:
         raise ValueError("modulus must have degree at least 1")
-    result = FqPolynomial.one(base.ctx)
-    base = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        exponent >>= 1
-    return result
+    ctx, mu = base.ctx, modulus.monic()
+    neg_low = [ctx.sub(0, c) for c in mu.coeffs[:-1]]
+    return FqPolynomial._trimmed(ctx, _powmod(ctx, (base % mu).coeffs, exponent, neg_low))
 
 
 def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
@@ -480,14 +522,37 @@ class FFScanResult:
     qualifying: tuple[tuple[int, ...], ...]  # coefficient tuples over F_Q
 
 
-def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
-    """The first monic irreducible mu of degree N by index with mu(0) != 0
-    for which T is primitive in F_Q[T]/(mu)."""
-    one, t = FqPolynomial.one(base), FqPolynomial.variable(base)
+def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
+    """True iff T has order Q^N - 1 modulo the monic mu of degree N over F_Q.
+
+    (F_Q[T]/mu)^* has Q^N - 1 elements when mu is irreducible and fewer
+    otherwise, so T has that order exactly when mu is irreducible and T is
+    primitive in the field F_Q[T]/(mu) (Lidl & Niederreiter, Thm 3.16): no
+    irreducibility test is needed.  T is a unit iff mu(0) != 0, and then
+    T^(Q^N - 1) = 1 iff T^(Q^N) = T, a power that takes only squarings
+    when Q is a power of 2.
+    """
+    if not mu[0]:
+        return False
+    N = len(mu) - 1
     order = base.q**N - 1
-    ls = factorize(order).primes()
-    return next(mu.coeffs for mu in _monic_irreducibles(base, N, 0, base.q**N) if mu.coeffs[0]
-                and all(poly_powmod(t, order // l, mu) != one for l in ls))
+    neg_low = [base.sub(0, c) for c in mu[:-1]]
+    t = [0, 1] + [0] * (N - 2) if N > 1 else neg_low  # T mod mu
+    one = [1] + [0] * (N - 1)
+    return _powmod(base, t, order + 1, neg_low) == t and all(
+        _powmod(base, t, order // l, neg_low) != one for l in factorize(order).primes())
+
+
+def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
+    """The first monic mu of degree N by index in which T has order Q^N - 1:
+    the first monic irreducible in which T is primitive (see _t_is_primitive).
+    Index order is that of _monic_irreducibles."""
+    Q = base.q
+    for idx in range(Q**N):
+        mu = tuple(idx // Q**i % Q for i in range(N)) + (1,)
+        if _t_is_primitive(base, mu):
+            return mu
+    raise VerificationError(f"no monic polynomial of degree {N} over F_{Q} has T primitive")
 
 
 def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> None:

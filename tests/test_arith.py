@@ -108,6 +108,8 @@ def test_primes_in_range_wheel_matches_sympy():
     assert primes_in_range(2, 100, 1, bytearray(b"\x01")) == sieve_primes(99)
     with pytest.raises(ValueError):
         primes_in_range(2, 100, 2, b"")
+    with pytest.raises(ValueError):   # the sieve keeps the entries that are 1
+        primes_in_range(2, 100, 2, b"\x01\x02")
 
 
 def test_jacobi_matches_sympy():

@@ -243,6 +243,22 @@ def test_verify_lemma(capsys):
     assert doc["report"]["cases_checked"] > 0
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1000", "--m-max", "0"], "--m-max"),
+    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1"], "--p-max"),
+    (["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
+      "--deg-max", "0"], "--deg-max"),
+    (["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
+      "--deg-max", "0"], "--deg-max"),
+])
+def test_vacuous_scans_exit_one(argv, named, capsys):
+    # no prime, no m or no degree to check: a report would certify nothing
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert named in captured.err
+
+
 def test_ff_json(capsys):
     code, out = run_cli(
         ["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",

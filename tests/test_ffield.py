@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 from dataclasses import replace
 from functools import lru_cache
@@ -8,12 +9,15 @@ from functools import lru_cache
 import pytest
 from sympy import primefactors, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem, gf_strip, gf_sub
+from sympy.polys.galoistools import (
+    gf_add, gf_irreducible_p, gf_mul, gf_pow, gf_pow_mod, gf_rem, gf_strip, gf_sub,
+)
 
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
     _FIELD_CAP,
+    _t_is_primitive,
     FieldContext,
     FqPolynomial,
     choose_params,
@@ -159,6 +163,86 @@ def test_poly_powmod():
     assert poly_powmod(t, 4, mod) == t          # T^3 = 1 mod T^2+T+1
     with pytest.raises(ValueError):
         poly_powmod(t, 3, P(F2, 1))
+
+
+def _sample_polys(ctx, rng):
+    # zero, a nonzero constant and one polynomial of each degree 1 to 3, monic or not
+    return [FqPolynomial.zero(ctx)] + [
+        P(ctx, *[rng.randrange(ctx.q) for _ in range(d)], rng.randrange(1, ctx.q)) for d in range(4)]
+
+
+def _exponents(q, rng, count):
+    # the digit boundaries of base q, plus `count` random exponents up to 3000
+    return sorted({0, 1, q - 1, q, q + 1, q**2 - 1, q**3} | {rng.randrange(3001) for _ in range(count)})
+
+
+def test_poly_pow_matches_sympy_gf_pow():
+    # poly_pow multiplies f^(d_i)(T^(p^i)) over the base-p digits d_i of n; the
+    # random exponents go to the f of degree up to 1, where sympy is fast
+    rng = random.Random(11)
+    for p in (2, 3, 7):
+        ctx = fq_context(p, 1)
+        for f in _sample_polys(ctx, rng):
+            for n in _exponents(p, rng, 3 if f.degree <= 1 else 0):
+                want = gf_pow(list(reversed(f.coeffs)), n, p, ZZ)
+                assert list(reversed(poly_pow(f, n).coeffs)) == want, (p, f.coeffs, n)
+
+
+def test_poly_pow_matches_repeated_multiplication():
+    # over F_4 and F_9 the digits are base 4 and 9, not base p; the random
+    # exponents go to the linear f, where repeated multiplication is cheap
+    rng = random.Random(12)
+    for ctx in (F4, F9):
+        for f in _sample_polys(ctx, rng):
+            acc, k = FqPolynomial.one(ctx), 0
+            for n in _exponents(ctx.q, rng, 2 if f.degree <= 1 else 0):
+                while k < n:
+                    acc, k = f * acc, k + 1
+                assert poly_pow(f, n) == acc, (ctx, f.coeffs, n)
+
+
+def test_poly_powmod_matches_sympy_gf_pow_mod():
+    # moduli of degree 1 up, most of them not monic over F_3 and F_7, bases
+    # of degree up to 2 deg mu, and the exponent 0
+    rng = random.Random(13)
+    for p in (2, 3, 7):
+        ctx = fq_context(p, 1)
+        for deg_mu in (1, 2, 3, 5):
+            for _ in range(3):
+                mu = [rng.randrange(p) for _ in range(deg_mu)] + [rng.randrange(1, p)]
+                base = [rng.randrange(p) for _ in range(rng.randrange(2 * deg_mu + 2))]
+                for e in (0, 1, 2, p, p**deg_mu - 1, rng.randrange(3, 10**6)):
+                    got = poly_powmod(P(ctx, *base), e, P(ctx, *mu))
+                    want = gf_pow_mod(gf_strip(base[::-1]), e, mu[::-1], p, ZZ)
+                    assert list(reversed(got.coeffs)) == want, (p, base, e, mu)
+    F7 = fq_context(7, 1)
+    f, mu = P(F7, 3, 0, 5, 1, 2), P(F7, 1, 4, 3)   # the monic associate of 3T^2 + 4T + 1 reduces
+    assert poly_powmod(f, 100, mu) == poly_powmod(f, 100, mu.monic()) == poly_pow(f, 100) % mu
+
+
+def test_poly_powmod_over_extension_fields_is_the_reduced_power():
+    rng = random.Random(14)
+    for ctx in (F4, F9):
+        for deg_mu in (1, 2, 4):
+            mu = P(ctx, *[rng.randrange(ctx.q) for _ in range(deg_mu)], rng.randrange(1, ctx.q))
+            for f in _sample_polys(ctx, rng) + [P(ctx, *[rng.randrange(ctx.q) for _ in range(9)], 1)]:
+                for e in (0, 1, 5, ctx.q, 37):
+                    assert poly_powmod(f, e, mu) == poly_pow(f, e) % mu, (ctx, f.coeffs, e, mu.coeffs)
+
+
+def test_full_order_of_t_is_irreducible_with_t_primitive():
+    # (F_q[T]/mu)^* has q^N - 1 elements only when mu is irreducible, so T of
+    # that order needs no irreducibility test; modulo a mu with mu(0) = 0, T
+    # is no unit at all
+    for p in (2, 3):
+        ctx = fq_context(p, 1)
+        for N in (1, 2, 3, 4):
+            order = p**N - 1
+            for mu in monic_polys(ctx, N):
+                high = list(reversed(mu.coeffs))
+                want = mu.coeffs[0] != 0 and gf_irreducible_p(high, p, ZZ) and all(
+                    gf_pow_mod([1, 0], order // l, high, p, ZZ) != [1] for l in primefactors(order))
+                assert _t_is_primitive(ctx, mu.coeffs) == want, mu.coeffs
 
 
 def test_poly_powmod_frobenius_fixes_residue_field():
@@ -340,7 +424,8 @@ def test_orbit_tables_use_the_first_primitive_modulus():
     # F_{p^e} of fq_context are the extensions of F_p
     F5, F7 = fq_context(5, 1), fq_context(7, 1)
     for base, N in ((F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5), (F2, 6), (F3, 1), (F3, 2), (F3, 3),
-                    (F3, 4), (F5, 1), (F5, 2), (F7, 1), (F7, 2), (F4, 1), (F4, 2), (F4, 3), (F9, 1), (F9, 2)):
+                    (F3, 4), (F5, 1), (F5, 2), (F7, 1), (F7, 2), (F7, 3), (F7, 4), (F4, 1), (F4, 2),
+                    (F4, 3), (F4, 4), (F4, 5), (F9, 1), (F9, 2)):
         ext = extension(base, N)
         order = base.q**N - 1
         assert sorted(ext.exp) == list(range(1, order + 1))
@@ -349,9 +434,10 @@ def test_orbit_tables_use_the_first_primitive_modulus():
 
         def primitive(mu):
             return mu.coeffs[0] != 0 and all(poly_powmod(t, order // l, mu) != one for l in primefactors(order))
-        candidates = [mu for mu in monic_polys(base, N) if irreducible_test(mu) and primitive(mu)]
         # index order: the low coefficients as base-q digits, constant first
-        first = min(candidates, key=lambda mu: sum(c * base.q**i for i, c in enumerate(mu.coeffs)))
+        by_index = (FqPolynomial(base, tuple(i // base.q**j % base.q for j in range(N)) + (1,))
+                    for i in range(base.q**N))
+        first = next(mu for mu in by_index if irreducible_test(mu) and primitive(mu))
         assert ext.modulus == first.coeffs, (base, N)
         if N > 1:   # y is no root of a polynomial over F_Q of degree 1
             with pytest.raises(VerificationError, match="coefficient outside"):

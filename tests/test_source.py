@@ -41,3 +41,29 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
+    # the benchmark times these layers by wrapping the module globals the runs
+    # look up; a run that stops calling one of them would read 0 there
+    from cyclogcd import cli, ffield, residues
+
+    called = set()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((ffield, "poly_pow"), (ffield, "poly_gcd"), (ffield, "eval_poly_fq"),
+                         (residues, "primes_in_range")):
+        counting(module, name)
+    assert cli.main(["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
+                     "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"]) == 0
+    assert cli.main(["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1000"]) == 0
+    capsys.readouterr()
+    assert called == {"eval_poly_fq", "poly_gcd", "poly_pow", "primes_in_range"}
