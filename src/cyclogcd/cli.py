@@ -25,7 +25,8 @@ from .arith import factorize
 from .champion import ChampionParams, run_champion
 from .density import empirical_density
 from .errors import HypothesisError, VerificationError
-from .ffield import FieldContext, FqPolynomial, ff_construction, ff_direct_verify, ff_scan, fq_context
+from .ffield import (FieldContext, FqPolynomial, check_table_cap, ff_construction, ff_direct_verify, ff_scan,
+                     fq_context)
 from .oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
 from .parallel import effective_jobs
 from .residues import lemma_scan
@@ -169,6 +170,7 @@ def _cmd_ff(args, jobs):
     a = parse_poly(args.a_poly, base)
     b = parse_poly(args.b_poly, base)
     constr = ff_construction(base, args.k, args.n0, args.m)
+    check_table_cap(constr.Q, args.deg_max)  # before any scan: F_{Q^N} grows with N
     per_n = []
     for N in range(1, args.deg_max + 1):
         scan = ff_scan(constr, N, a, b)

@@ -18,6 +18,7 @@ rebuilds the qualifying set by exact divisibility alone, as an oracle.
 """
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,6 +145,14 @@ class FieldContext:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
+    @property
+    def planes(self) -> "_DigitPlanes":
+        """The packed polynomial kernel over this field, built on first use.
+        _planes_of caches it, not the instance: an attribute set after
+        __init__ changes the shared instance layout, which slowed the table
+        scans of the fields built afterwards by about 15 %."""
+        return _planes_of(self)
+
 
 @lru_cache(maxsize=None)
 def fq_context(p: int, e: int) -> FieldContext:
@@ -153,15 +162,256 @@ def fq_context(p: int, e: int) -> FieldContext:
     return FieldContext(p) if e == 1 else extension(fq_context(p, 1), e)
 
 
+def check_table_cap(s: int, degree: int) -> None:
+    """Refuse a field of s^degree elements above _FIELD_CAP."""
+    if s**degree > _FIELD_CAP:
+        raise ValueError(f"a field of {s}^{degree} elements exceeds the table cap {_FIELD_CAP}")
+
+
 @lru_cache(maxsize=None)
 def extension(base: FieldContext, degree: int) -> FieldContext:
     """base[y]/(mu) for the first monic mu of the given degree by index in
     which y has order |base|^degree - 1, which makes mu irreducible and y
     primitive (see _primitive_modulus; cached); refused above _FIELD_CAP
     elements."""
-    if base.q**degree > _FIELD_CAP:
-        raise ValueError(f"a field of {base.q}^{degree} elements exceeds the table cap {_FIELD_CAP}")
+    check_table_cap(base.q, degree)
     return FieldContext(base, _primitive_modulus(base, degree))
+
+
+def _width(bound: int) -> int:
+    """The bytes per slot that hold every value up to bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(digits, w: int) -> int:
+    """The int whose w-byte slots, lowest first, hold digits: bytes or a
+    bytearray, or a sequence of ints below 2^64."""
+    if isinstance(digits, (bytes, bytearray)):
+        if w == 1:
+            return int.from_bytes(digits, "little")
+        buf = bytearray(len(digits) * w)
+        buf[::w] = digits
+    else:
+        words = array("Q", digits)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw, buf = words.tobytes(), bytearray(len(digits) * w)
+        for b in range(min(w, 8)):
+            buf[b::w] = raw[b::8]
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(raw: bytes, w: int):
+    """The w-byte slots of raw, lowest first, as a sequence of ints."""
+    if w == 1:
+        return raw
+    if w > 8:
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+    buf = bytearray(len(raw) // w * 8)
+    for b in range(w):
+        buf[b::8] = raw[b::w]
+    words = array("Q", buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+@lru_cache(maxsize=None)
+def _planes_of(ctx: FieldContext) -> "_DigitPlanes":
+    return _DigitPlanes(ctx)
+
+
+class _DigitPlanes:
+    """Polynomial arithmetic over one field F_{p^E} on packed digits.
+
+    The encoding is F_p-linear: the base-p digits of an element are its
+    coordinates in the basis e_i = p^i, and addition is digit-wise mod p.  A
+    polynomial is packed into one int with one w-byte slot per digit,
+    constant first (Kronecker substitution), so big-int arithmetic does the
+    per-coefficient work, and no slot carries into the next while every
+    slot stays below 256^w.  Division packs the E digits of a coefficient
+    side by side; multiplication splits them into E digit planes, the
+    polynomials over F_p of the k-th digits.  It is bilinear, e_i e_j =
+    sum_k C[i][j][k] e_k with C[i][j] = mul(p^i, p^j), so a product is E^2
+    big-int products combined by C, reduced mod p once at the end.
+    """
+
+    def __init__(self, ctx: FieldContext):
+        p, E = ctx.p, ctx.e
+        self.ctx, self.p, self.E = ctx, p, E
+        self.powers = [p**k for k in range(E)]
+        C = [[[ctx.mul(a, b) // c % p for c in self.powers] for b in self.powers] for a in self.powers]
+        # digit k of e_i x is the sum of C[i][j][k] (digit j of x): (i, j, k, C[i][j][k])
+        self.mix = [(i, j, k, C[i][j][k]) for i in range(E) for j in range(E) for k in range(E)
+                    if C[i][j][k]]
+        # a product term of two polynomials with digits below p adds at most
+        # this much to a slot
+        self.growth = (p - 1) ** 2 * max(sum(c for _, _, k, c in self.mix if k == K) for K in range(E))
+        # a division step adds one such product term (see reduce): division
+        # slots hold a digit plus at least four steps, and take `lazy` steps
+        # before the digits must be reduced
+        self.width = _width(p - 1 + 4 * self.growth)
+        self.lazy = (256**self.width - p) // self.growth
+        # byte_mod[b][v] = v 256^b mod p (None where it is 0): w (p - 1) < 256
+        # lets the slots of a w-byte plane reduce through byte tables
+        self.byte_mod = [bytes(v * pow(256, b, p) % p for v in range(256)) if pow(256, b, p) else None
+                         for b in range(min(8, 255 // (p - 1)))] if p < 256 else []
+        self.tables = ([bytes(v // c % p for v in range(256)) for c in self.powers]
+                       if E > 1 and ctx.q <= 256 else None)
+
+    def planes(self, coeffs) -> list:
+        """The digit planes of a sequence of field elements: plane k holds
+        their k-th base-p digits, as bytes when p < 256."""
+        p = self.p
+        if self.E == 1:
+            return [bytes(coeffs) if p < 256 else list(coeffs)]
+        if self.tables:
+            raw = bytes(coeffs)
+            return [raw.translate(t) for t in self.tables]
+        return [(bytes if p < 256 else list)(v // c % p for v in coeffs) for c in self.powers]
+
+    def join(self, planes) -> list[int]:
+        """The field elements whose k-th digits are planes[k]."""
+        if self.E == 1:
+            return list(planes[0])
+        wq = _width(self.ctx.q - 1)  # sum_k d_k p^k < q: no slot carries
+        x = sum(_pack(d, wq) * c for d, c in zip(planes, self.powers))
+        return list(_unpack(x.to_bytes(len(planes[0]) * wq, "little"), wq))
+
+    def digits(self, x: int, count: int, w: int):
+        """The first count w-byte slots of x, reduced mod p."""
+        raw = x.to_bytes(count * w, "little")
+        if w == 1:
+            return raw.translate(self.byte_mod[0])
+        if w <= len(self.byte_mod):
+            parts = [raw[b::w].translate(t) for b, t in enumerate(self.byte_mod[:w]) if t]
+            if len(parts) == 1:
+                return parts[0]
+            return sum(int.from_bytes(d, "little") for d in parts).to_bytes(count, "little").translate(
+                self.byte_mod[0])
+        d = [v % self.p for v in _unpack(raw, w)]
+        return bytes(d) if self.p < 256 else d
+
+    def pack(self, coeffs) -> int:
+        """A polynomial as one int at the division width, the E digits of
+        each coefficient side by side."""
+        E, planes = self.E, self.planes(coeffs)
+        if E == 1:
+            return _pack(planes[0], self.width)
+        out = (bytearray if isinstance(planes[0], bytes) else list)(len(coeffs) * E)
+        for k, d in enumerate(planes):
+            out[k::E] = d
+        return _pack(out, self.width)
+
+    def unpack(self, x: int, n: int) -> list[int]:
+        """The first n coefficients of a polynomial packed at the division width."""
+        d = self.digits(x, n * self.E, self.width)
+        return self.join([d[k::self.E] for k in range(self.E)])
+
+    def lead(self, x: int, n: int) -> int:
+        """The coefficient n - 1 of a reduced packed polynomial of n coefficients."""
+        bits = 8 * self.width
+        v = x >> (n - 1) * self.E * bits
+        if self.E == 1:
+            return v
+        c = 0
+        for d in self.powers:
+            c += (v & (1 << bits) - 1) * d
+            v >>= bits
+        return c
+
+    def multiples(self, x: int, n: int) -> list[int]:
+        """e_i x for each basis element e_i, packed but not reduced, for the
+        packed and reduced x of n coefficients: digit k of e_i x is
+        sum_j C[i][j][k] x_j, so f x = sum_i f_i (e_i x) over the digits f_i
+        of f adds at most `growth` to a slot."""
+        E, w = self.E, self.width
+        if E == 1:
+            return [x]
+        bits = 8 * w
+        one = int.from_bytes((b"\xff" * w + bytes(w * (E - 1))) * n, "little")  # digit 0 of each
+        x = [x >> j * bits & one for j in range(E)]
+        out = [0] * E
+        for i, j, k, c in self.mix:
+            out[i] += c * x[j] << k * bits
+        return out
+
+    def scale(self, xs: list[int], n: int, f: int) -> int:
+        """f x, packed and reduced, for the multiples xs of x (n coefficients)."""
+        p, w = self.p, self.width
+        y = sum(f // d % p * x for d, x in zip(self.powers, xs))
+        return _pack(self.digits(y, n * self.E, w), w)
+
+    def mul(self, a, b) -> list[int]:
+        """The coefficients of a * b, for nonempty coefficient sequences."""
+        E = self.E
+        n, w = len(a) + len(b) - 1, _width(min(len(a), len(b)) * self.growth)
+        A = [_pack(d, w) for d in self.planes(a)]
+        B = [_pack(d, w) for d in self.planes(b)]
+        if E == 1:  # C = [[1]]: one product
+            return list(self.digits(A[0] * B[0], n, w))
+        # plane k of the product is sum_i A_i (plane k of e_i B)
+        Bx = [[0] * E for _ in range(E)]
+        for i, j, k, c in self.mix:
+            Bx[i][k] += c * B[j]
+        H = [0] * E
+        for x, row in zip(A, Bx):
+            if x:
+                for k, y in enumerate(row):
+                    H[k] += x * y
+        return self.join([self.digits(h, n, w) for h in H])
+
+    def monic(self, x: int, n: int) -> int:
+        """The monic associate of a packed and reduced nonzero polynomial of n
+        coefficients."""
+        lead = self.lead(x, n)
+        return x if lead == 1 else self.scale(self.multiples(x, n), n, self.ctx.inv(lead))
+
+    def reduce(self, R: int, n: int, B: int, m: int, tops=None) -> int:
+        """R mod B, packed and reduced, for the packed and reduced R of n
+        coefficients and the monic B of m; tops, if given, receives at each
+        quotient place the coefficient eliminated there.
+
+        Each step adds -c B under the top coefficient c of R: one shifted
+        big-int add of sum_k (p - c_k)(e_k B) over the nonzero digits c_k of
+        c.  The steps work on a window of the top slots, so a step costs
+        O(m), not O(n), and the window's digits are reduced after at most
+        `lazy` steps, which keeps every slot below 256^width.
+        """
+        p, E, w = self.p, self.E, self.width
+        bits = 8 * w
+        top, span = (1 << bits) - 1, E * bits
+        terms = list(zip(self.multiples(B, m), self.powers))
+        # a window spans at least 128 steps, so splitting R costs O(n / 128) per step
+        lazy, chunk = self.lazy, max(m, 128)
+        while n >= m:
+            steps = min(chunk, n - m + 1)
+            base = n - steps - m + 1  # the lowest coefficient the window's steps touch
+            win, R = R >> base * span, R & ((1 << base * span) - 1)
+            for first in range(steps + m - 2, m - 2, -lazy):
+                for pos in range(first, max(first - lazy, m - 2), -1):
+                    v = win >> pos * span
+                    if E == 1:
+                        c = (v & top) % p
+                        if c:
+                            win += (p - c) * B << (pos - m + 1) * span
+                    else:
+                        add = c = 0
+                        for x, e in terms:
+                            d = (v & top) % p
+                            v >>= bits
+                            if d:
+                                add += (p - d) * x
+                                c += d * e
+                        if c:
+                            win += add << (pos - m + 1) * span
+                    if c and tops is not None:
+                        tops[base + pos - m + 1] = c
+                # the eliminated coefficients reduce to 0
+                win = _pack(self.digits(win, (steps + m - 1) * E, w), w)
+            R |= win << base * span
+            n -= steps
+        return R
 
 
 @dataclass(frozen=True)
@@ -169,7 +419,8 @@ class FqPolynomial:
     """Dense polynomial over a FieldContext; coeffs ascending, trimmed.
 
     The zero polynomial has empty coeffs and degree -1, distinct from the
-    nonzero constants of degree 0.
+    nonzero constants of degree 0.  Products and remainders run on packed
+    big-int digits (`FieldContext.planes`).
     """
 
     ctx: FieldContext
@@ -246,35 +497,33 @@ class FqPolynomial:
         ctx = self.ctx
         if self.is_zero or other.is_zero:
             return FqPolynomial.zero(ctx)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, u in enumerate(self.coeffs):
-            if u:
-                ctx.add_scaled(out, i, u, other.coeffs)
-        return FqPolynomial._trimmed(ctx, out)
+        return FqPolynomial._trimmed(ctx, ctx.planes.mul(self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "FqPolynomial"):
-        self._require_same_ctx(other)
+        tops = []
+        rem = self._divide(other, tops)
         ctx = self.ctx
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FqPolynomial.zero(ctx), self
-        quot = [0] * (dq + 1)
-        neg_lead_inv = ctx.sub(0, ctx.inv(other.coeffs[-1]))
-        for i in range(len(rem) - 1, len(other.coeffs) - 2, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            factor = ctx.mul(c, neg_lead_inv)  # rem -= quot[shift] T^shift * other
-            shift = i - (len(other.coeffs) - 1)
-            quot[shift] = ctx.sub(0, factor)
-            ctx.add_scaled(rem, shift, factor, other.coeffs)
-        return FqPolynomial._trimmed(ctx, quot), FqPolynomial._trimmed(ctx, rem)
+        lead_inv = ctx.inv(other.coeffs[-1])  # tops is the quotient by the monic associate
+        return FqPolynomial._trimmed(ctx, [ctx.mul(c, lead_inv) for c in tops]), rem
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
-        return divmod(self, other)[1]
+        return self._divide(other, None)
+
+    def _divide(self, other: "FqPolynomial", tops) -> "FqPolynomial":
+        # self mod other; tops, if a list, receives the quotient by the monic
+        # associate of other (see _DigitPlanes.reduce)
+        self._require_same_ctx(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, m = len(self.coeffs), len(other.coeffs)
+        if n < m:
+            return self
+        if tops is not None:
+            tops.extend([0] * (n - m + 1))
+        ctx = self.ctx
+        kernel = ctx.planes
+        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.monic().coeffs), m, tops)
+        return FqPolynomial._trimmed(ctx, kernel.unpack(rem, m - 1))
 
     def monic(self) -> "FqPolynomial":
         if self.is_zero:
@@ -310,23 +559,23 @@ def poly_pow(f: FqPolynomial, n: int) -> FqPolynomial:
     its coefficients spread q^i places apart.
     """
     ctx = f.ctx
-    result, spread = FqPolynomial.one(ctx), 1
+    result, spread = None, 1  # None stands for 1, which is never multiplied
     while n:
         n, d = divmod(n, ctx.q)
         if d:
-            g, h = FqPolynomial.one(ctx), f
+            g, h = None, f
             while d:
                 if d & 1:
-                    g = h * g
+                    g = h if g is None else h * g
                 d >>= 1
                 if d:
                     h = h * h
             coeffs = [0] * (spread * g.degree + 1)
             coeffs[::spread] = g.coeffs
-            # the sparse factor on the left, where __mul__ skips its zero coefficients
-            result = FqPolynomial(ctx, tuple(coeffs)) * result
+            factor = FqPolynomial(ctx, tuple(coeffs))
+            result = factor if result is None else factor * result
         spread *= ctx.q
-    return result
+    return FqPolynomial.one(ctx) if result is None else result
 
 
 def _mulmod(ctx: FieldContext, x, y, neg_low: list) -> list:
@@ -368,13 +617,22 @@ def poly_powmod(base: FqPolynomial, exponent: int, modulus: FqPolynomial) -> FqP
 
 
 def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
-    """Monic gcd by Euclid's algorithm."""
+    """Monic gcd by Euclid's algorithm, on packed digits throughout."""
     f._require_same_ctx(g)
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    if g.is_zero:
+        return f.monic()
+    ctx = f.ctx
+    kernel = ctx.planes
+    span = 8 * kernel.width * kernel.E  # bits per coefficient
+    F, nf = kernel.pack(f.coeffs), len(f.coeffs)
+    G, ng = kernel.pack(g.coeffs), len(g.coeffs)
+    while ng:  # G is monic at each division, and so is the last nonzero remainder
+        G = kernel.monic(G, ng)
+        R = kernel.reduce(F, nf, G, ng)
+        F, nf, G, ng = G, ng, R, (R.bit_length() + span - 1) // span
+    return FqPolynomial(ctx, tuple(kernel.unpack(F, nf)))
 
 
 def irreducible_test(f: FqPolynomial) -> bool:

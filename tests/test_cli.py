@@ -356,6 +356,21 @@ def test_ff_above_the_orbit_table_cap_is_exit_one(capsys):
     assert "no Q = 2^t up to the table cap 1048576 has t >= 21" in capsys.readouterr().err
 
 
+def test_ff_degree_above_the_table_cap_is_refused_before_any_scan(capsys, monkeypatch):
+    # Q = 4 reaches the cap at degree 10, Q = 5^6 past degree 1: the last
+    # degree is checked before the first scan, not when the loop reaches it
+    from cyclogcd import cli
+
+    scans = []
+    monkeypatch.setattr(cli, "ff_scan", lambda *args: scans.append(args))
+    for q, m, deg_max in ((2, 3, 11), (5, 2, 4)):
+        code = main(["ff", "--q", str(q), "--k", "1", "--n0", "1", "--m", str(m),
+                     "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", str(deg_max)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and scans == []
+        assert f"^{deg_max} elements exceeds the table cap 1048576" in captured.err
+
+
 @pytest.mark.parametrize("params, named", [
     # r = 2^40 - 1 is the first of its class mod q^k, which a scan over r reaches late
     (["--q", "2", "--k", "40", "--n0", "1", "--m", "1"], "has t >= 40"),

@@ -10,14 +10,17 @@ import pytest
 from sympy import primefactors, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
-    gf_add, gf_irreducible_p, gf_mul, gf_pow, gf_pow_mod, gf_rem, gf_strip, gf_sub,
+    gf_add, gf_div, gf_gcd, gf_irreducible_p, gf_mul, gf_pow, gf_pow_mod, gf_rem, gf_strip, gf_sub,
 )
 
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
     _FIELD_CAP,
+    _pack,
+    _product,
     _t_is_primitive,
+    _unpack,
     FieldContext,
     FqPolynomial,
     choose_params,
@@ -154,6 +157,156 @@ def test_poly_gcd_examples():
         poly_gcd(FqPolynomial.zero(F2), FqPolynomial.zero(F2))
     with pytest.raises(ValueError):
         poly_gcd(P(F2, 1, 1), P(F3, 1, 1))
+
+
+def _sympy(f):
+    # a polynomial as a sympy dense list, leading coefficient first
+    return list(reversed(f.coeffs))
+
+
+def _full(ctx, n, lead=1):
+    # n coefficients whose digits are all p - 1 below the leading one, so every
+    # slot of a product or an elimination step is at its bound
+    return P(ctx, *[ctx.q - 1] * (n - 1), lead)
+
+
+def _ones(ctx, n):
+    # n coefficients whose base-p digits are all 1: as the quotient by a monic
+    # divisor, every elimination step adds (p - 1) (e_k B) for every digit k
+    return P(ctx, *[(ctx.q - 1) // (ctx.p - 1)] * n)
+
+
+def _random(ctx, n, rng):
+    # n coefficients, the leading one nonzero
+    return P(ctx, *[rng.randrange(ctx.q) for _ in range(n - 1)], rng.randrange(1, ctx.q))
+
+
+def _width_edges(ctx, most):
+    # the operand lengths on both sides of each step up of a product's slot
+    # width: min(len) (p - 1)^2 fan-in against 256^w
+    growth = ctx.planes.growth
+    return sorted({n for w in (1, 2, 3) for n in ((256**w - 1) // growth, (256**w - 1) // growth + 1)
+                   if 1 <= n <= most})
+
+
+def _division_cases(ctx, rng, divisor_lengths, most):
+    # (dividend, divisor): quotients of all-1 digits under monic all-(p-1)
+    # divisors, on both sides of the renormalisation interval `lazy` and the
+    # 128-coefficient window, then non-monic and random divisors
+    lazy = ctx.planes.lazy
+    for m in divisor_lengths:  # m >= 2
+        for b in (_full(ctx, m), _full(ctx, m, ctx.q - 1), _random(ctx, m, rng)):
+            for k in sorted({1, 2, lazy - 1, lazy, lazy + 1, 129} | ({most - m} if b.is_monic else set())):
+                if 1 <= k <= most - m:
+                    yield _ones(ctx, k) * b + _random(ctx, m - 1, rng), b
+        yield _random(ctx, m - 1, rng), _full(ctx, m)  # a dividend below the divisor
+        yield FqPolynomial.zero(ctx), _random(ctx, m, rng)
+
+
+def test_packed_kernel_matches_sympy_galoistools():
+    # *, divmod and poly_gcd against sympy over prime fields whose division
+    # slots take one byte (F_2, F_3, F_7), two (F_127) and five (p = 65537):
+    # zero, constant, monic and non-monic operands; products at the lengths
+    # where the slot width steps up; divisors of degree 1 to 40 (and 300 over
+    # F_2, whose interval between renormalisations is 254 steps) against
+    # dividends up to 2,000 coefficients
+    rng = random.Random(15)
+    for p, most in ((2, 2000), (3, 2000), (7, 2000), (127, 700), (65537, 700)):
+        ctx = fq_context(p, 1)
+        operands = [FqPolynomial.zero(ctx), P(ctx, 1), P(ctx, rng.randrange(1, p))]
+        for n in _width_edges(ctx, 300) + [2, 9, 40]:
+            operands += [_full(ctx, n), _full(ctx, n, p - 1), _random(ctx, n, rng)]
+        for i, f in enumerate(operands):
+            for g in (f, operands[i - 1], operands[i // 2]):
+                assert _sympy(f * g) == gf_mul(_sympy(f), _sympy(g), p, ZZ), (p, f.degree, g.degree)
+        lengths = (2, 3, 5, 9, 17, 41) + ((301,) if p == 2 else ())
+        for f, g in _division_cases(ctx, rng, lengths, most):
+            quot, rem = divmod(f, g)
+            assert (_sympy(quot), _sympy(rem)) == gf_div(_sympy(f), _sympy(g), p, ZZ), (p, f.degree, g.degree)
+            assert f % g == rem
+        with pytest.raises(ZeroDivisionError):
+            divmod(P(ctx, 1, 1), FqPolynomial.zero(ctx))
+        for d in (0, 1, 5, 20):
+            h = _random(ctx, d + 1, rng)
+            for x, y in ((rng.randrange(1, 150), rng.randrange(1, 150)), (1, 40), (40, 0)):
+                f, g = h * _random(ctx, x, rng), h * _random(ctx, y, rng) if y else FqPolynomial.zero(ctx)
+                assert _sympy(poly_gcd(f, g)) == gf_gcd(_sympy(f), _sympy(g), p, ZZ), (p, d, x, y)
+                assert poly_gcd(f, g) == poly_gcd(g, f)
+
+
+def _schoolbook_mul(f, g):
+    # the reference product, one add_scaled pass per coefficient of f
+    ctx = f.ctx
+    if f.is_zero or g.is_zero:
+        return FqPolynomial.zero(ctx)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, u in enumerate(f.coeffs):
+        if u:
+            ctx.add_scaled(out, i, u, g.coeffs)
+    return P(ctx, *out)
+
+
+def _schoolbook_divmod(f, g):
+    # the reference division: eliminate the top coefficient by add_scaled
+    ctx = f.ctx
+    rem = list(f.coeffs)
+    quot = [0] * max(0, len(rem) - len(g.coeffs) + 1)
+    neg_lead_inv = ctx.sub(0, ctx.inv(g.coeffs[-1]))
+    for i in range(len(rem) - 1, len(g.coeffs) - 2, -1):
+        if rem[i]:
+            factor = ctx.mul(rem[i], neg_lead_inv)
+            shift = i - (len(g.coeffs) - 1)
+            quot[shift] = ctx.sub(0, factor)
+            ctx.add_scaled(rem, shift, factor, g.coeffs)
+    return P(ctx, *quot), P(ctx, *rem)
+
+
+def _schoolbook_gcd(f, g):
+    while not g.is_zero:
+        f, g = g, _schoolbook_divmod(f, g)[1]
+    return f.monic()
+
+
+def test_packed_kernel_matches_the_schoolbook_over_extension_fields():
+    # over F_{p^E}, E > 1, the planes combine by the structure constants
+    # C[i][j] = mul(p^i, p^j), read off each encoding: F_4, F_8, F_9, and
+    # F_16 built over F_4, whose C comes from a two-level tower
+    rng = random.Random(16)
+    for ctx in (F4, fq_context(2, 3), F9, extension(F4, 2)):
+        operands = [FqPolynomial.zero(ctx), P(ctx, 1), P(ctx, ctx.q - 1)]
+        for n in _width_edges(ctx, 120) + [2, 9]:
+            operands += [_full(ctx, n), _full(ctx, n, ctx.q - 1), _random(ctx, n, rng)]
+        for i, f in enumerate(operands):
+            for g in (f, operands[i - 1], operands[i // 2]):
+                assert f * g == _schoolbook_mul(f, g), (ctx, f.degree, g.degree)
+        for f, g in _division_cases(ctx, rng, (2, 3, 6, 17, 41), 400):
+            assert divmod(f, g) == _schoolbook_divmod(f, g), (ctx, f.degree, g.degree)
+        for d in (0, 1, 6):
+            h = _random(ctx, d + 1, rng)
+            f, g = h * _random(ctx, rng.randrange(1, 60), rng), h * _random(ctx, rng.randrange(1, 60), rng)
+            assert poly_gcd(f, g) == _schoolbook_gcd(f, g), (ctx, d)
+    # the product tree of the 92 qualifying pi at N = 5 over F_4, and the gcd it divides
+    pis = [FqPolynomial(CONSTR.big, c) for c in scan_of(5).qualifying]
+    level = pis
+    while len(level) > 1:
+        level = [_schoolbook_mul(f, g) for f, g in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2:]
+    product = _product(pis, CONSTR.big)
+    assert product == level[0] and product.degree == 460
+    values = [eval_poly_fq(3, poly_pow(f, CONSTR.n_for(5))) for f in (A_POLY, B_POLY)]
+    g = CONSTR.lift(poly_gcd(*values))
+    assert g.degree == 462 and _schoolbook_divmod(g, product) == divmod(g, product)
+    assert (g % product).is_zero
+
+
+def test_slot_packing_round_trips_at_every_width():
+    # _pack and _unpack at one to twelve bytes a slot, past the 8-byte words
+    rng = random.Random(17)
+    for w in range(1, 13):
+        values = [rng.randrange(min(256**w, 2**64)) for _ in range(50)] + [0, min(256**w, 2**64) - 1]
+        x = _pack(values, w)
+        assert x.bit_length() <= 8 * w * len(values)
+        assert list(_unpack(x.to_bytes(w * len(values), "little"), w)) == values, w
+        assert _pack(bytes(v % 256 for v in values), w) == _pack([v % 256 for v in values], w)
 
 
 def test_poly_powmod():
