@@ -145,14 +145,6 @@ class FieldContext:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    @property
-    def planes(self) -> "_DigitPlanes":
-        """The packed polynomial kernel over this field, built on first use.
-        _planes_of caches it, not the instance: an attribute set after
-        __init__ changes the shared instance layout, which slowed the table
-        scans of the fields built afterwards by about 15 %."""
-        return _planes_of(self)
-
 
 @lru_cache(maxsize=None)
 def fq_context(p: int, e: int) -> FieldContext:
@@ -185,10 +177,10 @@ def _width(bound: int) -> int:
 
 def _pack(digits, w: int) -> int:
     """The int whose w-byte slots, lowest first, hold digits: bytes or a
-    bytearray, or a sequence of ints below 2^64."""
+    bytearray, or a sequence of ints below 2^64 (below 256 if w is 1)."""
+    if w == 1:
+        return int.from_bytes(bytes(digits), "little")
     if isinstance(digits, (bytes, bytearray)):
-        if w == 1:
-            return int.from_bytes(digits, "little")
         buf = bytearray(len(digits) * w)
         buf[::w] = digits
     else:
@@ -216,6 +208,8 @@ def _unpack(raw: bytes, w: int):
     return words
 
 
+# cached here, not on the FieldContext: an attribute set after __init__
+# changes the shared instance layout and slows the table scans that follow
 @lru_cache(maxsize=None)
 def _planes_of(ctx: FieldContext) -> "_DigitPlanes":
     return _DigitPlanes(ctx)
@@ -252,54 +246,48 @@ class _DigitPlanes:
         # before the digits must be reduced
         self.width = _width(p - 1 + 4 * self.growth)
         self.lazy = (256**self.width - p) // self.growth
-        # byte_mod[b][v] = v 256^b mod p (None where it is 0): w (p - 1) < 256
-        # lets the slots of a w-byte plane reduce through byte tables
-        self.byte_mod = [bytes(v * pow(256, b, p) % p for v in range(256)) if pow(256, b, p) else None
-                         for b in range(min(8, 255 // (p - 1)))] if p < 256 else []
+        self.wq = _width(ctx.q - 1)  # join: sum_k d_k p^k < q, so no slot carries
+        self.mod_byte = bytes(v % p for v in range(256))  # one-byte slots reduce by translate
+        # digit k of each element of a field of at most 256, by translate
         self.tables = ([bytes(v // c % p for v in range(256)) for c in self.powers]
                        if E > 1 and ctx.q <= 256 else None)
+        self.one = 0  # digit 0 of every coefficient, for as many as needed so far (see multiples)
 
     def planes(self, coeffs) -> list:
         """The digit planes of a sequence of field elements: plane k holds
-        their k-th base-p digits, as bytes when p < 256."""
-        p = self.p
+        their k-th base-p digits (over a prime field, the elements)."""
         if self.E == 1:
-            return [bytes(coeffs) if p < 256 else list(coeffs)]
+            return [coeffs]
         if self.tables:
             raw = bytes(coeffs)
             return [raw.translate(t) for t in self.tables]
-        return [(bytes if p < 256 else list)(v // c % p for v in coeffs) for c in self.powers]
+        p = self.p
+        return [[v // c % p for v in coeffs] for c in self.powers]
 
     def join(self, planes) -> list[int]:
         """The field elements whose k-th digits are planes[k]."""
         if self.E == 1:
             return list(planes[0])
-        wq = _width(self.ctx.q - 1)  # sum_k d_k p^k < q: no slot carries
+        wq = self.wq
         x = sum(_pack(d, wq) * c for d, c in zip(planes, self.powers))
         return list(_unpack(x.to_bytes(len(planes[0]) * wq, "little"), wq))
 
     def digits(self, x: int, count: int, w: int):
-        """The first count w-byte slots of x, reduced mod p."""
+        """The first count w-byte slots of x, reduced mod p: bytes when p < 256."""
         raw = x.to_bytes(count * w, "little")
         if w == 1:
-            return raw.translate(self.byte_mod[0])
-        if w <= len(self.byte_mod):
-            parts = [raw[b::w].translate(t) for b, t in enumerate(self.byte_mod[:w]) if t]
-            if len(parts) == 1:
-                return parts[0]
-            return sum(int.from_bytes(d, "little") for d in parts).to_bytes(count, "little").translate(
-                self.byte_mod[0])
+            return raw.translate(self.mod_byte)
         d = [v % self.p for v in _unpack(raw, w)]
         return bytes(d) if self.p < 256 else d
 
     def pack(self, coeffs) -> int:
         """A polynomial as one int at the division width, the E digits of
         each coefficient side by side."""
-        E, planes = self.E, self.planes(coeffs)
+        E = self.E
         if E == 1:
-            return _pack(planes[0], self.width)
-        out = (bytearray if isinstance(planes[0], bytes) else list)(len(coeffs) * E)
-        for k, d in enumerate(planes):
+            return _pack(coeffs, self.width)
+        out = [0] * (len(coeffs) * E)
+        for k, d in enumerate(self.planes(coeffs)):
             out[k::E] = d
         return _pack(out, self.width)
 
@@ -312,8 +300,6 @@ class _DigitPlanes:
         """The coefficient n - 1 of a reduced packed polynomial of n coefficients."""
         bits = 8 * self.width
         v = x >> (n - 1) * self.E * bits
-        if self.E == 1:
-            return v
         c = 0
         for d in self.powers:
             c += (v & (1 << bits) - 1) * d
@@ -326,21 +312,16 @@ class _DigitPlanes:
         sum_j C[i][j][k] x_j, so f x = sum_i f_i (e_i x) over the digits f_i
         of f adds at most `growth` to a slot."""
         E, w = self.E, self.width
-        if E == 1:
+        if E == 1:  # C = [[1]]
             return [x]
         bits = 8 * w
-        one = int.from_bytes((b"\xff" * w + bytes(w * (E - 1))) * n, "little")  # digit 0 of each
-        x = [x >> j * bits & one for j in range(E)]
+        if self.one >> (n - 1) * E * bits == 0:  # extend the mask, doubling it
+            self.one = int.from_bytes((b"\xff" * w + bytes(w * (E - 1))) * (2 * n), "little")
+        x = [x >> j * bits & self.one for j in range(E)]
         out = [0] * E
         for i, j, k, c in self.mix:
             out[i] += c * x[j] << k * bits
         return out
-
-    def scale(self, xs: list[int], n: int, f: int) -> int:
-        """f x, packed and reduced, for the multiples xs of x (n coefficients)."""
-        p, w = self.p, self.width
-        y = sum(f // d % p * x for d, x in zip(self.powers, xs))
-        return _pack(self.digits(y, n * self.E, w), w)
 
     def mul(self, a, b) -> list[int]:
         """The coefficients of a * b, for nonempty coefficient sequences."""
@@ -361,27 +342,27 @@ class _DigitPlanes:
                     H[k] += x * y
         return self.join([self.digits(h, n, w) for h in H])
 
-    def monic(self, x: int, n: int) -> int:
-        """The monic associate of a packed and reduced nonzero polynomial of n
-        coefficients."""
-        lead = self.lead(x, n)
-        return x if lead == 1 else self.scale(self.multiples(x, n), n, self.ctx.inv(lead))
-
     def reduce(self, R: int, n: int, B: int, m: int, tops=None) -> int:
         """R mod B, packed and reduced, for the packed and reduced R of n
-        coefficients and the monic B of m; tops, if given, receives at each
-        quotient place the coefficient eliminated there.
+        coefficients and B of m; tops, if given, receives the quotient, one
+        coefficient per place.
 
-        Each step adds -c B under the top coefficient c of R: one shifted
-        big-int add of sum_k (p - c_k)(e_k B) over the nonzero digits c_k of
-        c.  The steps work on a window of the top slots, so a step costs
-        O(m), not O(n), and the window's digits are reduced after at most
-        `lazy` steps, which keeps every slot below 256^width.
+        Each step adds -(r / b) B under the top coefficient r of R, b the
+        lead of B: one shifted big-int add, over F_p of (p - r / b) B, else
+        of sum_k (p - r_k)(e_k M) over the nonzero digits r_k of r, with
+        M = B / b and its multiples e_k M built once.  The steps work on a
+        window of the top slots, so a step costs O(m), not O(n), and the
+        window's digits are reduced after at most `lazy` steps, which keeps
+        every slot below 256^width.
         """
-        p, E, w = self.p, self.E, self.width
+        p, E, w, powers = self.p, self.E, self.width, self.powers
         bits = 8 * w
         top, span = (1 << bits) - 1, E * bits
-        terms = list(zip(self.multiples(B, m), self.powers))
+        inv, mul = self.ctx.inv(self.lead(B, m)), self.ctx.mul
+        if E > 1 and inv != 1:  # M = sum_k (digit k of 1 / b)(e_k B), reduced
+            M = sum(inv // d % p * x for d, x in zip(powers, self.multiples(B, m)))
+            B = _pack(self.digits(M, m * E, w), w)
+        terms = list(zip(self.multiples(B, m), powers))
         # a window spans at least 128 steps, so splitting R costs O(n / 128) per step
         lazy, chunk = self.lazy, max(m, 128)
         while n >= m:
@@ -392,7 +373,7 @@ class _DigitPlanes:
                 for pos in range(first, max(first - lazy, m - 2), -1):
                     v = win >> pos * span
                     if E == 1:
-                        c = (v & top) % p
+                        c = (v & top) * inv % p
                         if c:
                             win += (p - c) * B << (pos - m + 1) * span
                     else:
@@ -406,7 +387,7 @@ class _DigitPlanes:
                         if c:
                             win += add << (pos - m + 1) * span
                     if c and tops is not None:
-                        tops[base + pos - m + 1] = c
+                        tops[base + pos - m + 1] = c if E == 1 else mul(c, inv)
                 # the eliminated coefficients reduce to 0
                 win = _pack(self.digits(win, (steps + m - 1) * E, w), w)
             R |= win << base * span
@@ -420,7 +401,7 @@ class FqPolynomial:
 
     The zero polynomial has empty coeffs and degree -1, distinct from the
     nonzero constants of degree 0.  Products and remainders run on packed
-    big-int digits (`FieldContext.planes`).
+    big-int digits (`_DigitPlanes`).
     """
 
     ctx: FieldContext
@@ -497,21 +478,18 @@ class FqPolynomial:
         ctx = self.ctx
         if self.is_zero or other.is_zero:
             return FqPolynomial.zero(ctx)
-        return FqPolynomial._trimmed(ctx, ctx.planes.mul(self.coeffs, other.coeffs))
+        return FqPolynomial._trimmed(ctx, _planes_of(ctx).mul(self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "FqPolynomial"):
-        tops = []
-        rem = self._divide(other, tops)
-        ctx = self.ctx
-        lead_inv = ctx.inv(other.coeffs[-1])  # tops is the quotient by the monic associate
-        return FqPolynomial._trimmed(ctx, [ctx.mul(c, lead_inv) for c in tops]), rem
+        quot = []
+        rem = self._divide(other, quot)
+        return FqPolynomial._trimmed(self.ctx, quot), rem
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         return self._divide(other, None)
 
     def _divide(self, other: "FqPolynomial", tops) -> "FqPolynomial":
-        # self mod other; tops, if a list, receives the quotient by the monic
-        # associate of other (see _DigitPlanes.reduce)
+        # self mod other; tops, if a list, receives the quotient
         self._require_same_ctx(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -521,8 +499,8 @@ class FqPolynomial:
         if tops is not None:
             tops.extend([0] * (n - m + 1))
         ctx = self.ctx
-        kernel = ctx.planes
-        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.monic().coeffs), m, tops)
+        kernel = _planes_of(ctx)
+        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.coeffs), m, tops)
         return FqPolynomial._trimmed(ctx, kernel.unpack(rem, m - 1))
 
     def monic(self) -> "FqPolynomial":
@@ -624,15 +602,14 @@ def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
     if g.is_zero:
         return f.monic()
     ctx = f.ctx
-    kernel = ctx.planes
+    kernel = _planes_of(ctx)
     span = 8 * kernel.width * kernel.E  # bits per coefficient
     F, nf = kernel.pack(f.coeffs), len(f.coeffs)
     G, ng = kernel.pack(g.coeffs), len(g.coeffs)
-    while ng:  # G is monic at each division, and so is the last nonzero remainder
-        G = kernel.monic(G, ng)
+    while ng:
         R = kernel.reduce(F, nf, G, ng)
         F, nf, G, ng = G, ng, R, (R.bit_length() + span - 1) // span
-    return FqPolynomial(ctx, tuple(kernel.unpack(F, nf)))
+    return FqPolynomial(ctx, tuple(kernel.unpack(F, nf))).monic()
 
 
 def irreducible_test(f: FqPolynomial) -> bool:

@@ -282,6 +282,19 @@ def test_ff_verify_json(capsys):
     assert [e["certified_bound"] for e in per] == [2, 4]
 
 
+def test_ff_verify_over_a_quadratic_extension_of_a_prime_above_256(capsys):
+    # r = 192 = 2^6 * 3 makes t = 2, so the gcd is divided over F_{257^2},
+    # whose digits (below 257) take more than one byte
+    code, out = run_cli(
+        ["ff-verify", "--q", "257", "--k", "1", "--n0", "87", "--m", "1",
+         "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "1"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["report"]["r"], doc["report"]["t"], doc["report"]["Q"]) == (192, 2, 257**2)
+    assert [(e["n"], e["deg_gcd"], e["certified_bound"]) for e in doc["report"]["per_N"]] == [(344, 6, 6)]
+
+
 def test_ff_rejects_bad_q(capsys):
     code = main(["ff", "--q", "6", "--k", "1", "--n0", "1", "--m", "5",
                  "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "1"])

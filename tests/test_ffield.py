@@ -18,6 +18,7 @@ from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
     _FIELD_CAP,
     _pack,
+    _planes_of,
     _product,
     _t_is_primitive,
     _unpack,
@@ -184,7 +185,7 @@ def _random(ctx, n, rng):
 def _width_edges(ctx, most):
     # the operand lengths on both sides of each step up of a product's slot
     # width: min(len) (p - 1)^2 fan-in against 256^w
-    growth = ctx.planes.growth
+    growth = _planes_of(ctx).growth
     return sorted({n for w in (1, 2, 3) for n in ((256**w - 1) // growth, (256**w - 1) // growth + 1)
                    if 1 <= n <= most})
 
@@ -193,7 +194,7 @@ def _division_cases(ctx, rng, divisor_lengths, most):
     # (dividend, divisor): quotients of all-1 digits under monic all-(p-1)
     # divisors, on both sides of the renormalisation interval `lazy` and the
     # 128-coefficient window, then non-monic and random divisors
-    lazy = ctx.planes.lazy
+    lazy = _planes_of(ctx).lazy
     for m in divisor_lengths:  # m >= 2
         for b in (_full(ctx, m), _full(ctx, m, ctx.q - 1), _random(ctx, m, rng)):
             for k in sorted({1, 2, lazy - 1, lazy, lazy + 1, 129} | ({most - m} if b.is_monic else set())):
@@ -269,10 +270,11 @@ def _schoolbook_gcd(f, g):
 
 def test_packed_kernel_matches_the_schoolbook_over_extension_fields():
     # over F_{p^E}, E > 1, the planes combine by the structure constants
-    # C[i][j] = mul(p^i, p^j), read off each encoding: F_4, F_8, F_9, and
-    # F_16 built over F_4, whose C comes from a two-level tower
+    # C[i][j] = mul(p^i, p^j), read off each encoding: F_4, F_8, F_9, F_16
+    # built over F_4, whose C comes from a two-level tower, and F_{257^2},
+    # whose digits take more than one byte (no tower over it fits the cap)
     rng = random.Random(16)
-    for ctx in (F4, fq_context(2, 3), F9, extension(F4, 2)):
+    for ctx in (F4, fq_context(2, 3), F9, extension(F4, 2), fq_context(257, 2)):
         operands = [FqPolynomial.zero(ctx), P(ctx, 1), P(ctx, ctx.q - 1)]
         for n in _width_edges(ctx, 120) + [2, 9]:
             operands += [_full(ctx, n), _full(ctx, n, ctx.q - 1), _random(ctx, n, rng)]
