@@ -45,9 +45,9 @@ class ChampionParams:
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
-            raise ValueError("bases a, b must be integers >= 2")
+            raise ValueError(f"bases must be at least 2, got a = {self.a}, b = {self.b}")
         if self.N < 1 or (self.M is not None and self.M < 1):
-            raise ValueError("indices must be positive")
+            raise ValueError(f"indices must be at least 1, got N = {self.N}, M = {self.M}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.x < 8:

@@ -47,8 +47,8 @@ def parse_poly(text: str, field: FieldContext) -> FqPolynomial:
 
 
 def _field_from_size(q: int) -> FieldContext:
-    fac = factorize(q)
-    if len(fac.factors) != 1:
+    fac = factorize(q) if q > 1 else None
+    if fac is None or len(fac.factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     (p, e), = fac.factors.items()
     return fq_context(p, e)
@@ -180,7 +180,7 @@ def _cmd_ff(args, jobs):
             "total_irreducible": scan.total_irreducible,
         }
         if verify:
-            res = ff_direct_verify(constr, N, a, b, n_cap=args.n_cap, scan=scan)
+            res = ff_direct_verify(scan, n_cap=args.n_cap)
             entry.update(deg_gcd=res.deg_gcd, certified_bound=res.certified_bound,
                          ratio_to_n=res.ratio_to_n, verified=True)
         per_n.append(entry)

@@ -62,12 +62,13 @@ class DensityPrediction:
         return float(self.ratio)
 
 
-def predicted_density(modulus: int, d: int, a, b) -> DensityPrediction:
+def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
     """Exact density of qualifying primes with the extra filter d | (p-1)/N."""
-    fa = a if isinstance(a, FactoredInt) else factorize(a)
-    fb = b if isinstance(b, FactoredInt) else factorize(b)
     if modulus < 1 or d < 1:
-        raise ValueError("modulus and d must be positive")
+        raise ValueError(f"N and d must be at least 1, got N = {modulus}, d = {d}")
+    if a < 2 or b < 2:
+        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
+    fa, fb = factorize(a), factorize(b)
     dfac = factorize(d)
     if any(e > 1 for e in dfac.factors.values()):
         raise HypothesisError(f"d = {d} must be squarefree")
@@ -80,7 +81,7 @@ def predicted_density(modulus: int, d: int, a, b) -> DensityPrediction:
         exponents.append((l, e))
         num *= Fraction((l - 1) ** e, l**e)
     if modulus % 2 == 0:
-        check_squares_not_forced(modulus * d, (("a", fa.value), ("b", fb.value)))
+        check_squares_not_forced(modulus * d, (("a", a), ("b", b)))
     ratio = num / euler_phi(modulus * d)
     if not 0 < ratio <= 1:
         raise VerificationError(f"density ratio {ratio} left (0, 1]")
@@ -104,7 +105,7 @@ def _count_block(params, block) -> int:
 def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 1) -> DensityCheck:
     """Count qualifying primes up to x and compare with ratio * li(x)."""
     if x < 100:
-        raise ValueError("x must be at least 100")
+        raise ValueError(f"x must be at least 100, got {x}")
     prediction = predicted_density(modulus, d, a, b)
     ells = tuple(l for l, _ in prediction.exponents)
     params = (modulus, d, a, b, ells)

@@ -17,6 +17,7 @@ The Moebius formula checks the scan's orbit count; `ff_equivalence_check`
 rebuilds the qualifying set by exact divisibility alone, as an oracle.
 """
 
+import itertools
 import math
 import sys
 from array import array
@@ -342,10 +343,9 @@ class _DigitPlanes:
                     H[k] += x * y
         return self.join([self.digits(h, n, w) for h in H])
 
-    def reduce(self, R: int, n: int, B: int, m: int, tops=None) -> int:
+    def reduce(self, R: int, n: int, B: int, m: int) -> int:
         """R mod B, packed and reduced, for the packed and reduced R of n
-        coefficients and B of m; tops, if given, receives the quotient, one
-        coefficient per place.
+        coefficients and B of m.
 
         Each step adds -(r / b) B under the top coefficient r of R, b the
         lead of B: one shifted big-int add, over F_p of (p - r / b) B, else
@@ -358,11 +358,11 @@ class _DigitPlanes:
         p, E, w, powers = self.p, self.E, self.width, self.powers
         bits = 8 * w
         top, span = (1 << bits) - 1, E * bits
-        inv, mul = self.ctx.inv(self.lead(B, m)), self.ctx.mul
+        inv = self.ctx.inv(self.lead(B, m))
         if E > 1 and inv != 1:  # M = sum_k (digit k of 1 / b)(e_k B), reduced
             M = sum(inv // d % p * x for d, x in zip(powers, self.multiples(B, m)))
             B = _pack(self.digits(M, m * E, w), w)
-        terms = list(zip(self.multiples(B, m), powers))
+        terms = self.multiples(B, m)
         # a window spans at least 128 steps, so splitting R costs O(n / 128) per step
         lazy, chunk = self.lazy, max(m, 128)
         while n >= m:
@@ -377,17 +377,14 @@ class _DigitPlanes:
                         if c:
                             win += (p - c) * B << (pos - m + 1) * span
                     else:
-                        add = c = 0
-                        for x, e in terms:
+                        add = 0
+                        for x in terms:
                             d = (v & top) % p
                             v >>= bits
                             if d:
                                 add += (p - d) * x
-                                c += d * e
-                        if c:
+                        if add:
                             win += add << (pos - m + 1) * span
-                    if c and tops is not None:
-                        tops[base + pos - m + 1] = c if E == 1 else mul(c, inv)
                 # the eliminated coefficients reduce to 0
                 win = _pack(self.digits(win, (steps + m - 1) * E, w), w)
             R |= win << base * span
@@ -480,27 +477,16 @@ class FqPolynomial:
             return FqPolynomial.zero(ctx)
         return FqPolynomial._trimmed(ctx, _planes_of(ctx).mul(self.coeffs, other.coeffs))
 
-    def __divmod__(self, other: "FqPolynomial"):
-        quot = []
-        rem = self._divide(other, quot)
-        return FqPolynomial._trimmed(self.ctx, quot), rem
-
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
-        return self._divide(other, None)
-
-    def _divide(self, other: "FqPolynomial", tops) -> "FqPolynomial":
-        # self mod other; tops, if a list, receives the quotient
         self._require_same_ctx(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         n, m = len(self.coeffs), len(other.coeffs)
         if n < m:
             return self
-        if tops is not None:
-            tops.extend([0] * (n - m + 1))
         ctx = self.ctx
         kernel = _planes_of(ctx)
-        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.coeffs), m, tops)
+        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.coeffs), m)
         return FqPolynomial._trimmed(ctx, kernel.unpack(rem, m - 1))
 
     def monic(self) -> "FqPolynomial":
@@ -556,6 +542,7 @@ def poly_pow(f: FqPolynomial, n: int) -> FqPolynomial:
     return FqPolynomial.one(ctx) if result is None else result
 
 
+# short moduli stay on lists: on the packed kernel (* then %) the modulus search ran 3-40x slower
 def _mulmod(ctx: FieldContext, x, y, neg_low: list) -> list:
     """x * y mod mu for residues x, y: at most deg mu coefficients, constant
     first; neg_low holds -mu_0, ..., -mu_{N-1} of the monic mu.  Each product
@@ -670,7 +657,7 @@ def choose_params(q: int, k: int, n0: int, m: int) -> tuple[int, int, int]:
     t minimal with t >= k and q^t = 1 mod mr; Q = q^t, refused above
     _FIELD_CAP, the largest field any scan can build."""
     if k < 1 or m < 1:
-        raise ValueError("k and m must be at least 1")
+        raise ValueError(f"k and m must be at least 1, got k = {k}, m = {m}")
     if math.gcd(n0, q) != 1:
         raise HypothesisError(
             f"n_0 = {n0} shares a factor with q = {q}; only congruence classes "
@@ -735,20 +722,22 @@ def ff_construction(base: FieldContext, k: int, n0: int, m: int) -> FFConstructi
     return FFConstruction(base, big, k, n0, m, r, t, Q)
 
 
-def _monic_irreducibles(ctx: FieldContext, degree: int, lo: int, hi: int):
-    """The monic irreducibles of the given degree with index in [lo, hi), in
-    index order; index i holds the low coefficients as base-q digits of i,
-    constant digit first, so [0, q^degree) covers every monic polynomial."""
-    for idx in range(lo, hi):
-        low = tuple(idx // ctx.q**i % ctx.q for i in range(degree))
-        pi = FqPolynomial(ctx, low + (1,))
-        if irreducible_test(pi):
-            yield pi
+def _monic_by_index(q: int, degree: int):
+    """The coefficient tuples, constant first, of the monic polynomials of
+    the given degree over F_q in index order: index i holds the low
+    coefficients as the base-q digits of i, constant digit first."""
+    return (low[::-1] + (1,) for low in itertools.product(range(q), repeat=degree))
 
 
 @dataclass(frozen=True)
 class FFScanResult:
+    """The qualifying pi of degree N and what they were computed from: the
+    certificates ff_direct_verify and ff_equivalence_check read it all here."""
+
+    constr: FFConstruction
     N: int
+    a: FqPolynomial
+    b: FqPolynomial
     n: int
     count: int
     predicted: float
@@ -780,14 +769,11 @@ def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
 
 def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
     """The first monic mu of degree N by index in which T has order Q^N - 1:
-    the first monic irreducible in which T is primitive (see _t_is_primitive).
-    Index order is that of _monic_irreducibles."""
-    Q = base.q
-    for idx in range(Q**N):
-        mu = tuple(idx // Q**i % Q for i in range(N)) + (1,)
+    the first monic irreducible in which T is primitive (see _t_is_primitive)."""
+    for mu in _monic_by_index(base.q, N):
         if _t_is_primitive(base, mu):
             return mu
-    raise VerificationError(f"no monic polynomial of degree {N} over F_{Q} has T primitive")
+    raise VerificationError(f"no monic polynomial of degree {N} over F_{base.q} has T primitive")
 
 
 def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> None:
@@ -808,7 +794,8 @@ def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> 
 def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) -> FFScanResult:
     """Count the monic irreducible pi of degree N over F_Q at which both
     bases are r-th powers and neither is an l-th power for a prime l | m;
-    report the density predictions next to it.
+    report the density predictions next to it.  The bases pass the gate
+    check_ff_bases here, once for every certificate of the scan.
 
     Each pi is the minimal polynomial of one Frobenius orbit of elements
     theta of degree N in F_{Q^N}, and F_Q[T]/(pi) = F_Q(theta), so with y
@@ -849,15 +836,8 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
         density *= (1.0 - 1.0 / l) ** 2
         density_alt *= (l - 1.0) ** e / l**e
     scale = constr.Q**N / N
-    return FFScanResult(
-        N=N,
-        n=n,
-        count=len(qualifying),
-        predicted=density * scale,
-        predicted_alt=density_alt * scale,
-        total_irreducible=total,
-        qualifying=tuple(qualifying),
-    )
+    return FFScanResult(constr, N, a, b, n, len(qualifying), density * scale, density_alt * scale, total,
+                        tuple(qualifying))
 
 
 def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
@@ -871,30 +851,19 @@ def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
 
 @dataclass(frozen=True)
 class FFVerifyResult:
-    N: int
-    n: int
     deg_gcd: int
     certified_bound: int
     ratio_to_n: float
-    count: int
 
 
-def ff_direct_verify(
-    constr: FFConstruction,
-    N: int,
-    a: FqPolynomial,
-    b: FqPolynomial,
-    scan: FFScanResult,
-    n_cap: int = 5000,
-) -> FFVerifyResult:
+def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     """Compute gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field and
-    certify deg gcd >= N * (qualifying pi count of `scan`)."""
-    check_ff_bases(constr, a, b)
-    n = constr.n_for(N)
+    certify deg gcd >= N * (number of qualifying pi of the scan)."""
+    constr, n = scan.constr, scan.n
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
-    value_a = eval_poly_fq(constr.m, poly_pow(a, n))
-    value_b = eval_poly_fq(constr.m, poly_pow(b, n))
+    value_a = eval_poly_fq(constr.m, poly_pow(scan.a, n))
+    value_b = eval_poly_fq(constr.m, poly_pow(scan.b, n))
     g = poly_gcd(value_a, value_b)
     # the qualifying pi are distinct monic irreducibles, so all of them divide
     # the lifted gcd iff their product does; the per-pi loop names a culprit
@@ -905,19 +874,13 @@ def ff_direct_verify(
             if not (g_big % pi).is_zero:
                 raise VerificationError(f"qualifying pi = {pi} does not divide the gcd")
         raise VerificationError("the product of the qualifying pi does not divide the gcd")
-    certified = N * scan.count
+    certified = scan.N * len(pis)
     if g.degree < certified:
-        raise VerificationError(
-            f"deg gcd = {g.degree} is below the certified bound {certified}"
-        )
-    return FFVerifyResult(
-        N=N, n=n, deg_gcd=g.degree, certified_bound=certified, ratio_to_n=g.degree / n, count=scan.count
-    )
+        raise VerificationError(f"deg gcd = {g.degree} is below the certified bound {certified}")
+    return FFVerifyResult(deg_gcd=g.degree, certified_bound=certified, ratio_to_n=g.degree / n)
 
 
-def ff_equivalence_check(
-    constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial, scan: FFScanResult
-) -> tuple[int, list[tuple[int, ...]]]:
+def ff_equivalence_check(scan: FFScanResult) -> tuple[int, list[tuple[int, ...]]]:
     """Check a scan against exact divisibility, without the power criterion.
 
     Every monic irreducible pi of degree N over F_Q not dividing ab is tested
@@ -925,14 +888,14 @@ def ff_equivalence_check(
     Returns (number of pi checked, the sorted coefficient tuples of the pi
     on which the dividing set and scan.qualifying differ).
     """
-    check_ff_bases(constr, a, b)
-    n = constr.n_for(N)
-    value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(a, n)))
-    value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(b, n)))
-    a_big, b_big = constr.lift(a), constr.lift(b)
+    constr = scan.constr
+    value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.a, scan.n)))
+    value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.b, scan.n)))
+    a_big, b_big = constr.lift(scan.a), constr.lift(scan.b)
     checked = 0
     dividing = set()
-    for pi in _monic_irreducibles(constr.big, N, 0, constr.Q**N):
+    monics = (FqPolynomial(constr.big, mu) for mu in _monic_by_index(constr.Q, scan.N))
+    for pi in filter(irreducible_test, monics):
         divides = (value_a % pi).is_zero and (value_b % pi).is_zero
         if (a_big % pi).is_zero or (b_big % pi).is_zero:
             # pi | base implies Phi_m(base^n) = Phi_m(0) = +-1 mod pi, never 0

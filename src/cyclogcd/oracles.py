@@ -48,7 +48,11 @@ def _gcd_rows_block(cfg, block) -> list[GcdSeqRow]:
 def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, jobs: int = 1) -> list[GcdSeqRow]:
     """Rows gcd(Phi_M(a^n), Phi_N(b^n)) for n = 1..n_max, exactly."""
     if a < 2 or b < 2:
-        raise ValueError("bases must be at least 2")
+        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
+    if idx_a < 1 or idx_b < 1:
+        raise ValueError(f"indices must be at least 1, got M = {idx_a}, N = {idx_b}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     estimated_bits = int(
         n_max * math.log2(max(a, b)) * max(euler_phi(idx_a), euler_phi(idx_b))
     )

@@ -162,6 +162,10 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     u^modulus = 1.  Any counterexample raises VerificationError; the result
     records how much ground was covered.
     """
+    if modulus < 1:
+        raise ValueError(f"the index must be at least 1, got N = {modulus}")
+    if a < 2 or b < 2:
+        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
     ells = factorize(modulus).primes()
     check_not_lth_powers(a, b, ells)
     if modulus % 2 == 0:

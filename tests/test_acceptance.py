@@ -139,9 +139,9 @@ def test_criterion_5_function_field_equivalence():
         scan = ff_scan(constr, N, a, b)
         assert scan.n == expected_n[N]
         assert scan.n % 2 == 1                    # n = n0 = 1 mod q^k
-        checked, mismatches = ff_equivalence_check(constr, N, a, b, scan)
+        checked, mismatches = ff_equivalence_check(scan)
         assert mismatches == [], f"scan/divisibility mismatch at N={N}"
-        res = ff_direct_verify(constr, N, a, b, scan=scan)
+        res = ff_direct_verify(scan)
         assert res.deg_gcd >= N * scan.count
         assert abs(scan.count - scan.predicted) <= 5 * 4 ** (N / 2)
     elapsed = time.perf_counter() - start
@@ -154,7 +154,7 @@ def test_criterion_6_linear_growth_and_stability(tmp_path):
     constr = ff_construction(base, 1, 1, 3)
     a = FqPolynomial.of(base, (0, 1))
     b = FqPolynomial.of(base, (1, 1))
-    ratios = [ff_direct_verify(constr, N, a, b, ff_scan(constr, N, a, b)).ratio_to_n for N in (2, 3, 4)]
+    ratios = [ff_direct_verify(ff_scan(constr, N, a, b)).ratio_to_n for N in (2, 3, 4)]
     assert min(ratios) > 0
     args = ["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
             "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "4"]

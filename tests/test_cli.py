@@ -259,6 +259,28 @@ def test_vacuous_scans_exit_one(argv, named, capsys):
     assert named in captured.err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["verify-lemma", "--N", "3", "--a", "-2", "--b", "5", "--p-max", "100"], "a = -2"),
+    (["verify-lemma", "--N", "0", "--a", "2", "--b", "5", "--p-max", "100"], "N = 0"),
+    (["density", "--N", "2", "--a", "0", "--b", "3", "--x", "1000"], "a = 0"),
+    (["density", "--N", "0", "--a", "2", "--b", "3", "--x", "1000"], "N = 0"),
+    (["gcd-seq", "--a", "2", "--b", "3", "--N", "0", "--n-max", "5"], "N = 0"),
+    (["gcd-seq", "--a", "2", "--b", "3", "--N", "1", "--M", "0", "--n-max", "5"], "M = 0"),
+    (["gcd-seq", "--a", "2", "--b", "3", "--N", "1", "--n-max", "-3"], "n_max must be at least 0, got -3"),
+    (["champion", "--a", "2", "--b", "3", "--N", "0", "--x", "100"], "N = 0"),
+    (["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "0", "--a-poly", "0,1", "--b-poly", "1,1",
+      "--deg-max", "1"], "m = 0"),
+    (["ff", "--q", "0", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
+      "--deg-max", "1"], "q = 0"),
+])
+def test_integer_inputs_out_of_range_exit_one(argv, named, capsys):
+    # a base below 2, an index below 1 or a negative n_max is refused by name
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert named in captured.err
+
+
 def test_ff_json(capsys):
     code, out = run_cli(
         ["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",

@@ -146,8 +146,8 @@ def test_polynomial_basics():
     zero = FqPolynomial.zero(F2)
     assert zero.degree == -1 and zero.is_zero
     assert P(F2, 1).degree == 0
-    q, r = divmod(P(F2, 0, 0, 1), P(F2, 1, 1))
-    assert q == P(F2, 1, 1) and r == P(F2, 1)  # T^2 = (T+1)(T+1) + 1
+    assert P(F2, 0, 0, 1) % P(F2, 1, 1) == P(F2, 1)  # T^2 = (T+1)(T+1) + 1
+    assert P(F2, 1, 1) * P(F2, 1, 1) + P(F2, 1) == P(F2, 0, 0, 1)
 
 
 def test_poly_gcd_examples():
@@ -205,7 +205,7 @@ def _division_cases(ctx, rng, divisor_lengths, most):
 
 
 def test_packed_kernel_matches_sympy_galoistools():
-    # *, divmod and poly_gcd against sympy over prime fields whose division
+    # *, % and poly_gcd against sympy over prime fields whose division
     # slots take one byte (F_2, F_3, F_7), two (F_127) and five (p = 65537):
     # zero, constant, monic and non-monic operands; products at the lengths
     # where the slot width steps up; divisors of degree 1 to 40 (and 300 over
@@ -222,11 +222,9 @@ def test_packed_kernel_matches_sympy_galoistools():
                 assert _sympy(f * g) == gf_mul(_sympy(f), _sympy(g), p, ZZ), (p, f.degree, g.degree)
         lengths = (2, 3, 5, 9, 17, 41) + ((301,) if p == 2 else ())
         for f, g in _division_cases(ctx, rng, lengths, most):
-            quot, rem = divmod(f, g)
-            assert (_sympy(quot), _sympy(rem)) == gf_div(_sympy(f), _sympy(g), p, ZZ), (p, f.degree, g.degree)
-            assert f % g == rem
+            assert _sympy(f % g) == gf_div(_sympy(f), _sympy(g), p, ZZ)[1], (p, f.degree, g.degree)
         with pytest.raises(ZeroDivisionError):
-            divmod(P(ctx, 1, 1), FqPolynomial.zero(ctx))
+            P(ctx, 1, 1) % FqPolynomial.zero(ctx)
         for d in (0, 1, 5, 20):
             h = _random(ctx, d + 1, rng)
             for x, y in ((rng.randrange(1, 150), rng.randrange(1, 150)), (1, 40), (40, 0)):
@@ -247,24 +245,20 @@ def _schoolbook_mul(f, g):
     return P(ctx, *out)
 
 
-def _schoolbook_divmod(f, g):
-    # the reference division: eliminate the top coefficient by add_scaled
+def _schoolbook_mod(f, g):
+    # the reference remainder: eliminate the top coefficient by add_scaled
     ctx = f.ctx
     rem = list(f.coeffs)
-    quot = [0] * max(0, len(rem) - len(g.coeffs) + 1)
     neg_lead_inv = ctx.sub(0, ctx.inv(g.coeffs[-1]))
     for i in range(len(rem) - 1, len(g.coeffs) - 2, -1):
         if rem[i]:
-            factor = ctx.mul(rem[i], neg_lead_inv)
-            shift = i - (len(g.coeffs) - 1)
-            quot[shift] = ctx.sub(0, factor)
-            ctx.add_scaled(rem, shift, factor, g.coeffs)
-    return P(ctx, *quot), P(ctx, *rem)
+            ctx.add_scaled(rem, i - (len(g.coeffs) - 1), ctx.mul(rem[i], neg_lead_inv), g.coeffs)
+    return P(ctx, *rem)
 
 
 def _schoolbook_gcd(f, g):
     while not g.is_zero:
-        f, g = g, _schoolbook_divmod(f, g)[1]
+        f, g = g, _schoolbook_mod(f, g)
     return f.monic()
 
 
@@ -282,7 +276,7 @@ def test_packed_kernel_matches_the_schoolbook_over_extension_fields():
             for g in (f, operands[i - 1], operands[i // 2]):
                 assert f * g == _schoolbook_mul(f, g), (ctx, f.degree, g.degree)
         for f, g in _division_cases(ctx, rng, (2, 3, 6, 17, 41), 400):
-            assert divmod(f, g) == _schoolbook_divmod(f, g), (ctx, f.degree, g.degree)
+            assert f % g == _schoolbook_mod(f, g), (ctx, f.degree, g.degree)
         for d in (0, 1, 6):
             h = _random(ctx, d + 1, rng)
             f, g = h * _random(ctx, rng.randrange(1, 60), rng), h * _random(ctx, rng.randrange(1, 60), rng)
@@ -296,7 +290,7 @@ def test_packed_kernel_matches_the_schoolbook_over_extension_fields():
     assert product == level[0] and product.degree == 460
     values = [eval_poly_fq(3, poly_pow(f, CONSTR.n_for(5))) for f in (A_POLY, B_POLY)]
     g = CONSTR.lift(poly_gcd(*values))
-    assert g.degree == 462 and _schoolbook_divmod(g, product) == divmod(g, product)
+    assert g.degree == 462 and _schoolbook_mod(g, product) == g % product
     assert (g % product).is_zero
 
 
@@ -504,10 +498,9 @@ B_POLY = P(F2, 1, 1)
 
 # N: (irreducibles, qualifying pi, deg gcd), frozen by the exhaustive
 # candidate scan (cross-validated against the exact divisibility route in
-# test_ff_equivalence below); deg gcd is verified up to N = 5, as the exact
-# gcds beyond take seconds
+# test_ff_equivalence below) and the exact gcd
 FROZEN_SCAN = {1: (4, 2, 2), 2: (6, 2, 6), 3: (20, 10, 30), 4: (60, 26, 110), 5: (204, 92, 462),
-               6: (670, 296, None), 7: (2340, 1044, None)}
+               6: (670, 296, 1806), 7: (2340, 1044, 7310)}
 
 
 @lru_cache(maxsize=None)
@@ -622,32 +615,33 @@ def test_ff_scan_frozen_counts():
 
 
 def test_ff_direct_verify_frozen():
+    # the certificate reads N, n, the bases and the construction off the scan
     for N, (_, count, deg) in FROZEN_SCAN.items():
-        if deg is None:
-            continue
-        res = ff_direct_verify(CONSTR, N, A_POLY, B_POLY, scan_of(N))
+        scan = scan_of(N)
+        assert (scan.constr, scan.N, scan.a, scan.b, scan.n) == (CONSTR, N, A_POLY, B_POLY, CONSTR.n_for(N))
+        res = ff_direct_verify(scan, n_cap=scan.n)
         assert res.deg_gcd == deg
-        assert res.certified_bound == N * count
+        assert res.certified_bound == N * count == scan.N * scan.count
         assert res.deg_gcd >= res.certified_bound
-        assert res.ratio_to_n == deg / res.n
+        assert res.ratio_to_n == deg / scan.n
 
 
 def test_ff_direct_verify_cap():
     with pytest.raises(ValueError, match="cap"):
-        ff_direct_verify(CONSTR, 4, A_POLY, B_POLY, scan_of(4), n_cap=50)
+        ff_direct_verify(scan_of(4), n_cap=50)
 
 
 def test_ff_equivalence():
     # scan <=> exact divisibility for every irreducible pi, degrees 1..4
     for N in range(1, 5):
-        checked, mismatches = ff_equivalence_check(CONSTR, N, A_POLY, B_POLY, scan_of(N))
+        checked, mismatches = ff_equivalence_check(scan_of(N))
         assert mismatches == []
         assert checked >= FROZEN_SCAN[N][1]
     # the tower F_4 < F_16 < F_256, each a degree-2 extension
     constr, a, b = ff_construction(F4, 1, 1, 5), P(F4, 0, 1), P(F4, 1, 1)
     scan = ff_scan(constr, 2, a, b)
     assert (constr.big.base, scan.count, scan.total_irreducible) == (F4, 4, 120)
-    assert ff_equivalence_check(constr, 2, a, b, scan) == (120, [])
+    assert ff_equivalence_check(scan) == (120, [])
 
 
 def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
@@ -658,31 +652,32 @@ def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
     for qualifying in ((extra.coeffs,) + scan.qualifying, scan.qualifying + (extra.coeffs,)):
         doctored = replace(scan, qualifying=qualifying, count=scan.count + 1)
         with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {extra} does not divide")):
-            ff_direct_verify(CONSTR, 3, A_POLY, B_POLY, doctored)
+            ff_direct_verify(doctored)
     # a qualifying pi listed twice divides the gcd, but its square does not
     twice = replace(scan, qualifying=scan.qualifying + scan.qualifying[:1])
     with pytest.raises(VerificationError, match="product of the qualifying pi"):
-        ff_direct_verify(CONSTR, 3, A_POLY, B_POLY, twice)
+        ff_direct_verify(twice)
 
 
 def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():
     scan = scan_of(3)
     dropped = scan.qualifying[4]
     rest = tuple(c for c in scan.qualifying if c != dropped)
-    assert ff_equivalence_check(CONSTR, 3, A_POLY, B_POLY, replace(scan, qualifying=rest))[1] == [dropped]
+    assert ff_equivalence_check(replace(scan, qualifying=rest))[1] == [dropped]
     extra = next(pi.coeffs for pi in monic_polys(CONSTR.big, 3)
                  if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
     doctored = replace(scan, qualifying=tuple(sorted(scan.qualifying + (extra,))))
-    assert ff_equivalence_check(CONSTR, 3, A_POLY, B_POLY, doctored)[1] == [extra]
+    assert ff_equivalence_check(doctored)[1] == [extra]
     t = (0, 1)   # T divides the base a, so it never qualifies
     doctored = replace(scan_of(1), qualifying=scan_of(1).qualifying + (t,))
-    assert ff_equivalence_check(CONSTR, 1, A_POLY, B_POLY, doctored)[1] == [t]
+    assert ff_equivalence_check(doctored)[1] == [t]
 
 
 def test_ff_identical_bases_gcd_is_whole_value():
-    res = ff_direct_verify(CONSTR, 1, A_POLY, A_POLY, ff_scan(CONSTR, 1, A_POLY, A_POLY))
+    scan = ff_scan(CONSTR, 1, A_POLY, A_POLY)
+    res = ff_direct_verify(scan)
     # gcd = Phi_3(a^n) itself: degree phi(3) * n * deg(a)
-    assert res.deg_gcd == 2 * res.n * A_POLY.degree
+    assert res.deg_gcd == 2 * scan.n * A_POLY.degree
 
 
 def test_ff_hypothesis_gates():
@@ -694,7 +689,8 @@ def test_ff_hypothesis_gates():
 
 
 def test_ff_pair_verify_refuses_a_base_over_another_field():
-    # the base gate check_ff_bases, which every ff entry point runs first
+    # the base gate check_ff_bases, which ff_scan runs once for every
+    # certificate that takes the scan
     with pytest.raises(ValueError, match="a is not over the base field"):
         ff_scan(CONSTR, 2, P(F4, 0, 1), B_POLY)
 
