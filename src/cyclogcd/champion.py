@@ -21,7 +21,7 @@ from .arith import factorize, sieve_primes
 from .cyclotomic import eval_mod_prime
 from .errors import HypothesisError, VerificationError
 from .parallel import map_blocks
-from .residues import check_not_lth_powers, check_squares_not_forced, qualifying_primes
+from .residues import check_bases, qualifying_primes
 
 # Slots counted per histogram window: one byte each, whatever x is.
 _WINDOW = 1 << 22
@@ -44,14 +44,11 @@ class ChampionParams:
     M: int | None = None  # None: single index N; set: mixed (M, N) run
 
     def __post_init__(self):
-        if self.a < 2 or self.b < 2:
-            raise ValueError(f"bases must be at least 2, got a = {self.a}, b = {self.b}")
-        if self.N < 1 or (self.M is not None and self.M < 1):
-            raise ValueError(f"indices must be at least 1, got N = {self.N}, M = {self.M}")
+        check_bases(self.a, self.b, self.index_a, self.N)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.x < 8:
-            raise ValueError("scan bound x must be at least 8 (x >= e^2)")
+            raise ValueError(f"scan bound x must be at least 8 (x >= e^2), got {self.x}")
         if self.M is not None and self.M != self.N:
             m_idx, n_idx = self.M, self.N
             d = math.gcd(m_idx, n_idx)
@@ -60,11 +57,6 @@ class ChampionParams:
                     f"indices M = {m_idx}, N = {n_idx} need gcd(M/D, D) = gcd(N/D, D) = 1 "
                     f"for D = gcd(M, N) = {d}"
                 )
-        check_not_lth_powers(self.a, self.b, factorize(self.lcm_index).primes())
-        indexed = (("a", self.a, self.index_a), ("b", self.b, self.N))
-        check_squares_not_forced(
-            self.lcm_index, [(name, v) for name, v, idx in indexed if idx % 2 == 0]
-        )
 
     @property
     def index_a(self) -> int:
@@ -105,37 +97,26 @@ def _order_dividing(u: int, p: int, divisors: tuple[int, ...]) -> int:
 
 def _qualify_block(cfg, block) -> list[tuple[int, int]]:
     # (p, w) for the primes of the block that contribute pairs.  The mixed run
-    # also needs a^(mw), b^(mw) of orders exactly M and N mod p.  Checked on
-    # the orders of a^w and b^w, which divide L: an admissible m is coprime to
-    # L, so raising to the m-th power keeps both orders, for every m or none.
-    a, b, lcm_idx, ells_a, ells_b, orders = cfg
+    # (lcm_divs set) also needs a^(mw), b^(mw) of orders exactly M and N mod p.
+    # Checked on the orders of a^w and b^w, which divide L: an admissible m is
+    # coprime to L, so raising to the m-th power keeps both orders, for every
+    # m or none.
+    a, b, idx_a, idx_b, lcm_divs = cfg
     out = []
-    for p, w in qualifying_primes(*block, lcm_idx, a, b, ells_a, ells_b):
-        if orders is not None:
-            idx_a, idx_b, lcm_divs = orders
-            if (
-                _order_dividing(pow(a, w, p), p, lcm_divs) != idx_a
-                or _order_dividing(pow(b, w, p), p, lcm_divs) != idx_b
-            ):
-                continue
+    for p, w in qualifying_primes(*block, a, b, idx_a, idx_b):
+        if lcm_divs is not None and (
+            _order_dividing(pow(a, w, p), p, lcm_divs) != idx_a
+            or _order_dividing(pow(b, w, p), p, lcm_divs) != idx_b
+        ):
+            continue
         out.append((p, w))
     return out
 
 
 def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, int]]:
     """(p, w = (p-1)/L) for every prime p <= x that contributes pairs, p ascending."""
-    lcm_idx = params.lcm_index
-    orders = None
-    if params.M is not None:
-        orders = (params.index_a, params.N, tuple(factorize(lcm_idx).divisors()))
-    cfg = (
-        params.a,
-        params.b,
-        lcm_idx,
-        factorize(params.index_a).primes(),
-        factorize(params.N).primes(),
-        orders,
-    )
+    lcm_divs = None if params.M is None else tuple(factorize(params.lcm_index).divisors())
+    cfg = (params.a, params.b, params.index_a, params.N, lcm_divs)
     primes: list[tuple[int, int]] = []
     for chunk in map_blocks(_qualify_block, cfg, 2, params.x + 1, jobs):
         primes.extend(chunk)
@@ -233,9 +214,7 @@ class ChampionReport:
         return {**asdict(self), "representation_count": len(self.representations)}
 
 
-def _champion_report(
-    n: int, reps, pair_count: int, kernel: int, modulus: int, x: int, kernel_omega: int
-) -> ChampionReport:
+def _champion_report(n: int, reps, pair_count: int, kernel: int, modulus: int, x: int) -> ChampionReport:
     # Re-check the champion against the pigeonhole invariants and build its report.
     if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
         raise VerificationError(f"champion n = {n} violates the kernel/bound/coprimality invariants")
@@ -265,15 +244,13 @@ def _champion_report(
         pigeonhole_floor=floor,
         pair_count=pair_count,
         kernel=kernel,
-        kernel_omega=kernel_omega,
+        kernel_omega=len(factorize(kernel).factors),  # K is squarefree
         curve_value=curve_value,
         curve_ratio=curve_ratio,
     )
 
 
-def pigeonhole_champion(
-    pairs, kernel: int, modulus: int, x: int, kernel_omega: int = 0
-) -> ChampionReport:
+def pigeonhole_champion(pairs, kernel: int, modulus: int, x: int) -> ChampionReport:
     """Group pairs by n = m(p-1)/modulus and pick the most-represented n.
 
     Ties break to the smallest n.  All report invariants are re-checked here
@@ -295,7 +272,7 @@ def pigeonhole_champion(
         if n % kernel != 0 or n > x * x or math.gcd(n, modulus) != 1:
             raise VerificationError(f"grouped n = {n} violates the kernel/bound/coprimality invariants")
     champ_n, reps = max(groups.items(), key=lambda kv: (len(kv[1]), -kv[0]))
-    return _champion_report(champ_n, reps, len(pairs), kernel, modulus, x, kernel_omega)
+    return _champion_report(champ_n, reps, len(pairs), kernel, modulus, x)
 
 
 def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionReport:
@@ -319,12 +296,15 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
 def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
     """Full pipeline: qualify primes, count slots, rebuild the champion, certify."""
     lcm_idx, x = params.lcm_index, params.x
-    kernel, omega = build_kernel(x, params.delta, lcm_idx)
+    kernel, _ = build_kernel(x, params.delta, lcm_idx)
     primes = _contributing_primes(params, jobs)
     progressions = _progressions(primes, kernel, lcm_idx, x)
     pair_count = sum((last - first) // stride + 1 for first, stride, last in progressions)
     if pair_count == 0:
-        raise ValueError("cannot pigeonhole an empty pair set")
+        raise ValueError(
+            f"no prime p <= x = {x} contributes a pair for indices M = {params.index_a}, "
+            f"N = {params.N}: cannot pigeonhole an empty pair set"
+        )
     count, slot, increments = _busiest_slot(progressions)
     if increments != pair_count:
         raise VerificationError(
@@ -341,5 +321,5 @@ def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
         raise VerificationError(
             f"champion n = {n} has {len(reps)} representations, its histogram slot counts {count}"
         )
-    report = _champion_report(n, reps, pair_count, kernel, lcm_idx, x, omega)
+    report = _champion_report(n, reps, pair_count, kernel, lcm_idx, x)
     return verify_champion(report, params)

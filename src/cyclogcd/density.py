@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import FactoredInt, euler_phi, factorize, li
 from .errors import HypothesisError, VerificationError
 from .parallel import map_blocks
-from .residues import check_squares_not_forced, qualifying_primes
+from .residues import check_bases, qualifying_primes
 
 
 def _exponent_vectors(a: FactoredInt, b: FactoredInt, l: int):
@@ -31,17 +31,13 @@ def dependence_exponent(a, b, l: int) -> int:
     """2 if a, b are multiplicatively dependent mod l-th powers in Q, else 3.
 
     Dependence means the prime-exponent vectors of a and b are linearly
-    dependent over the field with l elements.  Accepts ints or FactoredInt.
+    dependent over the field with l elements.  Accepts ints or FactoredInt;
+    bases that are l-th powers in Q, with a zero vector, are refused.
     """
     fa = a if isinstance(a, FactoredInt) else factorize(a)
     fb = b if isinstance(b, FactoredInt) else factorize(b)
+    check_bases(fa.value, fb.value, l, l)
     va, vb = _exponent_vectors(fa, fb, l)
-    for name, v, orig in (("a", va, fa), ("b", vb, fb)):
-        if not any(v):
-            raise HypothesisError(
-                f"{name} = {orig.value} is an l-th power in Q for l = {l}; the "
-                f"dependence exponent requires bases that are not l-th powers"
-            )
     # Both vectors nonzero: dependence over F_l <=> every 2x2 minor vanishes.
     k = len(va)
     dependent = all(
@@ -64,24 +60,20 @@ class DensityPrediction:
 
 def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
     """Exact density of qualifying primes with the extra filter d | (p-1)/N."""
-    if modulus < 1 or d < 1:
-        raise ValueError(f"N and d must be at least 1, got N = {modulus}, d = {d}")
-    if a < 2 or b < 2:
-        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
-    fa, fb = factorize(a), factorize(b)
-    dfac = factorize(d)
-    if any(e > 1 for e in dfac.factors.values()):
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if any(e > 1 for e in factorize(d).factors.values()):
         raise HypothesisError(f"d = {d} must be squarefree")
     if math.gcd(d, modulus) != 1:
         raise HypothesisError(f"d = {d} must be coprime to the modulus {modulus}")
+    check_bases(a, b, modulus, modulus, d)
+    fa, fb = factorize(a), factorize(b)
     exponents = []
     num = Fraction(1)
     for l in factorize(modulus).primes():
         e = dependence_exponent(fa, fb, l)
         exponents.append((l, e))
         num *= Fraction((l - 1) ** e, l**e)
-    if modulus % 2 == 0:
-        check_squares_not_forced(modulus * d, (("a", a), ("b", b)))
     ratio = num / euler_phi(modulus * d)
     if not 0 < ratio <= 1:
         raise VerificationError(f"density ratio {ratio} left (0, 1]")
@@ -98,8 +90,8 @@ class DensityCheck:
 
 
 def _count_block(params, block) -> int:
-    modulus, d, a, b, ells = params
-    return sum(1 for _ in qualifying_primes(*block, modulus, a, b, ells, ells, d))
+    modulus, d, a, b = params
+    return sum(1 for _ in qualifying_primes(*block, a, b, modulus, modulus, d))
 
 
 def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 1) -> DensityCheck:
@@ -107,9 +99,7 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
     if x < 100:
         raise ValueError(f"x must be at least 100, got {x}")
     prediction = predicted_density(modulus, d, a, b)
-    ells = tuple(l for l, _ in prediction.exponents)
-    params = (modulus, d, a, b, ells)
-    count = sum(map_blocks(_count_block, params, 2, x + 1, jobs))
+    count = sum(map_blocks(_count_block, (modulus, d, a, b), 2, x + 1, jobs))
     expected = prediction.ratio_float * li(x)
     relative_error = abs(count / expected - 1.0) if expected else math.inf
     return DensityCheck(count, expected, relative_error, prediction, x)

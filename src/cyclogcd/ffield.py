@@ -808,6 +808,8 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     `predicted_alt` weights each l by its multiplicity e in m instead:
     Q^N/(N r^2) * prod (l-1)^e / l^e.  The empirical count is authoritative.
     """
+    if N < 1:
+        raise ValueError(f"the degree must be at least 1, got N = {N}")
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     ext = extension(constr.big, N)

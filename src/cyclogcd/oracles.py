@@ -74,7 +74,7 @@ def delta_count_range(limit: int) -> list[int]:
     multiples of p - 1.  The two tables must agree entry by entry.
     """
     if limit < 1:
-        raise ValueError("limit must be positive")
+        raise ValueError(f"limit must be positive, got {limit}")
     # path B: for each prime p <= limit + 1 mark multiples of p - 1
     table_b = [0] * (limit + 1)
     for p in sieve_primes(limit + 1):
@@ -111,7 +111,7 @@ def delta_count_range(limit: int) -> list[int]:
 def delta_squarefree_range(limit: int) -> list[int]:
     """delta(n) counting squarefree d only, for every n in 1..limit (index 0 unused)."""
     if limit < 1:
-        raise ValueError("limit must be positive")
+        raise ValueError(f"limit must be positive, got {limit}")
     table = [0] * (limit + 1)
     for p in sieve_primes(limit + 1):
         d = p - 1

@@ -4,7 +4,9 @@ A prime p qualifies for (N, a, b) when p = 1 mod N, p != 1 mod N*l for every
 prime l | N, and neither a nor b is an l-th power mod p.  For such p and any
 n coprime to N divisible by (p-1)/N, p divides both Phi_N(a^n) and
 Phi_N(b^n); `lemma_scan` re-verifies that divisibility numerically rather
-than trusting it.
+than trusting it.  A mixed run takes a to the index M and b to N, and the
+congruences to L = lcm(M, N).  `check_bases` states the hypotheses on the
+bases that every integer run rests on.
 """
 
 import functools
@@ -20,32 +22,39 @@ from .parallel import map_blocks
 _WHEEL_CAP = 1 << 12
 
 
-def check_not_lth_powers(a: int, b: int, moduli_primes) -> None:
-    """Reject bases that are l-th powers in Q for any l in moduli_primes."""
-    for l in moduli_primes:
-        for name, v in (("a", a), ("b", b)):
-            if factorize(v).is_lth_power(l):
-                raise HypothesisError(
-                    f"{name} = {v} is an l-th power in Q for l = {l}; the bases must "
-                    f"not be l-th powers in Q for any prime l dividing the modulus"
-                )
-
-
 def _quadratic_field(c: int) -> tuple[int, int]:
     """The squarefree part of c and the discriminant of Q(sqrt c)."""
     core = math.prod(q for q, e in factorize(c).factors.items() if e % 2)
     return core, core if core % 4 == 1 else 4 * core
 
 
-def check_squares_not_forced(modulus: int, bases) -> None:
-    """Reject a base whose quadratic character is fixed on p = 1 (mod modulus).
+def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
+    """The hypotheses on the bases of an integer run, with a taken to the
+    index M and b to the index N: bases at least 2, indices at least 1,
+    neither base an l-th power in Q for a prime l | lcm(M, N), and no base
+    of even index a square mod every prime p = 1 (mod lcm(M, N)*d).
 
-    `bases` holds (name, c) for the bases tested for being squares mod p.  When
-    the discriminant of Q(sqrt c) divides the modulus, Q(sqrt c) lies in
-    Q(zeta_modulus), so c is a square mod every prime p = 1 (mod modulus) and
-    no prime can qualify.
+    A base c is such a square when the discriminant of Q(sqrt c) divides
+    the modulus: then Q(sqrt c) lies in Q(zeta_modulus), so c is a square
+    mod every prime p = 1 (mod modulus) and no prime can qualify.
     """
-    for name, c in bases:
+    if a < 2 or b < 2:
+        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
+    if M < 1 or N < 1:
+        got = f"N = {N}" if M == N else f"M = {M}, N = {N}"
+        raise ValueError(f"indices must be at least 1, got {got}")
+    modulus = math.lcm(M, N)
+    for l in factorize(modulus).primes():
+        for name, v in (("a", a), ("b", b)):
+            if factorize(v).is_lth_power(l):
+                raise HypothesisError(
+                    f"{name} = {v} is an l-th power in Q for l = {l}; the bases must "
+                    f"not be l-th powers in Q for any prime l dividing the modulus"
+                )
+    modulus *= d
+    for name, c, index in (("a", a, M), ("b", b, N)):
+        if index % 2:
+            continue
         core, disc = _quadratic_field(c)
         if core != 1 and modulus % disc == 0:
             raise HypothesisError(
@@ -69,17 +78,18 @@ def _admissible_wheel(modulus: int, d: int, period: int, cores: tuple[int, ...])
     )
 
 
-def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, ells_b, d: int = 1):
-    """Yield (p, (p-1)/modulus) for each prime p in [lo, hi) that qualifies
-    and has d | (p-1)/modulus.
+def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int = 1):
+    """Yield (p, (p-1)/L) for each prime p in [lo, hi) that qualifies for
+    base a at index M and base b at index N and has d | (p-1)/L, where
+    L = lcm(M, N).
 
-    p qualifies when p = 1 (mod modulus), p != 1 (mod modulus*l) for every
-    prime l | modulus, p divides neither base, a is not an l-th power mod p
-    for l in ells_a and b is not an l-th power mod p for l in ells_b.  This
-    is the one statement of the conditions that champion, density and the
-    lemma scan share.
+    p qualifies when p = 1 (mod L), p != 1 (mod L*l) for every prime l | L,
+    p divides neither base, a is not an l-th power mod p for any prime
+    l | M and b is not an l-th power mod p for any prime l | N.  This is
+    the one statement of the conditions that champion, density and the
+    lemma scan share; check_bases states the hypotheses they rest on.
 
-    Only p = 1 + modulus*d*k is sieved, which covers both congruences, and
+    Only p = 1 + L*d*k is sieved, which covers both congruences, and
     the sieve starts from a wheel of the classes of k that pass every other
     condition the class decides: l ∤ w = d*k for each l, and each square
     test (l = 2) of a base c.  For an odd prime p not dividing c, (c/p) is
@@ -89,8 +99,10 @@ def qualifying_primes(lo: int, hi: int, modulus: int, a: int, b: int, ells_a, el
     past _WHEEL_CAP classes or past the range runs Euler's criterion per
     prime instead, like every odd l.
     """
+    modulus = math.lcm(M, N)
     # smallest l first: a test with l rejects about 1/l of the primes
-    powers = sorted([(a, l) for l in ells_a] + [(b, l) for l in ells_b], key=lambda t: t[1])
+    powers = [(a, l) for l in factorize(M).primes()] + [(b, l) for l in factorize(N).primes()]
+    powers.sort(key=lambda t: t[1])
     step = modulus * d
     period = math.prod(factorize(modulus).primes())
     settled = {}  # base -> squarefree core, for the square tests the wheel decides
@@ -126,9 +138,9 @@ class LemmaScanResult:
 
 
 def _lemma_scan_block(cfg, block) -> tuple[int, int]:
-    a, b, modulus, classes, ells, coeffs = cfg
+    a, b, modulus, classes, coeffs = cfg
     qualified = checked = 0
-    for p, w in qualifying_primes(*block, modulus, a, b, ells, ells):
+    for p, w in qualifying_primes(*block, a, b, modulus, modulus):
         qualified += 1
         reduced = [c % p for c in coeffs]
         for base in (a, b):
@@ -160,20 +172,18 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     Each case (p, base, m) is settled exactly but evaluated once per class of
     m mod modulus, after u = base^((p-1)/modulus) is checked to have
     u^modulus = 1.  Any counterexample raises VerificationError; the result
-    records how much ground was covered.
+    records how much ground was covered; a scan of no prime or no m is
+    refused, since it would certify nothing.
     """
-    if modulus < 1:
-        raise ValueError(f"the index must be at least 1, got N = {modulus}")
-    if a < 2 or b < 2:
-        raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
-    ells = factorize(modulus).primes()
-    check_not_lth_powers(a, b, ells)
-    if modulus % 2 == 0:
-        check_squares_not_forced(modulus, (("a", a), ("b", b)))
+    if p_max < 2:
+        raise ValueError(f"p_max must be at least 2, got {p_max}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    check_bases(a, b, modulus, modulus)
     # (smallest member, member count) of each class mod N of admissible m <= m_max
     firsts = [m for m in range(1, min(modulus, m_max) + 1) if math.gcd(m, modulus) == 1]
     classes = [(m, (m_max - m) // modulus + 1) for m in firsts]
-    cfg = (a, b, modulus, classes, ells, build_cyclotomic(modulus).coeffs)
+    cfg = (a, b, modulus, classes, build_cyclotomic(modulus).coeffs)
     qualified = checked = 0
     for q, c in map_blocks(_lemma_scan_block, cfg, 2, p_max + 1, jobs):
         qualified += q

@@ -68,11 +68,50 @@ def test_pigeonhole_tie_breaks_to_smallest_n():
 
 
 def test_pigeonhole_floor_arithmetic():
-    # |A| = 100, slots = x^2 // K = 900 // 30 = 30 -> floor = 4
-    pairs = [(30 * j, 3) for j in range(1, 101)]  # n = 60j, all distinct, K | n
-    with pytest.raises(VerificationError):
-        # multiplicity 1 < floor 4: the pigeonhole invariant must fire
-        pigeonhole_champion(pairs, kernel=30, modulus=1, x=30)
+    # |A| = 100, slots = x^2 // K = 900 // 30 = 30 -> floor = 4.  Honest pairs always meet the
+    # floor, so the report is handed a champion n = 60 with one representation
+    with pytest.raises(VerificationError, match="multiplicity 1 is below the pigeonhole floor 4"):
+        champion._champion_report(60, [(30, 3)], pair_count=100, kernel=30, modulus=1, x=30)
+
+
+def test_champion_report_certificates():
+    # each invariant of the report, broken alone on a doctored champion: n > x^2, K ∤ n, gcd(n, N) > 1
+    for n, kernel, modulus, x in ((61, 1, 1, 7), (10, 3, 1, 30), (9, 3, 3, 30)):
+        with pytest.raises(VerificationError, match=f"n = {n} violates the kernel/bound/coprimality"):
+            champion._champion_report(n, [(1, 11)], pair_count=1, kernel=kernel, modulus=modulus, x=x)
+    with pytest.raises(VerificationError, match=r"kernel exceeds x\^2 yet pairs exist"):
+        champion._champion_report(0, [(0, 3)], pair_count=1, kernel=1000, modulus=1, x=30)
+    with pytest.raises(VerificationError, match="a prime repeated within one representation group"):
+        champion._champion_report(4, [(1, 5), (2, 3), (4, 5)], pair_count=3, kernel=1, modulus=1, x=8)
+
+
+def test_kernel_omega_read_off_the_kernel():
+    # K = 105 = 3 * 5 * 7 has three prime factors, whoever passes it in
+    report = pigeonhole_champion([(1, 211)], kernel=105, modulus=2, x=1000)
+    assert (report.n, report.kernel, report.kernel_omega) == (105, 105, 3)
+
+
+def test_run_champion_cross_checks_the_histogram(monkeypatch):
+    # the busiest slot is checked against the progressions' pair count and against the
+    # representations rebuilt from the primes
+    params = ChampionParams(a=2, b=3, N=2, x=300, delta=0.9)
+    honest = run_champion(params)
+    total, count = honest.pair_count, len(honest.representations)
+    real = champion._busiest_slot
+
+    def doctored(extra_count, extra_total):
+        def busiest(progressions):
+            best, slot, increments = real(progressions)
+            return best + extra_count, slot, increments + extra_total
+        return busiest
+
+    monkeypatch.setattr(champion, "_busiest_slot", doctored(0, 1))
+    with pytest.raises(VerificationError, match=f"counted {total + 1} pairs, the progressions hold {total}"):
+        run_champion(params)
+    monkeypatch.setattr(champion, "_busiest_slot", doctored(1, 0))
+    with pytest.raises(VerificationError, match=f"n = {honest.n} has {count} representations, its histogram "
+                                                f"slot counts {count + 1}"):
+        run_champion(params)
 
 
 def test_pigeonhole_rejects_empty():
@@ -215,7 +254,8 @@ def _oracle(params):
     # the stored pair list, grouped by pigeonhole_champion
     kernel, omega = build_kernel(params.x, params.delta, params.lcm_index)
     pairs = enumerate_pairs(params)
-    report = pigeonhole_champion(pairs, kernel, params.lcm_index, params.x, kernel_omega=omega)
+    report = pigeonhole_champion(pairs, kernel, params.lcm_index, params.x)
+    assert report.kernel_omega == omega
     return verify_champion(report, params), len(pairs)
 
 

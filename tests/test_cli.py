@@ -244,15 +244,19 @@ def test_verify_lemma(capsys):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1000", "--m-max", "0"], "--m-max"),
-    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1"], "--p-max"),
+    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1000", "--m-max", "0"],
+     "m_max must be at least 1, got 0"),
+    (["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1"], "p_max must be at least 2, got 1"),
     (["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
       "--deg-max", "0"], "--deg-max"),
     (["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
       "--deg-max", "0"], "--deg-max"),
+    # K = 1 (0.9 log 8 < 2); of the primes p = 3 (mod 4) up to 8, 3 divides b and 2 is a square mod 7
+    (["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "8"],
+     "no prime p <= x = 8 contributes a pair for indices M = 2, N = 2"),
 ])
 def test_vacuous_scans_exit_one(argv, named, capsys):
-    # no prime, no m or no degree to check: a report would certify nothing
+    # no prime, no m, no pair or no degree to check: a report would certify nothing
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -272,9 +276,11 @@ def test_vacuous_scans_exit_one(argv, named, capsys):
       "--deg-max", "1"], "m = 0"),
     (["ff", "--q", "0", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1", "--b-poly", "1,1",
       "--deg-max", "1"], "q = 0"),
+    (["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "7"], "scan bound x must be at least 8 (x >= e^2), got 7"),
+    (["delta", "--limit", "0"], "limit must be positive, got 0"),
 ])
 def test_integer_inputs_out_of_range_exit_one(argv, named, capsys):
-    # a base below 2, an index below 1 or a negative n_max is refused by name
+    # a base below 2, an index below 1, a negative n_max, an x or a limit too small is refused by name
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

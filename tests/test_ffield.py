@@ -604,6 +604,13 @@ def test_ff_scan_refuses_tables_above_the_cap():
         ff_scan(CONSTR, 11, A_POLY, B_POLY)
 
 
+def test_ff_scan_refuses_a_degree_below_one():
+    # a usage error (exit 1), not a certificate failure: there is no degree 0 to scan
+    for N in (0, -1):
+        with pytest.raises(ValueError, match=f"degree must be at least 1, got N = {N}"):
+            ff_scan(CONSTR, N, A_POLY, B_POLY)
+
+
 def test_ff_scan_frozen_counts():
     for N, (total, count, _) in FROZEN_SCAN.items():
         scan = scan_of(N)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from sympy import primefactors, primerange
+from sympy import factorint, primefactors, primerange
 from sympy.external.gmpy import legendre  # the kernel of sympy's legendre_symbol
 from sympy.ntheory import is_nthpow_residue, n_order
 
@@ -10,7 +10,7 @@ from cyclogcd.arith import factorize, sieve_primes
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.parallel import split_range
-from cyclogcd.residues import check_squares_not_forced, lemma_scan, qualifying_primes
+from cyclogcd.residues import check_bases, lemma_scan, qualifying_primes
 
 
 def qualifies(p, modulus, a, b):
@@ -21,17 +21,18 @@ def qualifies(p, modulus, a, b):
                and not is_nthpow_residue(b, l, p) for l in primefactors(modulus))
 
 
-def yields(p, modulus, a, b, ells_a, ells_b):
-    return list(qualifying_primes(p, p + 1, modulus, a, b, ells_a, ells_b)) == [(p, (p - 1) // modulus)]
+def yields(p, a, b, M, N):
+    return list(qualifying_primes(p, p + 1, a, b, M, N)) == [(p, (p - 1) // math.lcm(M, N))]
 
 
 def test_is_lth_power_mod_examples():
-    # the power test of qualifying_primes with b untested: p is yielded iff a is no l-th power mod p
-    assert not yields(7, 2, 2, 1, (2,), ())   # 4^2 = 16 = 2 mod 7
-    assert yields(7, 2, 3, 1, (2,), ())       # squares mod 7 are {1, 2, 4}
-    assert not yields(7, 3, 1, 1, (3,), ())
-    assert not yields(7, 5, 2, 1, (5,), ())   # 5 does not divide 6
-    assert not yields(7, 2, 7, 1, (2,), ())   # 7 divides a
+    # the power test of qualifying_primes with b at index 1, so untested: p is yielded iff
+    # a is no l-th power mod p
+    assert not yields(7, 2, 1, 2, 1)   # 4^2 = 16 = 2 mod 7
+    assert yields(7, 3, 1, 2, 1)       # squares mod 7 are {1, 2, 4}
+    assert not yields(7, 1, 1, 3, 1)
+    assert not yields(7, 2, 1, 5, 1)   # 5 does not divide 6
+    assert not yields(7, 7, 1, 2, 1)   # 7 divides a
 
 
 def test_is_lth_power_mod_matches_enumeration():
@@ -40,13 +41,12 @@ def test_is_lth_power_mod_matches_enumeration():
             powers = {pow(t, l, p) for t in range(1, p)}
             for a in range(1, p):
                 # modulus l^e: p = 1 (mod l^e) but not (mod l^(e+1)), so only the power test decides
-                assert yields(p, l**e, a, 1, (l,), ()) == (a not in powers), (p, l, a)
+                assert yields(p, a, 1, l**e, 1) == (a not in powers), (p, l, a)
 
 
 def test_qualifies_prime_examples():
     def qualified(p, modulus, a, b):
-        ells = factorize(modulus).primes()
-        return yields(p, modulus, a, b, ells, ells)
+        return yields(p, a, b, modulus, modulus)
 
     assert qualified(7, 2, 3, 5)
     assert not qualified(5, 2, 3, 7)    # 5 = 1 mod 4
@@ -56,8 +56,8 @@ def test_qualifies_prime_examples():
 
 
 def test_qualifies_prime_congruence_recorded():
-    assert not yields(11, 3, 2, 5, (3,), (3,))   # 11 != 1 mod 3
-    assert yields(13, 3, 2, 3, (3,), (3,))       # 2, 3 are non-cubes mod 13; 13 != 1 mod 9
+    assert not yields(11, 2, 5, 3, 3)   # 11 != 1 mod 3
+    assert yields(13, 2, 3, 3, 3)       # 2, 3 are non-cubes mod 13; 13 != 1 mod 9
 
 
 def test_lemma_divides_examples():
@@ -97,11 +97,10 @@ def test_lemma_scan_small():
 def test_lemma_scan_counts_every_admissible_m():
     # each class of m mod N is evaluated once but counts all of its members
     for modulus, a, b in ((1, 2, 3), (2, 3, 5), (3, 2, 5), (6, 5, 7)):
-        ells = factorize(modulus).primes()
         for m_max in (1, 5, 20):
             result = lemma_scan(modulus, a, b, 3000, m_max)
             admissible = sum(1 for m in range(1, m_max + 1) if math.gcd(m, modulus) == 1)
-            assert result.qualified_primes == len(list(qualifying_primes(2, 3001, modulus, a, b, ells, ells)))
+            assert result.qualified_primes == len(list(qualifying_primes(2, 3001, a, b, modulus, modulus)))
             assert result.cases_checked == result.qualified_primes * 2 * admissible
 
 
@@ -121,18 +120,41 @@ def test_lemma_scan_rejects_power_bases():
         lemma_scan(2, 4, 3, 100, 5)
 
 
+def test_lemma_scan_refuses_vacuous_scans():
+    # no prime or no m to check: the result would certify nothing
+    with pytest.raises(ValueError, match="p_max must be at least 2, got 1"):
+        lemma_scan(3, 2, 5, 1, 20)
+    with pytest.raises(ValueError, match="m_max must be at least 1, got 0"):
+        lemma_scan(3, 2, 5, 100, 0)
+
+
+def test_check_bases_refusals():
+    with pytest.raises(ValueError, match="bases must be at least 2, got a = 1, b = 3"):
+        check_bases(1, 3, 2, 2)
+    with pytest.raises(ValueError, match="indices must be at least 1, got N = 0$"):
+        check_bases(2, 3, 0, 0)
+    with pytest.raises(ValueError, match="indices must be at least 1, got M = 0, N = 2"):
+        check_bases(2, 3, 0, 2)
+    # 8 is a cube, and 3 | lcm(2, 3) although a sits at index 2
+    with pytest.raises(HypothesisError, match="a = 8 is an l-th power in Q for l = 3"):
+        check_bases(8, 5, 2, 3)
+    # d enters the modulus of the square test: Q(sqrt 5) lies in Q(zeta_10), not Q(zeta_2)
+    check_bases(5, 2, 2, 2)
+    with pytest.raises(HypothesisError, match=r"a = 5 is a square mod every prime p = 1 \(mod 10\)"):
+        check_bases(5, 2, 2, 2, 5)
+
+
 def test_constructed_n_coprimality():
     # for qualified p, n = m (p-1)/N with gcd(m, N) = 1 is coprime to N
-    for p, w in qualifying_primes(2, 2000, 3, 2, 5, (3,), (3,)):
+    for p, w in qualifying_primes(2, 2000, 2, 5, 3, 3):
         for m in (1, 2, 4, 5):
             assert math.gcd(m * w, 3) == 1
 
 
 def test_qualifying_primes_matches_explainer():
     for modulus, a, b in ((1, 2, 3), (2, 2, 3), (3, 2, 5), (6, 5, 7), (4, 3, 5)):
-        ells = factorize(modulus).primes()
         for d in (1, 5, 7):
-            got = list(qualifying_primes(2, 3000, modulus, a, b, ells, ells, d))
+            got = list(qualifying_primes(2, 3000, a, b, modulus, modulus, d))
             want = [p for p in sieve_primes(2999)
                     if a % p and b % p and qualifies(p, modulus, a, b)
                     and (p - 1) // modulus % d == 0]
@@ -141,32 +163,35 @@ def test_qualifying_primes_matches_explainer():
 
 def test_square_class_memo_matches_legendre():
     # the l = 2 verdicts, kept per class of p mod 4c, against the Legendre symbol of every prime;
-    # c even, not squarefree or larger than a block, and the memo is per call, so splits agree
+    # c even, not squarefree or larger than a block, and the memo is per call, so splits agree.
+    # b = 1 sits at index 1, untested; at moduli 6 and 10, a is also tested for the odd l
     primes = list(primerange(2, 10**5))
     for modulus in (2, 4, 6, 10):
         ells = primefactors(modulus)
         for c in (2, 8, 12, 18, 45, 1000003):
             want = [(p, (p - 1) // modulus) for p in primes
                     if p % modulus == 1 and c % p and all((p - 1) % (modulus * l) for l in ells)
-                    and legendre(c, p) == -1]
-            assert list(qualifying_primes(2, 10**5, modulus, c, 1, (2,), ())) == want, (modulus, c)
+                    and legendre(c, p) == -1 and all(pow(c, (p - 1) // l, p) != 1 for l in ells if l > 2)]
+            assert list(qualifying_primes(2, 10**5, c, 1, modulus, 1)) == want, (modulus, c)
             for pieces in (4, 8):
                 blocks = split_range(2, 10**5, pieces)
                 assert [t for block in blocks
-                        for t in qualifying_primes(*block, modulus, c, 1, (2,), ())] == want, (modulus, c)
+                        for t in qualifying_primes(*block, c, 1, modulus, 1)] == want, (modulus, c)
 
 
 def test_qualifying_primes_matches_brute_force():
     # the conditions checked for every prime on its own, with Euler's criterion and no
     # classes.  1000003 is too large a discriminant for the wheel and keeps the powmod.  For
     # modulus 2, bases 8 and 1001 need a wheel of 4004 classes: the whole range builds it, and
-    # its 4 and 8 blocks, shorter than that, test 1001 by the powmod instead
+    # its 4 and 8 blocks, shorter than that, test 1001 by the powmod instead.  Base a sits at
+    # index M and b at index N: both, one of them, and the power of the smallest l against the rest
     hi = 30000
     primes = list(primerange(2, hi))
 
-    def want(modulus, a, b, ells_a, ells_b, d):
+    def want(a, b, M, N, d):
         out = []
-        ells = primefactors(modulus)
+        modulus = math.lcm(M, N)
+        ells, ells_a, ells_b = primefactors(modulus), primefactors(M), primefactors(N)
         for p in primes:
             w = (p - 1) // modulus
             if ((p - 1) % modulus or w % d or a % p == 0 or b % p == 0
@@ -178,29 +203,32 @@ def test_qualifying_primes_matches_brute_force():
         return out
 
     for modulus in range(1, 13):
-        ells = tuple(primefactors(modulus))
+        l, e = min(factorint(modulus).items(), default=(1, 0))
+        head = l**e  # the power of the smallest prime l | modulus
         for d in (1, 2, 3, 5):
             for a, b in ((8, 12), (18, 45), (45, 1000003), (8, 1001)):
-                for ells_a, ells_b in ((ells, ells), (ells, ()), ((), ells), (ells[:1], ells[1:])):
-                    case = (modulus, a, b, ells_a, ells_b, d)
+                for M, N in ((modulus, modulus), (modulus, 1), (1, modulus), (head, modulus // head)):
+                    case = (a, b, M, N, d)
                     oracle = want(*case)
                     assert list(qualifying_primes(2, hi, *case)) == oracle, case
-                    if ells_a == ells_b:
+                    if M == N:
                         for pieces in (4, 8):
                             blocks = split_range(2, hi, pieces)
                             assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
 
 
 def test_squares_forced_by_the_modulus():
-    # rejected exactly when every p = 1 (mod modulus) up to 5000 has c as a square
+    # rejected exactly when every p = 1 (mod modulus) up to 5000 has c as a square, for c as
+    # a at index modulus and as b; the other base, 2 at index 1, is never tested for squares
     for modulus in (2, 4, 6, 8, 10, 12, 24, 40):
         for c in (2, 3, 5, 6, 7, 10, 12, 18):
             primes = [p for p in sieve_primes(5000) if p % modulus == 1 and c % p]
             always = all(is_nthpow_residue(c, 2, p) for p in primes)
-            try:
-                check_squares_not_forced(modulus, (("a", c),))
-                rejected = False
-            except HypothesisError as exc:
-                rejected = True
-                assert f"a = {c}" in str(exc) and f"(mod {modulus})" in str(exc)
-            assert rejected == always, (modulus, c)
+            for name, args in (("a", (c, 2, modulus, 1)), ("b", (2, c, 1, modulus))):
+                try:
+                    check_bases(*args)
+                    rejected = False
+                except HypothesisError as exc:
+                    rejected = True
+                    assert f"{name} = {c} is a square" in str(exc) and f"(mod {modulus})" in str(exc)
+                assert rejected == always, (modulus, c, name)

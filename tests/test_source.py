@@ -22,11 +22,13 @@ def test_cli_suite_passes_under_python_o():
     # -O strips asserts from the package; pytest still rewrites those of the
     # test modules, so every golden, every exit-code check and the field
     # certificates (a y that is not primitive, a minimal polynomial outside F_Q),
-    # the lemma scan's u^N = 1 check and the wheel of admissible classes keep failing loudly
+    # the lemma scan's u^N = 1 check, the wheel of admissible classes and the
+    # champion certificates (the report's invariants, the histogram cross-checks)
+    # keep failing loudly
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_cli.py",
-         "tests/test_ffield.py", "tests/test_residues.py", "tests/test_density.py"],
+         "tests/test_ffield.py", "tests/test_residues.py", "tests/test_density.py", "tests/test_champion.py"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
