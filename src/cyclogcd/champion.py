@@ -25,10 +25,10 @@ from .residues import check_bases, qualifying_primes
 
 # Slots counted per histogram window: one byte each, whatever x is.
 _WINDOW = 1 << 22
-# Largest count a histogram cell holds; a slot past it fails the run.
+# The largest count a histogram cell holds; past it, a cell wraps to 0 and
+# its slot carries 256 more in a dict.
 _CELL_MAX = 255
-# bytes.translate table adding 1 to a cell; a cell at _CELL_MAX is never
-# incremented, so the wrap from 255 to 0 is never taken.
+# bytes.translate table adding 1 to a cell, 255 wrapping to 0.
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
 
 
@@ -68,22 +68,15 @@ class ChampionParams:
         return math.lcm(self.index_a, self.N)
 
 
-def build_kernel(x, delta: float, modulus: int) -> tuple[int, int]:
-    """Product of the primes q <= delta*log(x) with q not dividing modulus.
-
-    Returns (K, omega) where omega is the number of primes multiplied in.
-    """
+def build_kernel(x, delta: float, modulus: int) -> int:
+    """The kernel K: the product of the primes q <= delta*log(x) with q not
+    dividing modulus."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     if x < math.e**2:
         raise ValueError("x must be at least e^2")
     bound = delta * math.log(x)
-    kernel, omega = 1, 0
-    for q in sieve_primes(int(bound) + 1):
-        if q <= bound and modulus % q != 0:
-            kernel *= q
-            omega += 1
-    return kernel, omega
+    return math.prod(q for q in sieve_primes(int(bound) + 1) if q <= bound and modulus % q != 0)
 
 
 def _order_dividing(u: int, p: int, divisors: tuple[int, ...]) -> int:
@@ -130,7 +123,7 @@ def enumerate_pairs(params: ChampionParams, jobs: int = 1) -> list[tuple[int, in
     a multiple of its step K/gcd(K, w), so that K divides n = m*w.
     """
     lcm_idx = params.lcm_index
-    kernel, _ = build_kernel(params.x, params.delta, lcm_idx)
+    kernel = build_kernel(params.x, params.delta, lcm_idx)
     pairs = []
     for p, w in _contributing_primes(params, jobs):
         step = kernel // math.gcd(kernel, w)
@@ -163,14 +156,17 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
     Counts live in a byte per slot over one window of slots at a time.  A
     progression adds 1 to each of its slots at most once, so the window's
     maximum rises by one exactly when the progression meets a cell holding
-    the current maximum.
+    the current maximum.  Once that maximum is 255, a cell about to wrap
+    hands 256 to its slot's carry, and the count of a slot is its cell plus
+    its carry; every carried slot counts more than any cell alone.
     """
     end = max((last for _, _, last in progressions), default=-1) + 1
     best = best_slot = total = 0
     for lo in range(0, end, _WINDOW):
         hi = min(lo + _WINDOW, end)
         cells = bytearray(hi - lo)
-        top = 0
+        top = 0  # the window's maximum while below _CELL_MAX
+        carry: dict[int, int] = {}
         for first, stride, last in progressions:
             if last < lo or first >= hi:
                 continue
@@ -179,18 +175,23 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
             if i >= j:
                 continue
             seg = cells[i:j:stride]
-            if top in seg:
-                if top == _CELL_MAX:
-                    slot = lo + i + seg.find(top) * stride
-                    raise ValueError(
-                        f"slot n/K = {slot} collects more than {_CELL_MAX} representations, "
-                        f"past the range of a histogram cell"
-                    )
-                top += 1
+            if top < _CELL_MAX:
+                top += top in seg
+            else:
+                k = seg.find(_CELL_MAX)
+                while k >= 0:
+                    slot = lo + i + k * stride
+                    carry[slot] = carry.get(slot, 0) + 256
+                    k = seg.find(_CELL_MAX, k + 1)
             cells[i:j:stride] = seg.translate(_INCREMENT)
             total += len(seg)
-        if top > best:
-            best, best_slot = top, lo + cells.find(top)
+        if carry:  # the smallest slot of the largest cell + carry
+            count, slot = max((cells[s - lo] + c, -s) for s, c in carry.items())
+            slot = -slot
+        else:
+            count, slot = top, lo + cells.find(top)
+        if count > best:
+            best, best_slot = count, slot
     return best, best_slot, total
 
 
@@ -296,7 +297,7 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
 def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
     """Full pipeline: qualify primes, count slots, rebuild the champion, certify."""
     lcm_idx, x = params.lcm_index, params.x
-    kernel, _ = build_kernel(x, params.delta, lcm_idx)
+    kernel = build_kernel(x, params.delta, lcm_idx)
     primes = _contributing_primes(params, jobs)
     progressions = _progressions(primes, kernel, lcm_idx, x)
     pair_count = sum((last - first) // stride + 1 for first, stride, last in progressions)

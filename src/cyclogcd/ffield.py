@@ -5,16 +5,21 @@ The fields form one tower F_p ⊂ F_q ⊂ F_Q ⊂ F_{Q^N}: each level is
 `extension(base, N)` = base[y]/(mu), with mu the first monic irreducible of
 degree N by index in which y is primitive (see `_primitive_modulus`), so
 every run and every implementation of this convention agrees on element
-encodings, and each subfield is the set of elements below its size.
+encodings, and each subfield is the set of elements below its size.  The
+search skips, before any powmod, each mu whose norm (-1)^N mu(0) is not
+primitive in F_Q, and for N >= 2 each mu with a root in F_Q.  Both are
+necessary conditions for T to be primitive modulo mu, so they never skip
+the modulus the unfiltered search would find.
 
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
 the monic irreducible pi of degree N over F_Q as the Frobenius orbits of
-F_{Q^N}, qualifies each by the discrete logarithms of the bases at a root,
-and certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying
-pi) by exact polynomial arithmetic, with one division by their product.
-The Moebius formula checks the scan's orbit count; `ff_equivalence_check`
-rebuilds the qualifying set by exact divisibility alone, as an oracle.
+F_{Q^N}, one coset leader L each, qualifies each by the discrete
+logarithms of the bases at its root y^L, and certifies
+deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying pi) by exact
+polynomial arithmetic, with one division by their product.  The Moebius
+formula checks the scan's orbit count; `ff_equivalence_check` rebuilds
+the qualifying set by exact divisibility alone, as an oracle.
 """
 
 import itertools
@@ -22,12 +27,11 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import factorize, is_prime, moebius
 from .cyclotomic import eval_poly_fq
 from .errors import HypothesisError, VerificationError
-from .orbits import frobenius_orbits, min_poly
 
 _FIELD_CAP = 2**20  # the largest field whose exp/log/Zech tables are built
 
@@ -51,34 +55,40 @@ class FieldContext:
                 raise ValueError(f"characteristic {base} is not prime")
             self.p, self.e, self.q, self.base, self.modulus, self.zech = base, 1, base, None, (), None
             return
-        s, N = base.q, len(mu) - 1
-        self.p, self.e, self.q = base.p, base.e * N, s**N
+        s, N, p = base.q, len(mu) - 1, base.p
+        self.p, self.e, self.q = p, base.e * N, s**N
         self.base, self.modulus, self.degree, self.order = base, tuple(mu), N, s**N - 1
-        # y * v moves the digits of v up one place; the top digit c comes back
-        # as c * y^N = -c * (mu_0 + ... + mu_{N-1} y^(N-1)), added digit by
-        # digit at the places i where c mu_i != 0
-        top = s ** (N - 1)
-        wrap = [[(s**i, base.sub(0, base.mul(c, m))) for i, m in enumerate(mu[:N]) if c and m]
-                for c in range(s)]
-        self.exp = array("i", [0]) * self.order
-        self.log = array("i", [0]) * self.q
+        order, top = self.order, s ** (N - 1)
+        # y v moves the digits of v up one place, and the top digit c comes
+        # back as w[c] = c y^N = -c (mu_0 + ... + mu_{N-1} y^(N-1)), added
+        # digit by digit mod p: the encoding is F_p-linear
+        w = [sum(base.sub(0, base.mul(c, m)) * s**i for i, m in enumerate(mu[:N])) for c in range(s)]
+        exp = self.exp = array("i", [0]) * order
+        log = self.log = array("i", [0]) * self.q
         v = 1
-        for k in range(self.order):
-            if v == 1 and k:
-                raise VerificationError(f"y has order {k} < {self.order} modulo {mu}: it is not primitive")
-            self.exp[k] = v
-            self.log[v] = k
-            c, v = v // top, v % top * s
-            for unit, d in wrap[c]:
-                digit = v // unit % s
-                v += (base.add(digit, d) - digit) * unit
-        # 1 + y^k differs from y^k in the constant digit only
-        self.zech = array("i", [-1]) * self.order
-        for k, v in enumerate(self.exp):
-            one_more = v - v % s + base.add(v % s, 1)
-            if one_more:
-                self.zech[k] = self.log[one_more]
-        self.half = self.order // 2 if self.p > 2 else 0  # -1 = y^half
+        if p == 2 or N == 1:  # the digit-wise sum is xor; for N = 1 the shifted part is 0
+            for k in range(order):
+                exp[k] = v
+                log[v] = k
+                v = v % top * s ^ w[v // top]
+        else:
+            split, hi, lo = _step_tables(p, s, base.e * (N - 1), w)
+            for k in range(order):
+                exp[k] = v
+                log[v] = k
+                v = hi[v // split] + lo[v // top * split + v % split]
+            del hi, lo  # freed before the Zech table is allocated
+        if v != 1 or log[1]:  # y returned to 1 early, or not at all
+            early = next((k for k in range(1, order) if exp[k] == 1), None)
+            reason = f"y has order {early} < {order}" if early else f"y^{order} != 1"
+            raise VerificationError(f"{reason} modulo {mu}: it is not primitive")
+        # 1 + y^k differs from y^k in the constant digit only, which is 0
+        # again (1 + y^k = 0) exactly at y^k = -1 = y^half
+        self.half = order // 2 if p > 2 else 0
+        self.zech = zech = array("i")
+        for i in range(0, order, 1 << 12):  # in chunks, so no list of q ints is held at once
+            zech.fromlist([log[v + 1] if v % p < p - 1 else log[v + 1 - p] for v in exp[i:i + (1 << 12)]])
+        zech[self.half] = -1
 
     def __repr__(self):
         return f"FieldContext(GF({self.q}))"
@@ -145,6 +155,37 @@ class FieldContext:
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)
         return acc
+
+
+def _plus(w: int, p: int, m: int, unit: int, offset: int) -> list[int]:
+    """offset + (x + w) unit, the sum digit by digit mod p, for every x of
+    m base-p digits, by x."""
+    out = [offset]
+    for _ in range(m):
+        w, d = divmod(w, p)
+        out = [x + (d + t) % p * unit for t in range(p) for x in out]
+        unit *= p
+    return out
+
+
+def _step_tables(p: int, s: int, R: int, w: list[int]) -> tuple[int, array, array]:
+    """(split, hi, lo) with y v = hi[v // split] + lo[c split + v % split]
+    in F_{s^N} over F_s, for the top digit c of v, odd p and the R >= 1
+    base-p digits of v below c.
+
+    y v = (v mod s^(N-1)) s + w[c], added digit by digit mod p.  Below the
+    place P = split s that sum depends on c and v mod split only, above it
+    on v // split, which holds c.  split = p^j for j = R // 2, so the tables
+    hold s (p^j + p^(R-j)) entries: fewer than q - 1 once R >= 2, and q + s
+    for F_{p^2} over F_p (R = 1).
+    """
+    j = R // 2
+    split, P = p**j, p**j * s
+    lo, hi = array("i"), array("i")
+    for c in range(s):
+        lo.fromlist(_plus(w[c] % P // s, p, j, s, w[c] % s))
+        hi.fromlist(_plus(w[c] // P, p, R - j, P, 0))
+    return split, hi, lo
 
 
 @lru_cache(maxsize=None)
@@ -729,6 +770,73 @@ def _monic_by_index(q: int, degree: int):
     return (low[::-1] + (1,) for low in itertools.product(range(q), repeat=degree))
 
 
+def coset_leaders(ext: FieldContext):
+    """The least exponent L of each cyclotomic coset L Q^i mod (Q^N - 1) of
+    size exactly N, ascending, for F_{Q^N} = ext over F_Q.
+
+    The monic irreducibles of degree N over F_Q are the minimal polynomials
+    of the orbits of z -> z^Q on the elements of degree exactly N, one orbit
+    each (Lidl & Niederreiter, *Finite Fields*, ch. 3).  The orbit of y^L is
+    y to the powers of the coset of L, so each such pi but T has exactly one
+    leader, and the walk needs the exponents alone.
+    """
+    Q, N, order = ext.base.q, ext.degree, ext.order
+    seen = bytearray(order)
+    L = seen.find(0)
+    while L >= 0:
+        seen[L] = size = 1
+        j = L * Q % order
+        while j != L:
+            seen[j] = 1
+            size += 1
+            j = j * Q % order
+        if size == N:
+            yield L
+        L = seen.find(0, L)
+
+
+def conjugates(ext: FieldContext, z: int) -> tuple[int, ...]:
+    """z, z^Q, ..., z^(Q^(N-1)) for a root z of degree N over F_Q (read
+    off its logarithm), and (0,) for z = 0."""
+    if not z:
+        return (0,)
+    L, Q, order = ext.log[z], ext.base.q, ext.order
+    return tuple(ext.exp[L * Q**i % order] for i in range(ext.degree))
+
+
+def min_poly(ext: FieldContext, orbit: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of prod (X - z) over the orbit, which lie in F_Q."""
+    coeffs = [1]
+    for z in orbit:
+        shifted = [0] + coeffs  # X * coeffs - z * coeffs
+        ext.add_scaled(shifted, 0, ext.sub(0, z), coeffs)
+        coeffs = shifted
+    if any(c >= ext.base.q for c in coeffs):
+        raise VerificationError(f"the orbit of {orbit[0]} in F_{{{ext.base.q}^{ext.degree}}} has a "
+                                f"coefficient outside F_{ext.base.q}")
+    return tuple(coeffs)
+
+
+def _log_terms(ext: FieldContext, coeffs) -> list[tuple[int, int]]:
+    """(log c_i, i) for the nonzero coefficients c_i of f over a subfield."""
+    return [(ext.log[c], i) for i, c in enumerate(coeffs) if c]
+
+
+def _log_at(ext: FieldContext, terms: list[tuple[int, int]], L: int) -> int | None:
+    """log f(y^L) for f given by _log_terms, None where f(y^L) = 0: the
+    terms are y^(log c_i + L i), summed by Zech logarithms."""
+    zech, order = ext.zech, ext.order
+    acc = None
+    for lc, i in terms:
+        t = (lc + L * i) % order
+        if acc is None:
+            acc = t
+        else:
+            z = zech[t - acc]  # y^acc + y^t = y^acc (1 + y^(t - acc))
+            acc = (acc + z) % order if z >= 0 else None
+    return acc
+
+
 @dataclass(frozen=True)
 class FFScanResult:
     """The qualifying pi of degree N and what they were computed from: the
@@ -743,7 +851,14 @@ class FFScanResult:
     predicted: float
     predicted_alt: float
     total_irreducible: int
-    qualifying: tuple[tuple[int, ...], ...]  # coefficient tuples over F_Q
+    roots: array  # one root in F_{Q^N} of each qualifying pi: y^L, or 0 for pi = T
+
+    @cached_property
+    def qualifying(self) -> tuple[tuple[int, ...], ...]:
+        """The coefficient tuples over F_Q of the qualifying pi, sorted: the
+        minimal polynomials of the roots, computed on first read."""
+        ext = extension(self.constr.big, self.N)
+        return tuple(sorted(min_poly(ext, conjugates(ext, z)) for z in self.roots))
 
 
 def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
@@ -769,11 +884,42 @@ def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
 
 def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
     """The first monic mu of degree N by index in which T has order Q^N - 1:
-    the first monic irreducible in which T is primitive (see _t_is_primitive)."""
-    for mu in _monic_by_index(base.q, N):
-        if _t_is_primitive(base, mu):
-            return mu
-    raise VerificationError(f"no monic polynomial of degree {N} over F_{base.q} has T primitive")
+    the first monic irreducible in which T is primitive (see _t_is_primitive).
+
+    Two necessary conditions reject most mu before any powmod, so neither
+    can change the modulus found.  The norm of T, T^((Q^N-1)/(Q-1)) =
+    (-1)^N mu(0), is primitive in F_Q if T is primitive modulo mu, since the
+    norm maps F_{Q^N}^* onto F_Q^* (Lidl & Niederreiter, *Finite Fields*,
+    ch. 2-3); for N = 1 that is the whole test.  An irreducible mu of degree
+    N >= 2 has no root in F_Q: with mu = mu_0 + h, the mu_0 = -h(x), x in
+    F_Q^*, are out.  That root test takes Q - 1 evaluations of h for all the
+    mu_0 of one h, so it runs for every N >= 2: measured over every field
+    below the table cap, it never cost more than a few ms or 1.8x the search
+    without it, and over F_{2^k}, where each T^2 + mu_0 has a root, it
+    saves most of the search (F_{1024^2}: 62 ms without it, 7 ms with it).
+    """
+    Q = base.q
+    if base.zech is None:
+        ls = factorize(Q - 1).primes()
+
+        def primitive(c: int) -> bool:
+            return all(pow(c, (Q - 1) // l, Q) != 1 for l in ls)
+    else:
+        def primitive(c: int) -> bool:
+            return math.gcd(base.log[c], Q - 1) == 1
+    sign = base.sub(0, 1) if N % 2 else 1
+    lows = (c for c in range(1, Q) if primitive(base.mul(sign, c)))  # mu_0 passing the norm test
+    if N == 1:
+        return next(lows), 1
+    lows = list(lows)
+    for high in itertools.product(range(Q), repeat=N - 1):  # in index order of mu
+        h = (0,) + high[::-1] + (1,)  # mu - mu_0
+        roots = {base.sub(0, base.eval(h, x)) for x in range(1, Q)}
+        for c in lows:
+            mu = (c,) + h[1:]
+            if c not in roots and _t_is_primitive(base, mu):
+                return mu
+    raise VerificationError(f"no monic polynomial of degree {N} over F_{Q} has T primitive")
 
 
 def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> None:
@@ -797,11 +943,14 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     report the density predictions next to it.  The bases pass the gate
     check_ff_bases here, once for every certificate of the scan.
 
-    Each pi is the minimal polynomial of one Frobenius orbit of elements
-    theta of degree N in F_{Q^N}, and F_Q[T]/(pi) = F_Q(theta), so with y
-    a generator of F_{Q^N}^*, pi qualifies iff for both bases f, f(theta)
-    != 0, r | log_y f(theta) and no prime l | m divides log_y f(theta).
-    F_{Q^N} is the degree-N extension of F_Q, so Q^N is capped at _FIELD_CAP.
+    Each pi but T is the minimal polynomial of the orbit of y^L for one
+    coset leader L (see coset_leaders), and F_Q[T]/(pi) = F_Q(y^L), so pi
+    qualifies iff for both bases f, f(y^L) != 0, r | log_y f(y^L) and no
+    prime l | m divides log_y f(y^L); _log_at reads that logarithm off the
+    logarithms of the coefficients of f.  The scan keeps one root of each
+    qualifying pi; their minimal polynomials are computed only when a
+    certificate reads `qualifying`.  F_{Q^N} is the degree-N extension of
+    F_Q, so Q^N is capped at _FIELD_CAP.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
     jointly independent: Q^N/(N r^2) * prod_{l | m} (1 - 1/l)^2.
@@ -813,19 +962,22 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     ext = extension(constr.big, N)
-    ls = factorize(constr.m).primes()
+    r, rad = constr.r, math.prod(factorize(constr.m).primes())
 
-    def qualifies(v: int) -> bool:
-        return v != 0 and ext.log[v] % constr.r == 0 and all(ext.log[v] % l for l in ls)
+    def qualifies(lg: int | None) -> bool:  # r | lg and no prime l | m divides lg
+        return lg is not None and lg % r == 0 and math.gcd(lg, rad) == 1
 
-    bases = (constr.lift(a).coeffs, constr.lift(b).coeffs)
+    log_a, log_b = (_log_terms(ext, f.coeffs) for f in (a, b))  # F_q is the elements below q
     total = 0
-    qualifying: list[tuple[int, ...]] = []
-    for orbit in frobenius_orbits(ext):
+    roots = array("i")  # 4 bytes a root: at the table cap a scan keeps about 50,000
+    if N == 1:  # pi = T, at its root 0 each base is its constant term
         total += 1
-        if all(qualifies(ext.eval(f, orbit[0])) for f in bases):
-            qualifying.append(min_poly(ext, orbit))
-    qualifying.sort()
+        if all(f.coeffs[0] and qualifies(ext.log[f.coeffs[0]]) for f in (a, b)):
+            roots.append(0)
+    for L in coset_leaders(ext):
+        total += 1
+        if qualifies(_log_at(ext, log_a, L)) and qualifies(_log_at(ext, log_b, L)):
+            roots.append(ext.exp[L])
     expected = irreducible_count(constr.Q, N)
     if total != expected:
         raise VerificationError(
@@ -838,8 +990,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
         density *= (1.0 - 1.0 / l) ** 2
         density_alt *= (l - 1.0) ** e / l**e
     scale = constr.Q**N / N
-    return FFScanResult(constr, N, a, b, n, len(qualifying), density * scale, density_alt * scale, total,
-                        tuple(qualifying))
+    return FFScanResult(constr, N, a, b, n, len(roots), density * scale, density_alt * scale, total, roots)
 
 
 def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
@@ -864,13 +1015,13 @@ def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     constr, n = scan.constr, scan.n
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
+    pis = [FqPolynomial(constr.big, coeffs) for coeffs in scan.qualifying]
     value_a = eval_poly_fq(constr.m, poly_pow(scan.a, n))
     value_b = eval_poly_fq(constr.m, poly_pow(scan.b, n))
     g = poly_gcd(value_a, value_b)
     # the qualifying pi are distinct monic irreducibles, so all of them divide
     # the lifted gcd iff their product does; the per-pi loop names a culprit
     g_big = constr.lift(g)
-    pis = [FqPolynomial(constr.big, coeffs) for coeffs in scan.qualifying]
     if not (g_big % _product(pis, constr.big)).is_zero:
         for pi in pis:
             if not (g_big % pi).is_zero:

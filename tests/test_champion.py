@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from sympy.ntheory import is_nthpow_residue, n_order
@@ -18,9 +20,13 @@ from cyclogcd.errors import HypothesisError, VerificationError
 
 
 def test_build_kernel_examples():
-    assert build_kernel(math.exp(10), 0.5, 7) == (30, 3)   # primes 2, 3, 5
-    assert build_kernel(math.exp(10), 0.5, 6) == (5, 1)    # 2, 3 divide the modulus
-    assert build_kernel(8, 0.2, 1) == (1, 0)               # threshold below 2
+    def kernel_and_omega(*args):
+        kernel = build_kernel(*args)
+        return kernel, len(factorize(kernel).factors)
+
+    assert kernel_and_omega(math.exp(10), 0.5, 7) == (30, 3)   # primes 2, 3, 5
+    assert kernel_and_omega(math.exp(10), 0.5, 6) == (5, 1)    # 2, 3 divide the modulus
+    assert kernel_and_omega(8, 0.2, 1) == (1, 0)               # threshold below 2
     with pytest.raises(ValueError):
         build_kernel(100, 1.5, 1)
     with pytest.raises(ValueError):
@@ -46,7 +52,7 @@ def test_enumerate_pairs_membership():
 
 def test_enumerate_pairs_kernel_divisibility():
     params = ChampionParams(a=2, b=3, N=2, x=300, delta=0.9)
-    kernel, _ = build_kernel(300, 0.9, 2)
+    kernel = build_kernel(300, 0.9, 2)
     assert kernel == 15   # 0.9 * log(300) = 5.13, primes 3 and 5
     for m, p in enumerate_pairs(params):
         assert (m * (p - 1) // 2) % kernel == 0
@@ -167,8 +173,8 @@ def test_champion_certified_bound_below_exact_gcd():
 def test_champion_report_invariants():
     params = ChampionParams(a=2, b=3, N=2, x=300, delta=0.9)
     report = run_champion(params)
-    kernel, omega = build_kernel(300, 0.9, 2)
-    assert report.kernel == kernel and report.kernel_omega == omega
+    kernel = build_kernel(300, 0.9, 2)
+    assert report.kernel == kernel and report.kernel_omega == len(factorize(kernel).factors)
     assert report.n <= 300**2 and report.n % kernel == 0 and report.n % 2 == 1
     for m, p in report.representations:
         assert m * (p - 1) // 2 == report.n
@@ -226,7 +232,7 @@ def test_pair_set_lower_bound_by_radical_class():
     from cyclogcd.arith import euler_phi, factorize
 
     for modulus, x, delta in ((2, 2000, 0.9), (6, 5000, 0.8), (1, 1000, 0.9)):
-        kernel, _ = build_kernel(x, delta, modulus)
+        kernel = build_kernel(x, delta, modulus)
         radical = math.prod(factorize(modulus).primes())
         for d in factorize(kernel).divisors():
             target = kernel // d
@@ -252,10 +258,10 @@ GRID = [
 
 def _oracle(params):
     # the stored pair list, grouped by pigeonhole_champion
-    kernel, omega = build_kernel(params.x, params.delta, params.lcm_index)
+    kernel = build_kernel(params.x, params.delta, params.lcm_index)
     pairs = enumerate_pairs(params)
     report = pigeonhole_champion(pairs, kernel, params.lcm_index, params.x)
-    assert report.kernel_omega == omega
+    assert report.kernel_omega == len(factorize(kernel).factors)
     return verify_champion(report, params), len(pairs)
 
 
@@ -276,7 +282,7 @@ def _brute_pairs(params):
     # the pair set from its definition, by sympy's power-residue and order tests
     a, b, N, x = params.a, params.b, params.N, params.x
     M, L = params.index_a, params.lcm_index
-    kernel, _ = build_kernel(x, params.delta, L)
+    kernel = build_kernel(x, params.delta, L)
     ells = factorize(L).primes()
     pairs = []
     for p in sieve_primes(x):
@@ -311,13 +317,29 @@ def test_report_independent_of_jobs():
         assert run_champion(params, jobs=1) == run_champion(params, jobs=2)
 
 
-def test_cell_overflow_fails_clearly(monkeypatch):
-    monkeypatch.setattr(champion, "_CELL_MAX", 2)
-    params = ChampionParams(a=2, b=3, N=2, x=2000, delta=0.9)   # champion has 7 representations
-    with pytest.raises(ValueError, match="past the range of a histogram cell"):
-        run_champion(params)
-    monkeypatch.setattr(champion, "_CELL_MAX", 7)
-    assert len(run_champion(params).representations) == 7
+def test_busiest_slot_counts_past_a_byte(monkeypatch):
+    # synthetic progressions: random ones, 300 through slot 4620 and 600
+    # through slot 9240 (two carries), an exact tie between 1500 and 7500,
+    # counted against a Counter, in one window and across many
+    rng = random.Random(17)
+
+    def through(slot, count):
+        strides = [k % 90 + 1 for k in range(count)]
+        return [((slot - 1) % s + 1, s, slot + s * (k % 7)) for k, s in enumerate(strides)]
+
+    noise = []
+    for _ in range(800):
+        first, stride = rng.randint(1, 60), rng.randint(1, 50)
+        noise.append((first, stride, first + stride * rng.randint(0, 10000 // stride)))
+    tie = [(1500, 1, 1500)] * 270 + [(7500, 1, 7500)] * 270
+    for progressions in (noise + through(4620, 300), noise + through(9240, 600) + through(4620, 300), tie):
+        hits = Counter(slot for first, stride, last in progressions for slot in range(first, last + 1, stride))
+        count = max(hits.values())
+        want = (count, min(slot for slot, c in hits.items() if c == count), sum(hits.values()))
+        assert count > 255
+        for window in (1 << 22, 1000, 97):
+            monkeypatch.setattr(champion, "_WINDOW", window)
+            assert champion._busiest_slot(progressions) == want, window
 
 
 def test_squares_forced_by_the_modulus_rejected():

@@ -374,15 +374,15 @@ def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
 def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
     from cyclogcd import ffield
 
-    real = ffield.frobenius_orbits
+    real = ffield.coset_leaders
 
     def one_short(ext):
-        # drop the first orbit, which is 0 for degree 1
+        # drop the first coset leader, L = 0 (the root 1 of T - 1 for degree 1)
         found = real(ext)
         next(found)
         return found
 
-    monkeypatch.setattr(ffield, "frobenius_orbits", one_short)
+    monkeypatch.setattr(ffield, "coset_leaders", one_short)
     code = main(["ff", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
                  "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"])
     assert code == 2

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from array import array
 from dataclasses import replace
 from functools import lru_cache
 
@@ -17,14 +18,18 @@ from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
     _FIELD_CAP,
+    _log_at,
+    _log_terms,
     _pack,
     _planes_of,
+    _primitive_modulus,
     _product,
     _t_is_primitive,
     _unpack,
     FieldContext,
     FqPolynomial,
     choose_params,
+    coset_leaders,
     extension,
     ff_construction,
     ff_direct_verify,
@@ -34,11 +39,11 @@ from cyclogcd.ffield import (
     irreducible_count,
     irreducible_test,
     is_lth_power_poly,
+    min_poly,
     poly_gcd,
     poly_pow,
     poly_powmod,
 )
-from cyclogcd.orbits import frobenius_orbits, min_poly
 
 F2 = fq_context(2, 1)
 F3 = fq_context(3, 1)
@@ -53,6 +58,24 @@ def P(ctx, *coeffs):
 def monic_polys(ctx, degree):
     for low in itertools.product(range(ctx.q), repeat=degree):
         yield FqPolynomial(ctx, low + (1,))
+
+
+def frobenius_orbits(ext):
+    # the orbits of z -> z^Q on the elements of degree exactly N, each as its
+    # conjugates, by walking every exponent; for N = 1 the orbit of 0 comes first
+    if ext.degree == 1:
+        yield (0,)
+    Q, order = ext.base.q, ext.order
+    seen = bytearray(order)
+    for L in range(order):
+        if not seen[L]:
+            coset = [L]
+            while coset[-1] * Q % order != L:
+                coset.append(coset[-1] * Q % order)
+            for j in coset:
+                seen[j] = 1
+            if len(coset) == ext.degree:
+                yield tuple(ext.exp[j] for j in coset)
 
 
 def test_context_moduli_deterministic():
@@ -526,6 +549,19 @@ def _power_criterion(pi, f, constr):
             and all(poly_powmod(f, total // l, pi) != one for l in primefactors(constr.m)))
 
 
+def _horner_scan(constr, N, a, b):
+    # the scan before the exponent walk: every orbit, each base at a root by
+    # Horner, and the minimal polynomial of each orbit that qualifies
+    ext = extension(constr.big, N)
+
+    def qualifies(v):
+        return v != 0 and ext.log[v] % constr.r == 0 and all(ext.log[v] % l for l in primefactors(constr.m))
+
+    bases = (constr.lift(a).coeffs, constr.lift(b).coeffs)
+    return tuple(sorted(min_poly(ext, orbit) for orbit in frobenius_orbits(ext)
+                        if all(qualifies(ext.eval(f, orbit[0])) for f in bases)))
+
+
 def test_ff_scan_matches_the_power_criterion():
     # every monic irreducible pi tested by powmods: odd p, Q != p, r > 1 with
     # k = 2, m = 15 with two primes l | m, and bases over F_4 \ F_2; one base
@@ -545,8 +581,8 @@ def test_ff_scan_matches_the_power_criterion():
         expected = [pi.coeffs for pi in monic_polys(constr.big, N) if irreducible_test(pi)
                     and _power_criterion(pi, a_big, constr) and _power_criterion(pi, b_big, constr)]
         scan = ff_scan(constr, N, a, b)
-        assert scan.qualifying == tuple(sorted(expected)), (base, k, n0, m, N)
-        assert scan.count > 0, (base, k, n0, m, N)
+        assert scan.qualifying == tuple(sorted(expected)) == _horner_scan(constr, N, a, b), (base, k, n0, m, N)
+        assert scan.count == len(scan.qualifying) > 0, (base, k, n0, m, N)
         seen |= {("odd p", base.p > 2), ("Q != p", constr.Q != base.p),
                  ("r > 1", constr.r > 1 and k == 2), ("m = 15", m == 15)}
     assert {label for label, hit in seen if hit} == {"odd p", "Q != p", "r > 1", "m = 15"}
@@ -566,14 +602,19 @@ def test_norm_is_the_product_of_the_conjugates():
             assert poly_powmod(t, (base.q**N - 1) // (base.q - 1), pi).coeffs == ((norm,) if norm else ())
 
 
+F5, F7 = fq_context(5, 1), fq_context(7, 1)
+ORBIT_FIELDS = ((F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5), (F2, 6), (F3, 1), (F3, 2), (F3, 3),
+                (F3, 4), (F5, 1), (F5, 2), (F7, 1), (F7, 2), (F7, 3), (F7, 4), (F4, 1), (F4, 2),
+                (F4, 3), (F4, 4), (F4, 5), (F9, 1), (F9, 2))
+# and three over odd p whose step tables split the digits: R = 1, 4 and 2
+STEP_FIELDS = ORBIT_FIELDS + ((fq_context(257, 1), 2), (F9, 3), (fq_context(5, 2), 2))
+
+
 def test_orbit_tables_use_the_first_primitive_modulus():
     # y generates F_{Q^N}^*, so exp is a bijection onto the nonzero elements,
     # and no monic irreducible earlier by index has that property; the fields
     # F_{p^e} of fq_context are the extensions of F_p
-    F5, F7 = fq_context(5, 1), fq_context(7, 1)
-    for base, N in ((F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5), (F2, 6), (F3, 1), (F3, 2), (F3, 3),
-                    (F3, 4), (F5, 1), (F5, 2), (F7, 1), (F7, 2), (F7, 3), (F7, 4), (F4, 1), (F4, 2),
-                    (F4, 3), (F4, 4), (F4, 5), (F9, 1), (F9, 2)):
+    for base, N in ORBIT_FIELDS:
         ext = extension(base, N)
         order = base.q**N - 1
         assert sorted(ext.exp) == list(range(1, order + 1))
@@ -590,6 +631,58 @@ def test_orbit_tables_use_the_first_primitive_modulus():
         if N > 1:   # y is no root of a polynomial over F_Q of degree 1
             with pytest.raises(VerificationError, match="coefficient outside"):
                 min_poly(ext, (ext.exp[1],))
+
+
+def _tables_one_element_at_a_time(base, mu):
+    # the build the step tables replaced: y v digit by digit through base.add
+    s, N = base.q, len(mu) - 1
+    order, top = s**N - 1, s ** (N - 1)
+    wrap = [[(s**i, base.sub(0, base.mul(c, m))) for i, m in enumerate(mu[:N]) if c and m] for c in range(s)]
+    exp, log, v = [0] * order, [0] * (order + 1), 1
+    for k in range(order):
+        exp[k], log[v] = v, k
+        c, v = v // top, v % top * s
+        for unit, d in wrap[c]:
+            digit = v // unit % s
+            v += (base.add(digit, d) - digit) * unit
+    zech = [-1] * order
+    for k, v in enumerate(exp):
+        one_more = v - v % s + base.add(v % s, 1)
+        if one_more:
+            zech[k] = log[one_more]
+    return exp, log, zech
+
+
+def test_step_tables_match_the_per_element_build():
+    for base, N in STEP_FIELDS:
+        ext = extension(base, N)
+        want = _tables_one_element_at_a_time(base, ext.modulus)
+        assert (ext.exp.tolist(), ext.log.tolist(), ext.zech.tolist()) == want, (base, N)
+
+
+def test_primitive_modulus_prefilters_match_the_unfiltered_search():
+    # the norm and root tests only reject mu that _t_is_primitive rejects:
+    # every (base, N) with Q^N <= 2^14 over nine small fields, and two large
+    smalls = (F2, F3, F4, F5, F7, fq_context(2, 3), F9, fq_context(2, 4), fq_context(5, 2))
+    cases = [(base, N) for base in smalls for N in range(1, 15) if base.q**N <= 2**14]
+    for base, N in cases + [(fq_context(257, 1), 2), (fq_context(2, 10), 2)]:
+        Q = base.q
+        by_index = (tuple(i // Q**j % Q for j in range(N)) + (1,) for i in range(Q**N))
+        assert _primitive_modulus(base, N) == next(mu for mu in by_index if _t_is_primitive(base, mu)), (base, N)
+
+
+def test_log_at_matches_horner_on_every_orbit():
+    # log f(y^L) by Zech additions of the terms, against f(y^L) by Horner,
+    # at every coset leader; the modulus vanishes at y and its conjugates
+    rng = random.Random(17)
+    for base, N in STEP_FIELDS:
+        ext = extension(base, N)
+        polys = [ext.modulus] + [tuple(rng.randrange(base.q) for _ in range(d)) + (1,) for d in (1, 3)]
+        for f in polys:
+            terms = _log_terms(ext, f)
+            for L in coset_leaders(ext):
+                v = ext.eval(f, ext.exp[L])
+                assert _log_at(ext, terms, L) == (ext.log[v] if v else None), (base, N, f, L)
 
 
 def test_orbit_tables_refuse_a_modulus_where_y_is_not_primitive():
@@ -651,17 +744,27 @@ def test_ff_equivalence():
     assert ff_equivalence_check(scan) == (120, [])
 
 
+def root_of(pi, N):
+    # a root of the monic irreducible pi over F_Q in F_{Q^N}, by trying every element
+    ext = extension(CONSTR.big, N)
+    return next(z for z in range(ext.q) if ext.eval(pi, z) == 0)
+
+
 def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
     scan = scan_of(3)
-    extra = next(pi for pi in monic_polys(CONSTR.big, 3)
-                 if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
-    # placed first and then last, so a product that loses either end still fails
-    for qualifying in ((extra.coeffs,) + scan.qualifying, scan.qualifying + (extra.coeffs,)):
-        doctored = replace(scan, qualifying=qualifying, count=scan.count + 1)
+    outside = [pi for pi in monic_polys(CONSTR.big, 3)
+               if irreducible_test(pi) and pi.coeffs not in scan.qualifying]
+    # each irreducible left out, wherever it sorts among the qualifying (one of
+    # them first), so a product that loses an end still fails
+    places = set()
+    for extra in outside:
+        doctored = replace(scan, roots=scan.roots + array("i", [root_of(extra.coeffs, 3)]), count=scan.count + 1)
+        places.add(doctored.qualifying.index(extra.coeffs))
         with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {extra} does not divide")):
             ff_direct_verify(doctored)
+    assert 0 in places and len(places) > 1
     # a qualifying pi listed twice divides the gcd, but its square does not
-    twice = replace(scan, qualifying=scan.qualifying + scan.qualifying[:1])
+    twice = replace(scan, roots=scan.roots + scan.roots[:1])
     with pytest.raises(VerificationError, match="product of the qualifying pi"):
         ff_direct_verify(twice)
 
@@ -669,14 +772,16 @@ def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
 def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():
     scan = scan_of(3)
     dropped = scan.qualifying[4]
-    rest = tuple(c for c in scan.qualifying if c != dropped)
-    assert ff_equivalence_check(replace(scan, qualifying=rest))[1] == [dropped]
+    rest = array("i", (z for z in scan.roots if extension(CONSTR.big, 3).eval(dropped, z)))  # all but its root
+    assert len(rest) == len(scan.roots) - 1
+    assert ff_equivalence_check(replace(scan, roots=rest))[1] == [dropped]
     extra = next(pi.coeffs for pi in monic_polys(CONSTR.big, 3)
                  if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
-    doctored = replace(scan, qualifying=tuple(sorted(scan.qualifying + (extra,))))
+    doctored = replace(scan, roots=scan.roots + array("i", [root_of(extra, 3)]))
     assert ff_equivalence_check(doctored)[1] == [extra]
     t = (0, 1)   # T divides the base a, so it never qualifies
-    doctored = replace(scan_of(1), qualifying=scan_of(1).qualifying + (t,))
+    doctored = replace(scan_of(1), roots=scan_of(1).roots + array("i", [root_of(t, 1)]))
+    assert t not in scan_of(1).qualifying and t in doctored.qualifying
     assert ff_equivalence_check(doctored)[1] == [t]
 
 

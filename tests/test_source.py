@@ -47,25 +47,35 @@ def test_cli_import_leaves_the_process_pool_out():
 
 def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
     # the benchmark times these layers by wrapping the module globals the runs
-    # look up; a run that stops calling one of them would read 0 there
+    # look up (benchmark/spans.py), and reads ff_scan's positional (constr, N,
+    # a, b) and the result fields below; a run that stops calling one of
+    # them, or a renamed one, would read 0 there
     from cyclogcd import cli, ffield, residues
 
-    called = set()
+    calls = {}
 
-    def counting(module, name):
+    def recording(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            called.add(name)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls.setdefault(name, []).append((args, kwargs, result))
+            return result
 
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((ffield, "poly_pow"), (ffield, "poly_gcd"), (ffield, "eval_poly_fq"),
-                         (residues, "primes_in_range")):
-        counting(module, name)
+                         (residues, "primes_in_range"), (cli, "fq_context"), (cli, "ff_construction"),
+                         (cli, "ff_scan"), (cli, "ff_direct_verify")):
+        recording(module, name)
     assert cli.main(["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
                      "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "2"]) == 0
     assert cli.main(["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "1000"]) == 0
     capsys.readouterr()
-    assert called == {"eval_poly_fq", "poly_gcd", "poly_pow", "primes_in_range"}
+    assert set(calls) == {"eval_poly_fq", "poly_gcd", "poly_pow", "primes_in_range", "fq_context",
+                          "ff_construction", "ff_scan", "ff_direct_verify"}
+    for args, kwargs, result in calls["ff_scan"]:
+        assert kwargs == {} and len(args) == 4
+        assert args[0].big.q ** args[1] == 4 ** args[1]
+        assert isinstance(result.count, int) and isinstance(result.total_irreducible, int)
+    assert [result.deg_gcd for _, _, result in calls["ff_direct_verify"]] == [2, 6]
