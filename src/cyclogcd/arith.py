@@ -9,7 +9,7 @@ the functions are safe to call from any number of workers.
 import bisect
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import VerificationError
 
@@ -141,14 +141,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactoredInt:
-    """A positive integer together with its full prime factorization."""
-
+class _Factorization(NamedTuple):
     value: int
     factors: dict[int, int]
 
-    def __post_init__(self):
+
+class FactoredInt(_Factorization):
+    """A positive integer together with its full prime factorization,
+    checked when it is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prod = 1
         for p, e in self.factors.items():
             if e < 1 or not is_prime(p):
@@ -156,6 +161,7 @@ class FactoredInt:
             prod *= p**e
         if prod != self.value or self.value < 1:
             raise ValueError(f"factorization does not multiply back to {self.value}")
+        return self
 
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.factors))

@@ -15,7 +15,7 @@ from the primes afterwards.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 from .arith import factorize, sieve_primes
 from .cyclotomic import eval_mod_prime
@@ -32,10 +32,7 @@ _CELL_MAX = 255
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
 
 
-@dataclass(frozen=True)
-class ChampionParams:
-    """Inputs of a champion run; hypothesis checks happen at construction."""
-
+class _ChampionInputs(NamedTuple):
     a: int
     b: int
     N: int
@@ -43,7 +40,14 @@ class ChampionParams:
     delta: float = 0.9
     M: int | None = None  # None: single index N; set: mixed (M, N) run
 
-    def __post_init__(self):
+
+class ChampionParams(_ChampionInputs):
+    """Inputs of a champion run; hypothesis checks happen at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_bases(self.a, self.b, self.index_a, self.N)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
@@ -57,6 +61,11 @@ class ChampionParams:
                     f"indices M = {m_idx}, N = {n_idx} need gcd(M/D, D) = gcd(N/D, D) = 1 "
                     f"for D = gcd(M, N) = {d}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the hypotheses again
+        return cls(*iterable)
 
     @property
     def index_a(self) -> int:
@@ -195,8 +204,7 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
     return best, best_slot, total
 
 
-@dataclass(frozen=True)
-class ChampionReport:
+class ChampionReport(NamedTuple):
     """A champion n, its representations and the certified gcd lower bound."""
 
     n: int
@@ -212,7 +220,7 @@ class ChampionReport:
     verified: bool = False
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "representation_count": len(self.representations)}
+        return {**self._asdict(), "representation_count": len(self.representations)}
 
 
 def _champion_report(n: int, reps, pair_count: int, kernel: int, modulus: int, x: int) -> ChampionReport:
@@ -291,7 +299,7 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
             raise VerificationError(
                 f"{p} does not divide Phi_{params.N}({params.b}^{report.n})"
             )
-    return replace(report, verified=True)
+    return report._replace(verified=True)
 
 
 def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:

@@ -185,66 +185,48 @@ def _cmd_ff(args, jobs):
     return {"r": constr.r, "t": constr.t, "Q": constr.Q, "per_N": per_n}, columns, per_n
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclogcd",
-        description="Exact experiments on gcd sequences of cyclotomic values.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+_SUBCOMMANDS = {  # name: (help line, the function that runs it)
+    "gcd-seq": ("exact gcd(Phi_M(a^n), Phi_N(b^n)) rows", _cmd_gcd_seq),
+    "champion": ("pigeonhole a champion n with many certified prime divisors", _cmd_champion),
+    "density": ("predicted vs empirical qualifying-prime density", _cmd_density),
+    "delta": ("divisor counters delta(n) up to a limit", _cmd_delta),
+    "verify-lemma": ("exhaustive divisibility-lemma verification", _cmd_verify_lemma),
+    "ff": ("function-field qualifying-pi scan", _cmd_ff),
+    "ff-verify": ("scan plus exact gcd degree certification", _cmd_ff),
+}
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism width, clamped to the CPU count")
 
-    p = sub.add_parser("gcd-seq", help="exact gcd(Phi_M(a^n), Phi_N(b^n)) rows")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    common(p)
-    p.set_defaults(run=_cmd_gcd_seq)
-
-    p = sub.add_parser("champion", help="pigeonhole a champion n with many certified prime divisors")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.9)
-    common(p)
-    p.set_defaults(run=_cmd_champion)
-
-    p = sub.add_parser("density", help="predicted vs empirical qualifying-prime density")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    common(p)
-    p.set_defaults(run=_cmd_density)
-
-    p = sub.add_parser("delta", help="divisor counters delta(n) up to a limit")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--squarefree", action="store_true")
-    common(p)
-    p.set_defaults(run=_cmd_delta)
-
-    p = sub.add_parser("verify-lemma", help="exhaustive divisibility-lemma verification")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--p-max", dest="p_max", type=int, required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, default=20)
-    common(p)
-    p.set_defaults(run=_cmd_verify_lemma)
-
-    for name, text in (("ff", "function-field qualifying-pi scan"),
-                       ("ff-verify", "scan plus exact gcd degree certification")):
-        p = sub.add_parser(name, help=text)
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """The options of subcommand `name`, in the order of its usage line."""
+    if name == "gcd-seq":
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--M", type=int, default=None)
+        p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    elif name == "champion":
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--M", type=int, default=None)
+        p.add_argument("--x", type=int, required=True)
+        p.add_argument("--delta", type=float, default=0.9)
+    elif name == "density":
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--x", type=int, required=True)
+    elif name == "delta":
+        p.add_argument("--limit", type=int, required=True)
+        p.add_argument("--squarefree", action="store_true")
+    elif name == "verify-lemma":
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--p-max", dest="p_max", type=int, required=True)
+        p.add_argument("--m-max", dest="m_max", type=int, default=20)
+    else:  # ff, ff-verify
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n0", type=int, required=True)
@@ -255,9 +237,39 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deg-max", dest="deg_max", type=int, required=True)
         if name == "ff-verify":
             p.add_argument("--n-cap", dest="n_cap", type=int, default=5000)
-        common(p)
-        p.set_defaults(run=_cmd_ff)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallelism width, clamped to the CPU count")
+    p.set_defaults(run=_SUBCOMMANDS[name][1])
 
+
+class _Subcommand:
+    """The parser of one subcommand, built when the command line selects it.
+
+    The top-level parser needs only the subcommand names and help lines, so
+    a run builds two parsers, not one per subcommand: each argparse parser
+    and option costs gettext lookups and a terminal-size query.
+    """
+
+    def __init__(self, prog: str, command: str):
+        self.prog, self.command = prog, command
+
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(prog=self.prog)
+        _add_options(parser, self.command)
+        return parser.parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cyclogcd",
+        description="Exact experiments on gcd sequences of cyclotomic values.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    for name, (text, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, command=name)
     return parser
 
 

@@ -7,15 +7,14 @@ Coefficients are arbitrary-precision: beyond index 104 they leave {-1, 0, 1}
 and grow without bound in general.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import euler_phi, factorize, moebius
 from .errors import VerificationError
 
 
-@dataclass(frozen=True)
-class CyclotomicPoly:
+class CyclotomicPoly(NamedTuple):
     """Index N plus the dense integer coefficient vector of Phi_N.
 
     coeffs is ascending (constant term first) with degree euler_phi(N).

@@ -11,8 +11,8 @@ counts against ratio * li(x) stand in for any analytic error term.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import FactoredInt, euler_phi, factorize, li
 from .errors import HypothesisError, VerificationError
@@ -46,8 +46,7 @@ def dependence_exponent(a, b, l: int) -> int:
     return 2 if dependent else 3
 
 
-@dataclass(frozen=True)
-class DensityPrediction:
+class DensityPrediction(NamedTuple):
     modulus: int
     d: int
     exponents: tuple[tuple[int, int], ...]  # (l, e) pairs, l ascending
@@ -80,8 +79,7 @@ def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction
     return DensityPrediction(modulus, d, tuple(exponents), ratio)
 
 
-@dataclass(frozen=True)
-class DensityCheck:
+class DensityCheck(NamedTuple):
     count: int
     expected: float
     relative_error: float

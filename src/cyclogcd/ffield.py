@@ -7,9 +7,10 @@ degree N by index in which y is primitive (see `_primitive_modulus`), so
 every run and every implementation of this convention agrees on element
 encodings, and each subfield is the set of elements below its size.  The
 search skips, before any powmod, each mu whose norm (-1)^N mu(0) is not
-primitive in F_Q, and for N >= 2 each mu with a root in F_Q.  Both are
-necessary conditions for T to be primitive modulo mu, so they never skip
-the modulus the unfiltered search would find.
+primitive in F_Q, each mu in F_Q[T^d] for some d > 1, and for N >= 2 each
+mu with a root in F_Q.  All three are necessary conditions for T to be
+primitive modulo mu, so they never skip the modulus the unfiltered search
+would find.
 
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
@@ -26,8 +27,8 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, moebius
 from .cyclotomic import eval_poly_fq
@@ -433,13 +434,13 @@ class _DigitPlanes:
         return R
 
 
-@dataclass(frozen=True)
-class FqPolynomial:
+class FqPolynomial(NamedTuple):
     """Dense polynomial over a FieldContext; coeffs ascending, trimmed.
 
-    The zero polynomial has empty coeffs and degree -1, distinct from the
-    nonzero constants of degree 0.  Products and remainders run on packed
-    big-int digits (`_DigitPlanes`).
+    Two are equal, and hash alike, exactly when their fields and their
+    coefficients are.  The zero polynomial has empty coeffs and degree -1,
+    distinct from the nonzero constants of degree 0.  Products and
+    remainders run on packed big-int digits (`_DigitPlanes`).
     """
 
     ctx: FieldContext
@@ -722,8 +723,7 @@ def choose_params(q: int, k: int, n0: int, m: int) -> tuple[int, int, int]:
     return r, t, q**t
 
 
-@dataclass(frozen=True)
-class FFConstruction:
+class FFConstruction(NamedTuple):
     """Parameter bundle (q, k, n_0, m) -> (r, t, Q) with the field tower."""
 
     base: FieldContext
@@ -837,11 +837,7 @@ def _log_at(ext: FieldContext, terms: list[tuple[int, int]], L: int) -> int | No
     return acc
 
 
-@dataclass(frozen=True)
-class FFScanResult:
-    """The qualifying pi of degree N and what they were computed from: the
-    certificates ff_direct_verify and ff_equivalence_check read it all here."""
-
+class _FFScanFields(NamedTuple):
     constr: FFConstruction
     N: int
     a: FqPolynomial
@@ -852,6 +848,12 @@ class FFScanResult:
     predicted_alt: float
     total_irreducible: int
     roots: array  # one root in F_{Q^N} of each qualifying pi: y^L, or 0 for pi = T
+
+
+class FFScanResult(_FFScanFields):
+    """The qualifying pi of degree N and what they were computed from: the
+    certificates ff_direct_verify and ff_equivalence_check read it all here.
+    A copy made by `_replace` computes its own `qualifying`."""
 
     @cached_property
     def qualifying(self) -> tuple[tuple[int, ...], ...]:
@@ -886,17 +888,22 @@ def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
     """The first monic mu of degree N by index in which T has order Q^N - 1:
     the first monic irreducible in which T is primitive (see _t_is_primitive).
 
-    Two necessary conditions reject most mu before any powmod, so neither
+    Three necessary conditions reject most mu before any powmod, so none
     can change the modulus found.  The norm of T, T^((Q^N-1)/(Q-1)) =
     (-1)^N mu(0), is primitive in F_Q if T is primitive modulo mu, since the
     norm maps F_{Q^N}^* onto F_Q^* (Lidl & Niederreiter, *Finite Fields*,
-    ch. 2-3); for N = 1 that is the whole test.  An irreducible mu of degree
-    N >= 2 has no root in F_Q: with mu = mu_0 + h, the mu_0 = -h(x), x in
-    F_Q^*, are out.  That root test takes Q - 1 evaluations of h for all the
-    mu_0 of one h, so it runs for every N >= 2: measured over every field
-    below the table cap, it never cost more than a few ms or 1.8x the search
-    without it, and over F_{2^k}, where each T^2 + mu_0 has a root, it
-    saves most of the search (F_{1024^2}: 62 ms without it, 7 ms with it).
+    ch. 2-3); for N = 1 that is the whole test.  With mu = mu_0 + h, an h
+    whose terms all lie at multiples of some d > 1 (then d | N) puts every
+    mu_0 + h in F_Q[T^d]: T^d is a root of a polynomial of degree N/d, so T
+    has order at most d (Q^(N/d) - 1) < Q^N - 1, and the h is skipped whole
+    (over F_{1021^2} the h = T^2 alone cost 256 failed powmods).  An
+    irreducible mu of degree N >= 2 has no root in F_Q: the mu_0 = -h(x),
+    x in F_Q^*, are out.  That root test takes Q - 1 evaluations of h for
+    all the mu_0 of one h, so it runs for every N >= 2: measured over every
+    field below the table cap, it never cost more than a few ms or 1.8x the
+    search without it, and over F_{2^k}, where each T^2 + mu_0 has a root,
+    it saves most of the search (F_{1024^2}: 62 ms without it, 7 ms with
+    it).
     """
     Q = base.q
     if base.zech is None:
@@ -914,6 +921,8 @@ def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
     lows = list(lows)
     for high in itertools.product(range(Q), repeat=N - 1):  # in index order of mu
         h = (0,) + high[::-1] + (1,)  # mu - mu_0
+        if math.gcd(*(i for i, c in enumerate(h) if c)) > 1:  # mu in F_Q[T^d]
+            continue
         roots = {base.sub(0, base.eval(h, x)) for x in range(1, Q)}
         for c in lows:
             mu = (c,) + h[1:]
@@ -1002,8 +1011,7 @@ def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
     return polys[0]
 
 
-@dataclass(frozen=True)
-class FFVerifyResult:
+class FFVerifyResult(NamedTuple):
     deg_gcd: int
     certified_bound: int
     ratio_to_n: float

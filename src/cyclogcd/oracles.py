@@ -8,7 +8,7 @@ gcd_seq_exact rows with M = N = 1.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import euler_phi, factorize, sieve_primes
 from .cyclotomic import build_cyclotomic, eval_int
@@ -21,8 +21,7 @@ _FACTOR_REPORT_CAP = 10**15
 _BIT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GcdSeqRow:
+class GcdSeqRow(NamedTuple):
     n: int
     gcd_value: int
     log_gcd: float

@@ -11,7 +11,7 @@ bases that every integer run rests on.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize, jacobi, primes_in_range
 from .cyclotomic import build_cyclotomic
@@ -125,8 +125,7 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
             yield p, (p - 1) // modulus
 
 
-@dataclass(frozen=True)
-class LemmaScanResult:
+class LemmaScanResult(NamedTuple):
     modulus: int
     a: int
     b: int

@@ -342,6 +342,35 @@ def test_usage_error_is_exit_one(capsys):
     assert main(["no-such-command"]) == 1
 
 
+# Help, version and usage-error output captured from the parser that built
+# every subcommand's options on each run; the parser that builds only the
+# chosen subcommand's must reproduce it byte for byte.  Exit 0 writes the
+# .out golden to stdout, exit 1 the .err golden to stderr.
+USAGE_GOLDEN = Path(__file__).parent / "data" / "usage"
+USAGE_CASES = {
+    "missing_option": (["champion", "--a", "2"], 1),
+    "missing_subcommand": ([], 1),
+    "unknown_subcommand": (["no-such-command"], 1),
+    "extra_option": (["delta", "--limit", "5", "--bogus"], 1),
+    "bad_value": (["champion", "--a", "two", "--b", "3", "--N", "2", "--x", "50"], 1),
+    "version": (["--version"], 0),
+    "help": (["--help"], 0),
+    "champion_help": (["champion", "--help"], 0),
+    "ff_verify_help": (["ff-verify", "--help"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_output_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    argv, code = USAGE_CASES[name]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    written, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert silent == ""
+    assert written == (USAGE_GOLDEN / f"{name}.{'out' if code == 0 else 'err'}").read_text()
+
+
 def test_verification_failure_is_exit_two(capsys, monkeypatch):
     from cyclogcd import cli
     from cyclogcd.errors import VerificationError

@@ -4,7 +4,6 @@ import math
 import random
 import re
 from array import array
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -661,11 +660,13 @@ def test_step_tables_match_the_per_element_build():
 
 
 def test_primitive_modulus_prefilters_match_the_unfiltered_search():
-    # the norm and root tests only reject mu that _t_is_primitive rejects:
-    # every (base, N) with Q^N <= 2^14 over nine small fields, and two large
+    # the norm, F_Q[T^d] and root tests only reject mu that _t_is_primitive
+    # rejects: every (base, N) with Q^N <= 2^14 over nine small fields, and
+    # four large, two of them with every T^2 + c past the norm test irreducible
     smalls = (F2, F3, F4, F5, F7, fq_context(2, 3), F9, fq_context(2, 4), fq_context(5, 2))
     cases = [(base, N) for base in smalls for N in range(1, 15) if base.q**N <= 2**14]
-    for base, N in cases + [(fq_context(257, 1), 2), (fq_context(2, 10), 2)]:
+    larges = [(fq_context(p, e), 2) for p, e in ((257, 1), (2, 10), (509, 1), (1021, 1))]
+    for base, N in cases + larges:
         Q = base.q
         by_index = (tuple(i // Q**j % Q for j in range(N)) + (1,) for i in range(Q**N))
         assert _primitive_modulus(base, N) == next(mu for mu in by_index if _t_is_primitive(base, mu)), (base, N)
@@ -758,13 +759,13 @@ def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
     # them first), so a product that loses an end still fails
     places = set()
     for extra in outside:
-        doctored = replace(scan, roots=scan.roots + array("i", [root_of(extra.coeffs, 3)]), count=scan.count + 1)
+        doctored = scan._replace(roots=scan.roots + array("i", [root_of(extra.coeffs, 3)]), count=scan.count + 1)
         places.add(doctored.qualifying.index(extra.coeffs))
         with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {extra} does not divide")):
             ff_direct_verify(doctored)
     assert 0 in places and len(places) > 1
     # a qualifying pi listed twice divides the gcd, but its square does not
-    twice = replace(scan, roots=scan.roots + scan.roots[:1])
+    twice = scan._replace(roots=scan.roots + scan.roots[:1])
     with pytest.raises(VerificationError, match="product of the qualifying pi"):
         ff_direct_verify(twice)
 
@@ -774,13 +775,13 @@ def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():
     dropped = scan.qualifying[4]
     rest = array("i", (z for z in scan.roots if extension(CONSTR.big, 3).eval(dropped, z)))  # all but its root
     assert len(rest) == len(scan.roots) - 1
-    assert ff_equivalence_check(replace(scan, roots=rest))[1] == [dropped]
+    assert ff_equivalence_check(scan._replace(roots=rest))[1] == [dropped]
     extra = next(pi.coeffs for pi in monic_polys(CONSTR.big, 3)
                  if irreducible_test(pi) and pi.coeffs not in scan.qualifying)
-    doctored = replace(scan, roots=scan.roots + array("i", [root_of(extra, 3)]))
+    doctored = scan._replace(roots=scan.roots + array("i", [root_of(extra, 3)]))
     assert ff_equivalence_check(doctored)[1] == [extra]
     t = (0, 1)   # T divides the base a, so it never qualifies
-    doctored = replace(scan_of(1), roots=scan_of(1).roots + array("i", [root_of(t, 1)]))
+    doctored = scan_of(1)._replace(roots=scan_of(1).roots + array("i", [root_of(t, 1)]))
     assert t not in scan_of(1).qualifying and t in doctored.qualifying
     assert ff_equivalence_check(doctored)[1] == [t]
 

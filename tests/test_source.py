@@ -1,8 +1,11 @@
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cyclogcd"
@@ -43,6 +46,52 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the records are NamedTuples: dataclasses would import inspect, ast, dis
+    # and tokenize and exec each record's methods at every start
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cyclogcd.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_records_keep_value_semantics():
+    from cyclogcd import ChampionParams, FqPolynomial, fq_context, run_champion
+    from cyclogcd.errors import HypothesisError
+
+    # a polynomial equals another exactly when the field and the coefficients do
+    f2, f4 = fq_context(2, 1), fq_context(2, 2)
+    f = FqPolynomial.of(f2, [1, 1, 0])
+    assert f == FqPolynomial(f2, (1, 1)) and hash(f) == hash(FqPolynomial(f2, (1, 1)))
+    assert f != FqPolynomial(f4, (1, 1)) and f != FqPolynomial(f2, (1, 0, 1))
+    assert len({f, FqPolynomial(f2, (1, 1)), FqPolynomial(f4, (1, 1))}) == 2
+    with pytest.raises(AttributeError):
+        f.coeffs = (1,)
+    # the hypotheses are checked at construction and by a copy; a pickled
+    # copy, as a worker receives it, comes back equal
+    params = ChampionParams(2, 3, 2, 300)
+    assert params == ChampionParams(a=2, b=3, N=2, x=300, delta=0.9, M=None)
+    assert pickle.loads(pickle.dumps(params)) == params
+    with pytest.raises(HypothesisError, match="l-th power in Q"):
+        ChampionParams(a=4, b=3, N=2, x=100)
+    with pytest.raises(ValueError, match="delta must lie strictly between 0 and 1"):
+        params._replace(delta=1.5)
+    with pytest.raises(ValueError, match="at least 8"):
+        ChampionParams(2, 3, 2, 7)
+    # a report's dict holds its fields in order, then the representation count
+    report = run_champion(params).to_dict()
+    assert list(report) == [
+        "n", "representations", "distinct_primes", "log_gcd_lower_bound", "pigeonhole_floor",
+        "pair_count", "kernel", "kernel_omega", "curve_value", "curve_ratio", "verified",
+        "representation_count",
+    ]
+    assert report["verified"] is True and report["representation_count"] == len(report["representations"])
 
 
 def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
