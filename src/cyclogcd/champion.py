@@ -10,8 +10,10 @@ direct order verification, never on the strength of a derived criterion.
 
 The pairs are never stored: each contributing prime adds one representation
 along arithmetic progressions of slots n/K, counted in a byte histogram one
-window of slots at a time, and the champion's representations are rebuilt
-from the primes afterwards.
+window of cells at a time, and the champion's representations are rebuilt
+from the primes afterwards.  Every slot hit is coprime to L = lcm(M, N), so
+the histogram keeps one cell per such slot only, and no progression is
+longer than a fixed number of cells.
 """
 
 import math
@@ -23,8 +25,11 @@ from .errors import HypothesisError, VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
 
-# Slots counted per histogram window: one byte each, whatever x is.
+# Cells counted per histogram window: one byte each, whatever x is.
 _WINDOW = 1 << 22
+# The most cells one progression covers; a longer one is split, so no slice
+# of the histogram copied or translated at once exceeds this many bytes.
+_CHUNK = 1 << 16
 # The largest count a histogram cell holds; past it, a cell wraps to 0 and
 # its slot carries 256 more in a dict.
 _CELL_MAX = 255
@@ -140,21 +145,47 @@ def enumerate_pairs(params: ChampionParams, jobs: int = 1) -> list[tuple[int, in
     return pairs
 
 
+def _units(modulus: int) -> list[int]:
+    """The residues rho_0 < rho_1 < ... mod `modulus` coprime to it."""
+    return [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+
+
+def _slot_cell(slot: int, modulus: int, units: list[int]) -> int:
+    """The histogram cell of a slot coprime to the modulus: slot c*L + rho_i
+    is cell c*phi(L) + i, an increasing map onto 0, 1, 2, ..."""
+    c, r = divmod(slot, modulus)
+    return c * len(units) + units.index(r)
+
+
+def _cell_slot(cell: int, modulus: int, units: list[int]) -> int:
+    """The slot of a histogram cell; the inverse of `_slot_cell`."""
+    c, i = divmod(cell, len(units))
+    return c * modulus + units[i]
+
+
 def _progressions(primes, kernel: int, lcm_idx: int, x: int) -> list[tuple[int, int, int]]:
-    """The slots n/K each prime adds one representation to, as (first, stride, last).
+    """The cells each prime adds one representation to, as (first, stride, last).
 
     The pairs of p are m = j*s for j <= x/s with gcd(j, L) = 1, where
     s = K/gcd(K, w) is coprime to L; they land on the slots j*u with
-    u = w/gcd(K, w).  Each class r of j mod L is one progression.
+    u = w/gcd(K, w), all coprime to L.  Each class r of j mod L is one
+    progression of slot stride L*u, so of cell stride phi(L)*u; one longer
+    than _CHUNK cells is split into consecutive pieces.
     """
+    units = _units(lcm_idx)
     classes = [r for r in range(1, lcm_idx + 1) if math.gcd(r, lcm_idx) == 1]
     out = []
     for _, w in primes:
         g = math.gcd(kernel, w)
         u, top = w // g, x // (kernel // g)
+        stride = len(units) * u
         for r in classes:
             if r <= top:
-                out.append((r * u, lcm_idx * u, (r + (top - r) // lcm_idx * lcm_idx) * u))
+                first = _slot_cell(r * u, lcm_idx, units)
+                length = (top - r) // lcm_idx + 1
+                for k in range(0, length, _CHUNK):
+                    out.append((first + k * stride, stride,
+                                first + (min(k + _CHUNK, length) - 1) * stride))
     return out
 
 
@@ -201,6 +232,7 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
             count, slot = top, lo + cells.find(top)
         if count > best:
             best, best_slot = count, slot
+        del cells  # so the next window is not allocated beside this one
     return best, best_slot, total
 
 
@@ -314,12 +346,12 @@ def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
             f"no prime p <= x = {x} contributes a pair for indices M = {params.index_a}, "
             f"N = {params.N}: cannot pigeonhole an empty pair set"
         )
-    count, slot, increments = _busiest_slot(progressions)
+    count, cell, increments = _busiest_slot(progressions)
     if increments != pair_count:
         raise VerificationError(
             f"the slot histogram counted {increments} pairs, the progressions hold {pair_count}"
         )
-    n = slot * kernel
+    n = _cell_slot(cell, lcm_idx, _units(lcm_idx)) * kernel
     reps = []
     for p, w in primes:
         if n % w == 0:

@@ -14,7 +14,6 @@ parallelism width --jobs.
 
 import argparse
 import contextlib
-import csv
 import io
 import itertools
 import json
@@ -76,6 +75,8 @@ def _emit(args, report: dict, columns: list[str], rows: list[dict]) -> None:
                 fh.write(text)
             fh.write("\n")
         else:
+            import csv  # only --format csv reads it
+
             fh.write(f"# version={__version__}\n")
             fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
             buf = io.StringIO()

@@ -11,13 +11,15 @@ counts against ratio * li(x) stand in for any analytic error term.
 """
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FactoredInt, euler_phi, factorize, li
 from .errors import HypothesisError, VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _exponent_vectors(a: FactoredInt, b: FactoredInt, l: int):
@@ -50,7 +52,7 @@ class DensityPrediction(NamedTuple):
     modulus: int
     d: int
     exponents: tuple[tuple[int, int], ...]  # (l, e) pairs, l ascending
-    ratio: Fraction
+    ratio: "Fraction"
 
     @property
     def ratio_float(self) -> float:
@@ -59,6 +61,8 @@ class DensityPrediction(NamedTuple):
 
 def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
     """Exact density of qualifying primes with the extra filter d | (p-1)/N."""
+    from fractions import Fraction  # imports decimal and numbers: only this run pays
+
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if any(e > 1 for e in factorize(d).factors.values()):

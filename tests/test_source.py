@@ -37,28 +37,32 @@ def test_cli_suite_passes_under_python_o():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # --jobs 1 never starts a pool, so starting the CLI does not import one
+def _loaded_by_cli_import(names):
+    # the modules among `names` that a fresh `import cyclogcd.cli` loads
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cyclogcd.cli; print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, cyclogcd.cli; print(sorted({set(names)!r} & set(sys.modules)))"],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # --jobs 1 never starts a pool, so starting the CLI does not import one
+    assert _loaded_by_cli_import(["concurrent.futures"]) == "[]"
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # the records are NamedTuples: dataclasses would import inspect, ast, dis
     # and tokenize and exec each record's methods at every start
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cyclogcd.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]"
+
+
+def test_cli_import_leaves_fractions_decimal_and_csv_out():
+    # only a density run reads the exact ratio, whose fractions imports
+    # decimal, and only --format csv reads csv
+    assert _loaded_by_cli_import(["fractions", "decimal", "csv"]) == "[]"
 
 
 def test_records_keep_value_semantics():
