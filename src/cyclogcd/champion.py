@@ -12,8 +12,7 @@ The pairs are never stored: each contributing prime adds one representation
 along arithmetic progressions of slots n/K, counted in a byte histogram one
 window of cells at a time, and the champion's representations are rebuilt
 from the primes afterwards.  Every slot hit is coprime to L = lcm(M, N), so
-the histogram keeps one cell per such slot only, and no progression is
-longer than a fixed number of cells.
+the histogram keeps one cell per such slot only.
 """
 
 import math
@@ -27,11 +26,8 @@ from .residues import check_bases, qualifying_primes
 
 # Cells counted per histogram window: one byte each, whatever x is.
 _WINDOW = 1 << 22
-# The most cells one progression covers; a longer one is split, so no slice
-# of the histogram copied or translated at once exceeds this many bytes.
-_CHUNK = 1 << 16
-# The largest count a histogram cell holds; past it, a cell wraps to 0 and
-# its slot carries 256 more in a dict.
+# The largest count a histogram byte holds; past it, the byte wraps to 0 and
+# its cell carries 256 more in a dict.
 _CELL_MAX = 255
 # bytes.translate table adding 1 to a cell, 255 wrapping to 0.
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
@@ -150,11 +146,12 @@ def _units(modulus: int) -> list[int]:
     return [r for r in range(modulus) if math.gcd(r, modulus) == 1]
 
 
-def _slot_cell(slot: int, modulus: int, units: list[int]) -> int:
+def _slot_cell(slot: int, modulus: int, position: dict[int, int]) -> int:
     """The histogram cell of a slot coprime to the modulus: slot c*L + rho_i
-    is cell c*phi(L) + i, an increasing map onto 0, 1, 2, ..."""
+    is cell c*phi(L) + i, where `position` maps rho_i to i; an increasing
+    map onto 0, 1, 2, ..."""
     c, r = divmod(slot, modulus)
-    return c * len(units) + units.index(r)
+    return c * len(position) + position[r]
 
 
 def _cell_slot(cell: int, modulus: int, units: list[int]) -> int:
@@ -163,45 +160,43 @@ def _cell_slot(cell: int, modulus: int, units: list[int]) -> int:
     return c * modulus + units[i]
 
 
-def _progressions(primes, kernel: int, lcm_idx: int, x: int) -> list[tuple[int, int, int]]:
+def _progressions(primes, kernel: int, lcm_idx: int, x: int, units: list[int]) -> list[tuple[int, int, int]]:
     """The cells each prime adds one representation to, as (first, stride, last).
 
     The pairs of p are m = j*s for j <= x/s with gcd(j, L) = 1, where
     s = K/gcd(K, w) is coprime to L; they land on the slots j*u with
-    u = w/gcd(K, w), all coprime to L.  Each class r of j mod L is one
-    progression of slot stride L*u, so of cell stride phi(L)*u; one longer
-    than _CHUNK cells is split into consecutive pieces.
+    u = w/gcd(K, w), all coprime to L.  Each class r of j mod L, one of
+    `units`, is one progression of slot stride L*u, so of cell stride
+    phi(L)*u.
     """
-    units = _units(lcm_idx)
-    classes = [r for r in range(1, lcm_idx + 1) if math.gcd(r, lcm_idx) == 1]
+    position = {rho: i for i, rho in enumerate(units)}
     out = []
     for _, w in primes:
         g = math.gcd(kernel, w)
         u, top = w // g, x // (kernel // g)
         stride = len(units) * u
-        for r in classes:
+        for r in units:
+            r = r or lcm_idx  # L = 1: the one class is j = 1, 2, ...
             if r <= top:
-                first = _slot_cell(r * u, lcm_idx, units)
-                length = (top - r) // lcm_idx + 1
-                for k in range(0, length, _CHUNK):
-                    out.append((first + k * stride, stride,
-                                first + (min(k + _CHUNK, length) - 1) * stride))
+                first = _slot_cell(r * u, lcm_idx, position)
+                out.append((first, stride, first + (top - r) // lcm_idx * stride))
     return out
 
 
 def _busiest_slot(progressions) -> tuple[int, int, int]:
-    """(count, slot, total): the largest slot count, the smallest slot that
-    holds it, and the number of increments made.
+    """(count, cell, total): the largest cell count, the smallest cell that
+    holds it, and the number of increments made.  The cell is an index of
+    `_progressions`'s cell space; `_cell_slot` maps it to its slot.
 
-    Counts live in a byte per slot over one window of slots at a time.  A
-    progression adds 1 to each of its slots at most once, so the window's
-    maximum rises by one exactly when the progression meets a cell holding
-    the current maximum.  Once that maximum is 255, a cell about to wrap
-    hands 256 to its slot's carry, and the count of a slot is its cell plus
-    its carry; every carried slot counts more than any cell alone.
+    Counts live in a byte per cell over one window of cells at a time.  A
+    progression adds 1 to each of its cells at most once, so the window's
+    maximum rises by one exactly when the progression meets a byte holding
+    the current maximum.  Once that maximum is 255, a byte about to wrap
+    hands 256 to its cell's carry, and the count of a cell is its byte plus
+    its carry; every carried cell counts more than any byte alone.
     """
     end = max((last for _, _, last in progressions), default=-1) + 1
-    best = best_slot = total = 0
+    best = best_cell = total = 0
     for lo in range(0, end, _WINDOW):
         hi = min(lo + _WINDOW, end)
         cells = bytearray(hi - lo)
@@ -220,20 +215,20 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
             else:
                 k = seg.find(_CELL_MAX)
                 while k >= 0:
-                    slot = lo + i + k * stride
-                    carry[slot] = carry.get(slot, 0) + 256
+                    cell = lo + i + k * stride
+                    carry[cell] = carry.get(cell, 0) + 256
                     k = seg.find(_CELL_MAX, k + 1)
             cells[i:j:stride] = seg.translate(_INCREMENT)
             total += len(seg)
-        if carry:  # the smallest slot of the largest cell + carry
-            count, slot = max((cells[s - lo] + c, -s) for s, c in carry.items())
-            slot = -slot
+        if carry:  # the smallest cell of the largest byte + carry
+            count, cell = max((cells[s - lo] + c, -s) for s, c in carry.items())
+            cell = -cell
         else:
-            count, slot = top, lo + cells.find(top)
+            count, cell = top, lo + cells.find(top)
         if count > best:
-            best, best_slot = count, slot
+            best, best_cell = count, cell
         del cells  # so the next window is not allocated beside this one
-    return best, best_slot, total
+    return best, best_cell, total
 
 
 class ChampionReport(NamedTuple):
@@ -339,19 +334,20 @@ def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
     lcm_idx, x = params.lcm_index, params.x
     kernel = build_kernel(x, params.delta, lcm_idx)
     primes = _contributing_primes(params, jobs)
-    progressions = _progressions(primes, kernel, lcm_idx, x)
+    units = _units(lcm_idx)
+    progressions = _progressions(primes, kernel, lcm_idx, x, units)
     pair_count = sum((last - first) // stride + 1 for first, stride, last in progressions)
     if pair_count == 0:
         raise ValueError(
             f"no prime p <= x = {x} contributes a pair for indices M = {params.index_a}, "
             f"N = {params.N}: cannot pigeonhole an empty pair set"
         )
-    count, cell, increments = _busiest_slot(progressions)
+    count, cell, increments = _busiest_slot(progressions)  # a cell, not yet a slot
     if increments != pair_count:
         raise VerificationError(
-            f"the slot histogram counted {increments} pairs, the progressions hold {pair_count}"
+            f"the cell histogram counted {increments} pairs, the progressions hold {pair_count}"
         )
-    n = _cell_slot(cell, lcm_idx, _units(lcm_idx)) * kernel
+    n = _cell_slot(cell, lcm_idx, units) * kernel
     reps = []
     for p, w in primes:
         if n % w == 0:

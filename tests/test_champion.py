@@ -271,59 +271,58 @@ def test_histogram_matches_pair_list_oracle(window, monkeypatch):
     if window is not None:
         # many windows, so progressions and ties cross window boundaries
         monkeypatch.setattr(champion, "_WINDOW", window)
-    for chunk in (champion._CHUNK, 3):
-        # pieces of 3 cells also meet the window edges and the ties
-        monkeypatch.setattr(champion, "_CHUNK", chunk)
-        for a, b, N, M, x, delta in GRID:
-            params = ChampionParams(a=a, b=b, N=N, M=M, x=x, delta=delta)
-            expected, pair_count = _oracle(params)
-            report = run_champion(params)
-            assert report == expected, (a, b, N, M, x, chunk)
-            assert report.pair_count == pair_count
+    for a, b, N, M, x, delta in GRID:
+        params = ChampionParams(a=a, b=b, N=N, M=M, x=x, delta=delta)
+        expected, pair_count = _oracle(params)
+        report = run_champion(params)
+        assert report == expected, (a, b, N, M, x)
+        assert report.pair_count == pair_count
 
 
 def test_cell_map_is_increasing_onto_and_inverted():
     for modulus in range(1, 61):
         units = champion._units(modulus)
         assert len(units) == euler_phi(modulus)
+        position = {rho: i for i, rho in enumerate(units)}
         slots = [s for s in range(20 * modulus) if math.gcd(s, modulus) == 1]
-        cells = [champion._slot_cell(s, modulus, units) for s in slots]
+        cells = [champion._slot_cell(s, modulus, position) for s in slots]
         assert cells == list(range(len(slots))), modulus
         assert [champion._cell_slot(c, modulus, units) for c in cells] == slots, modulus
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 5])
-def test_progression_pieces_cover_exactly_the_pairs(chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(champion, "_CHUNK", chunk)
+def test_progressions_cover_exactly_the_pairs():
     for a, b, N, M, x, delta in GRID:
         params = ChampionParams(a=a, b=b, N=N, M=M, x=min(x, 400), delta=delta)
         L = params.lcm_index
         kernel = build_kernel(params.x, params.delta, L)
         units = champion._units(L)
-        pieces = champion._progressions(champion._contributing_primes(params, 1), kernel, L, params.x)
-        covered = Counter(cell for first, stride, last in pieces for cell in range(first, last + 1, stride))
-        want = Counter(champion._slot_cell(m * ((p - 1) // L) // kernel, L, units)
+        position = {rho: i for i, rho in enumerate(units)}
+        progressions = champion._progressions(champion._contributing_primes(params, 1), kernel, L, params.x, units)
+        covered = Counter(cell for first, stride, last in progressions for cell in range(first, last + 1, stride))
+        want = Counter(champion._slot_cell(m * ((p - 1) // L) // kernel, L, position)
                        for m, p in enumerate_pairs(params))
         assert covered == want, (a, b, N, M)
-        assert all((last - first) // stride < champion._CHUNK for first, stride, last in pieces)
 
 
-def test_histogram_peak_memory_is_one_window_plus_a_few_pieces():
-    # the bench's mixed run: its p = 3 progression covers every cell of every
-    # window, and its pieces keep each slice copy and translation to _CHUNK bytes
+def test_histogram_peak_memory_is_one_window():
+    # the bench's mixed run, whose cells end past the first window: the
+    # histogram frees each window before it allocates the next, so its traced
+    # peak is one window plus small slices (the slot histogram traced 8.4 MB)
     params = ChampionParams(a=28, b=5, N=2, M=1, x=7563, delta=0.5)
     L = params.lcm_index
     kernel = build_kernel(params.x, params.delta, L)
+    units = champion._units(L)
     primes = champion._contributing_primes(params, 1)
+    progressions = champion._progressions(primes, kernel, L, params.x, units)
+    assert max(last for _, _, last in progressions) >= champion._WINDOW
     tracemalloc.start()
     try:
-        count, _, total = champion._busiest_slot(champion._progressions(primes, kernel, L, params.x))
+        count, _, total = champion._busiest_slot(progressions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (count, total) == (7, 300057)
-    assert peak < champion._WINDOW + 4 * champion._CHUNK, peak
+    assert peak < champion._WINDOW + (1 << 18), peak
 
 
 def _brute_pairs(params):
