@@ -5,8 +5,9 @@ every n = m(p-1)/N is at most x^2 and divisible by the kernel K (the product
 of the primes up to delta*log x prime to N).  Since at most x^2/K such n
 exist, some n collects many representations, and each representation
 certifies a distinct prime divisor of gcd(Phi_N(a^n), Phi_N(b^n)).  The
-mixed-index variant gcd(Phi_M(a^n), Phi_N(b^n)) admits a prime only after a
-direct order verification, never on the strength of a derived criterion.
+mixed-index variant gcd(Phi_M(a^n), Phi_N(b^n)) takes its primes from the
+same generator, `qualifying_primes`, which tests the exact orders of a^w and
+b^w for w = (p-1)/L.
 
 The pairs are never stored: each contributing prime adds one representation
 along arithmetic progressions of slots n/K, counted in a byte histogram one
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import factorize, sieve_primes
 from .cyclotomic import eval_mod_prime
-from .errors import HypothesisError, VerificationError
+from .errors import VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
 
@@ -54,14 +55,6 @@ class ChampionParams(_ChampionInputs):
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.x < 8:
             raise ValueError(f"scan bound x must be at least 8 (x >= e^2), got {self.x}")
-        if self.M is not None and self.M != self.N:
-            m_idx, n_idx = self.M, self.N
-            d = math.gcd(m_idx, n_idx)
-            if math.gcd(m_idx // d, d) != 1 or math.gcd(n_idx // d, d) != 1:
-                raise HypothesisError(
-                    f"indices M = {m_idx}, N = {n_idx} need gcd(M/D, D) = gcd(N/D, D) = 1 "
-                    f"for D = gcd(M, N) = {d}"
-                )
         return self
 
     @classmethod
@@ -89,37 +82,15 @@ def build_kernel(x, delta: float, modulus: int) -> int:
     return math.prod(q for q in sieve_primes(int(bound) + 1) if q <= bound and modulus % q != 0)
 
 
-def _order_dividing(u: int, p: int, divisors: tuple[int, ...]) -> int:
-    # Order of u mod p given that it divides the largest entry of `divisors`
-    # (sorted ascending divisor list of that bound).
-    for d in divisors:
-        if pow(u, d, p) == 1:
-            return d
-    raise VerificationError(f"the order of {u} mod {p} divides none of {divisors}")
-
-
 def _qualify_block(cfg, block) -> list[tuple[int, int]]:
-    # (p, w) for the primes of the block that contribute pairs.  The mixed run
-    # (lcm_divs set) also needs a^(mw), b^(mw) of orders exactly M and N mod p.
-    # Checked on the orders of a^w and b^w, which divide L: an admissible m is
-    # coprime to L, so raising to the m-th power keeps both orders, for every
-    # m or none.
-    a, b, idx_a, idx_b, lcm_divs = cfg
-    out = []
-    for p, w in qualifying_primes(*block, a, b, idx_a, idx_b):
-        if lcm_divs is not None and (
-            _order_dividing(pow(a, w, p), p, lcm_divs) != idx_a
-            or _order_dividing(pow(b, w, p), p, lcm_divs) != idx_b
-        ):
-            continue
-        out.append((p, w))
-    return out
+    # (p, w) for the primes of the block that contribute pairs.  An admissible
+    # m is coprime to L, so a^(mw) and b^(mw) keep the orders M and N of a^w, b^w.
+    return list(qualifying_primes(*block, *cfg))
 
 
 def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, int]]:
     """(p, w = (p-1)/L) for every prime p <= x that contributes pairs, p ascending."""
-    lcm_divs = None if params.M is None else tuple(factorize(params.lcm_index).divisors())
-    cfg = (params.a, params.b, params.index_a, params.N, lcm_divs)
+    cfg = (params.a, params.b, params.index_a, params.N)
     primes: list[tuple[int, int]] = []
     for chunk in map_blocks(_qualify_block, cfg, 2, params.x + 1, jobs):
         primes.extend(chunk)

@@ -843,7 +843,6 @@ class _FFScanFields(NamedTuple):
     a: FqPolynomial
     b: FqPolynomial
     n: int
-    count: int
     predicted: float
     predicted_alt: float
     total_irreducible: int
@@ -853,7 +852,11 @@ class _FFScanFields(NamedTuple):
 class FFScanResult(_FFScanFields):
     """The qualifying pi of degree N and what they were computed from: the
     certificates ff_direct_verify and ff_equivalence_check read it all here.
-    A copy made by `_replace` computes its own `qualifying`."""
+    A copy made by `_replace` computes its own `qualifying` and `count`."""
+
+    @property
+    def count(self) -> int:
+        return len(self.roots)
 
     @cached_property
     def qualifying(self) -> tuple[tuple[int, ...], ...]:
@@ -999,7 +1002,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
         density *= (1.0 - 1.0 / l) ** 2
         density_alt *= (l - 1.0) ** e / l**e
     scale = constr.Q**N / N
-    return FFScanResult(constr, N, a, b, n, len(roots), density * scale, density_alt * scale, total, roots)
+    return FFScanResult(constr, N, a, b, n, density * scale, density_alt * scale, total, roots)
 
 
 def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:

@@ -4,9 +4,10 @@ A prime p qualifies for (N, a, b) when p = 1 mod N, p != 1 mod N*l for every
 prime l | N, and neither a nor b is an l-th power mod p.  For such p and any
 n coprime to N divisible by (p-1)/N, p divides both Phi_N(a^n) and
 Phi_N(b^n); `lemma_scan` re-verifies that divisibility numerically rather
-than trusting it.  A mixed run takes a to the index M and b to N, and the
-congruences to L = lcm(M, N).  `check_bases` states the hypotheses on the
-bases that every integer run rests on.
+than trusting it.  A mixed run takes a to the index M and b to N, the
+congruences to L = lcm(M, N), and asks that a^((p-1)/L) have order exactly M
+and b^((p-1)/L) order exactly N.  `check_bases` states the hypotheses on
+the bases and indices that every integer run rests on.
 """
 
 import functools
@@ -20,6 +21,8 @@ from .parallel import map_blocks
 
 # The longest wheel of admissible classes qualifying_primes builds, in classes of k
 _WHEEL_CAP = 1 << 12
+# The most numbers qualifying_primes sieves at once, so a block's memory is bounded
+_SEGMENT = 1 << 22
 
 
 def _quadratic_field(c: int) -> tuple[int, int]:
@@ -31,12 +34,15 @@ def _quadratic_field(c: int) -> tuple[int, int]:
 def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
     """The hypotheses on the bases of an integer run, with a taken to the
     index M and b to the index N: bases at least 2, indices at least 1,
-    neither base an l-th power in Q for a prime l | lcm(M, N), and no base
-    of even index a square mod every prime p = 1 (mod lcm(M, N)*d).
+    neither base an l-th power in Q for a prime l | lcm(M, N), no base of
+    even index a square mod every prime p = 1 (mod lcm(M, N)*d), and
+    gcd(M/D, D) = gcd(N/D, D) = 1 for D = gcd(M, N).
 
     A base c is such a square when the discriminant of Q(sqrt c) divides
     the modulus: then Q(sqrt c) lies in Q(zeta_modulus), so c is a square
-    mod every prime p = 1 (mod modulus) and no prime can qualify.
+    mod every prime p = 1 (mod modulus) and no prime can qualify.  The last
+    gives a prime l | M or l | N the same power there as in lcm(M, N), which
+    the order test of `qualifying_primes` rests on.
     """
     if a < 2 or b < 2:
         raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
@@ -61,6 +67,12 @@ def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
                 f"{name} = {c} is a square mod every prime p = 1 (mod {modulus}): the "
                 f"discriminant {disc} of Q(sqrt {core}) divides {modulus}, so no prime qualifies"
             )
+    D = math.gcd(M, N)
+    if math.gcd(M // D, D) != 1 or math.gcd(N // D, D) != 1:
+        raise HypothesisError(
+            f"indices M = {M}, N = {N} need gcd(M/D, D) = gcd(N/D, D) = 1 "
+            f"for D = gcd(M, N) = {D}"
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -79,25 +91,28 @@ def _admissible_wheel(modulus: int, d: int, period: int, cores: tuple[int, ...])
 
 
 def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int = 1):
-    """Yield (p, (p-1)/L) for each prime p in [lo, hi) that qualifies for
-    base a at index M and base b at index N and has d | (p-1)/L, where
-    L = lcm(M, N).
+    """Yield (p, w) for each prime p in [lo, hi) with p = 1 (mod L),
+    p != 1 (mod L*l) for every prime l | L, d | w, and a^w of order exactly
+    M and b^w of order exactly N mod p, where L = lcm(M, N), w = (p-1)/L.
+    This is the one statement of the conditions that champion, density and
+    the lemma scan share; check_bases states the hypotheses they rest on.
 
-    p qualifies when p = 1 (mod L), p != 1 (mod L*l) for every prime l | L,
-    p divides neither base, a is not an l-th power mod p for any prime
-    l | M and b is not an l-th power mod p for any prime l | N.  This is
-    the one statement of the conditions that champion, density and the
-    lemma scan share; check_bases states the hypotheses they rest on.
+    The orders are tested as: p divides neither base, a is not an l-th
+    power mod p for any prime l | M nor b for any prime l | N, and
+    c^(w*I) = 1 for each base c whose index I is below L.  Under the index
+    hypothesis each prime l | I has the same power in I as in L, so once the
+    order of c^w divides I, c^((p-1)/l) != 1 says it does not divide I/l.
 
-    Only p = 1 + L*d*k is sieved, which covers both congruences, and
-    the sieve starts from a wheel of the classes of k that pass every other
-    condition the class decides: l ∤ w = d*k for each l, and each square
-    test (l = 2) of a base c.  For an odd prime p not dividing c, (c/p) is
-    the Jacobi symbol (core(c) / p), core(c) the squarefree part of c, and
-    by quadratic reciprocity it depends only on p mod the discriminant of
-    Q(sqrt c).  A square test whose discriminant would stretch the wheel
-    past _WHEEL_CAP classes or past the range runs Euler's criterion per
-    prime instead, like every odd l.
+    Only p = 1 + L*d*k is sieved, which covers both congruences, in
+    segments of at most _SEGMENT numbers, and the sieve starts from a wheel
+    of the classes of k that pass every other condition the class decides:
+    l ∤ w = d*k for each l, and each square test (l = 2) of a base c.  For
+    an odd prime p not dividing c, (c/p) is the Jacobi symbol
+    (core(c) / p), core(c) the squarefree part of c, and by quadratic
+    reciprocity it depends only on p mod the discriminant of Q(sqrt c).  A
+    square test whose discriminant would stretch the wheel past _WHEEL_CAP
+    classes or past the range runs Euler's criterion per prime instead,
+    like every odd l.
     """
     modulus = math.lcm(M, N)
     # smallest l first: a test with l rejects about 1/l of the primes
@@ -115,14 +130,19 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
             period, settled[c] = grown, core
     powers = [(c, l) for c, l in powers if l != 2 or c not in settled]
     wheel = _admissible_wheel(modulus, d, period, tuple(settled.values()))
-    for p in primes_in_range(lo, hi, step, wheel):
-        if a % p == 0 or b % p == 0:
-            continue
-        for c, l in powers:
-            if pow(c, (p - 1) // l, p) == 1:
-                break
-        else:
-            yield p, (p - 1) // modulus
+    # c^(w*I) = c^((p-1)/(L/I)) for a base c of index I < L; at I = L it is 1 by Fermat
+    orders = [(c, modulus // index) for c, index in ((a, M), (b, N)) if index < modulus]
+    for start in range(lo, hi, _SEGMENT):
+        for p in primes_in_range(start, min(start + _SEGMENT, hi), step, wheel):
+            if a % p == 0 or b % p == 0:
+                continue
+            if orders and any(pow(c, (p - 1) // k, p) != 1 for c, k in orders):
+                continue
+            for c, l in powers:
+                if pow(c, (p - 1) // l, p) == 1:
+                    break
+            else:
+                yield p, (p - 1) // modulus
 
 
 class LemmaScanResult(NamedTuple):

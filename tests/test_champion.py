@@ -399,9 +399,3 @@ def test_squares_forced_by_the_modulus_rejected():
         ChampionParams(a=3, b=2, N=8, M=1, x=100)
     # with M odd, base a is never tested for squares
     ChampionParams(a=2, b=5, N=8, M=3, x=100)
-
-
-def test_order_outside_the_divisor_list_is_a_verification_error():
-    # 2 has order 3 mod 7, which divides neither 1 nor 2
-    with pytest.raises(VerificationError, match="divides none of"):
-        champion._order_dividing(2, 7, (1, 2))

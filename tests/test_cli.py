@@ -387,17 +387,18 @@ def test_verification_failure_is_exit_two(capsys, monkeypatch):
 def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
     from cyclogcd import champion
 
-    real = champion._order_dividing
+    real = champion._busiest_slot
 
-    def truncated(u, p, divisors):
-        # drop the divisor 2, so an order of 2 is found nowhere
-        return real(u, p, divisors[:1])
+    def short(progressions):
+        # one increment lost, so the histogram no longer holds every pair
+        count, cell, total = real(progressions)
+        return count, cell, total - 1
 
-    monkeypatch.setattr(champion, "_order_dividing", truncated)
+    monkeypatch.setattr(champion, "_busiest_slot", short)
     code = main(["champion", "--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "500",
                  "--delta", "0.5"])
     assert code == 2
-    assert "divides none of" in capsys.readouterr().err
+    assert "the cell histogram counted" in capsys.readouterr().err
 
 
 def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):

@@ -563,14 +563,16 @@ def _horner_scan(constr, N, a, b):
 
 def test_ff_scan_matches_the_power_criterion():
     # every monic irreducible pi tested by powmods: odd p, Q != p, r > 1 with
-    # k = 2, m = 15 with two primes l | m, and bases over F_4 \ F_2; one base
-    # twice where no pi makes two distinct bases r-th powers
+    # k = 2, m = 15 with two primes l | m, bases over F_4 \ F_2, and pi = T
+    # qualifying at N = 1 (bases T + 2, T + 4 over F_7); one base twice where
+    # no pi makes two distinct bases r-th powers
     T, T1 = (0, 1), (1, 1)
     cases = [(F2, 2, 1, 1, 1, T, T), (F2, 2, 1, 1, 2, T, T), (F2, 1, 1, 3, 2, T, T1),
              (F2, 1, 1, 15, 1, T, T1), (F2, 1, 1, 15, 2, T, T1), (F2, 2, 1, 5, 2, T, T1),
              (F2, 2, 3, 3, 2, T, T1), (F3, 1, 1, 2, 4, T, T1), (F3, 2, 4, 2, 3, T, T1),
              (F3, 2, 1, 2, 2, T, T), (fq_context(7, 1), 1, 1, 3, 3, (3, 1), (5, 1)),
-             (F4, 1, 1, 3, 3, (2, 1), (3, 1)), (F4, 1, 1, 5, 2, T, T1)]
+             (F4, 1, 1, 3, 3, (2, 1), (3, 1)), (F4, 1, 1, 5, 2, T, T1),
+             (fq_context(7, 1), 1, 1, 3, 1, (2, 1), (4, 1))]
     seen = set()
     for base, k, n0, m, N, a, b in cases:
         constr = ff_construction(base, k, n0, m)
@@ -582,9 +584,11 @@ def test_ff_scan_matches_the_power_criterion():
         scan = ff_scan(constr, N, a, b)
         assert scan.qualifying == tuple(sorted(expected)) == _horner_scan(constr, N, a, b), (base, k, n0, m, N)
         assert scan.count == len(scan.qualifying) > 0, (base, k, n0, m, N)
+        if T in scan.qualifying:
+            assert scan.qualifying == (T,) and ff_equivalence_check(scan)[1] == []
         seen |= {("odd p", base.p > 2), ("Q != p", constr.Q != base.p),
-                 ("r > 1", constr.r > 1 and k == 2), ("m = 15", m == 15)}
-    assert {label for label, hit in seen if hit} == {"odd p", "Q != p", "r > 1", "m = 15"}
+                 ("r > 1", constr.r > 1 and k == 2), ("m = 15", m == 15), ("pi = T", T in scan.qualifying)}
+    assert {label for label, hit in seen if hit} == {"odd p", "Q != p", "r > 1", "m = 15", "pi = T"}
 
 
 def test_norm_is_the_product_of_the_conjugates():
@@ -759,7 +763,7 @@ def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
     # them first), so a product that loses an end still fails
     places = set()
     for extra in outside:
-        doctored = scan._replace(roots=scan.roots + array("i", [root_of(extra.coeffs, 3)]), count=scan.count + 1)
+        doctored = scan._replace(roots=scan.roots + array("i", [root_of(extra.coeffs, 3)]))
         places.add(doctored.qualifying.index(extra.coeffs))
         with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {extra} does not divide")):
             ff_direct_verify(doctored)

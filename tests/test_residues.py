@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -142,6 +143,11 @@ def test_check_bases_refusals():
     check_bases(5, 2, 2, 2)
     with pytest.raises(HypothesisError, match=r"a = 5 is a square mod every prime p = 1 \(mod 10\)"):
         check_bases(5, 2, 2, 2, 5)
+    # the index hypothesis: D = gcd(4, 6) = 2 divides 4/D, while 6/D = 3 and 2/D = 1 are prime to D
+    with pytest.raises(HypothesisError, match=r"indices M = 4, N = 6 need gcd\(M/D, D\) = gcd\(N/D, D\) = 1 "
+                                              r"for D = gcd\(M, N\) = 2$"):
+        check_bases(5, 7, 4, 6)
+    check_bases(5, 7, 2, 6)
 
 
 def test_constructed_n_coprimality():
@@ -179,26 +185,28 @@ def test_square_class_memo_matches_legendre():
                         for t in qualifying_primes(*block, c, 1, modulus, 1)] == want, (modulus, c)
 
 
-def test_qualifying_primes_matches_brute_force():
-    # the conditions checked for every prime on its own, with Euler's criterion and no
-    # classes.  1000003 is too large a discriminant for the wheel and keeps the powmod.  For
-    # modulus 2, bases 8 and 1001 need a wheel of 4004 classes: the whole range builds it, and
-    # its 4 and 8 blocks, shorter than that, test 1001 by the powmod instead.  Base a sits at
-    # index M and b at index N: both, one of them, and the power of the smallest l against the rest
+def test_qualifying_primes_matches_brute_force(monkeypatch):
+    # the definition checked for every prime on its own, with sympy's n_order and no
+    # classes: a^w of order M and b^w of order N.  1000003 is too large a discriminant for
+    # the wheel and keeps the powmod.  For modulus 2, bases 8 and 1001 need a wheel of 4004
+    # classes: the whole range builds it, and its 4 and 8 blocks, shorter than that, test
+    # 1001 by the powmod instead.  Base a sits at index M and b at index N: both, one of
+    # them, and the power of the smallest l against the rest.  The whole range is sieved
+    # in segments of 2999 numbers, so ten segments share its wheel
     hi = 30000
     primes = list(primerange(2, hi))
+    order = functools.cache(lambda c, p, w: n_order(pow(c, w, p), p))  # w = (p-1)/lcm(M, N)
 
     def want(a, b, M, N, d):
         out = []
         modulus = math.lcm(M, N)
-        ells, ells_a, ells_b = primefactors(modulus), primefactors(M), primefactors(N)
+        ells = primefactors(modulus)
         for p in primes:
             w = (p - 1) // modulus
             if ((p - 1) % modulus or w % d or a % p == 0 or b % p == 0
                     or any(w % l == 0 for l in ells)):
                 continue
-            if all(pow(a, (p - 1) // l, p) != 1 for l in ells_a) and all(
-                    pow(b, (p - 1) // l, p) != 1 for l in ells_b):
+            if order(a, p, w) == M and order(b, p, w) == N:
                 out.append((p, w))
         return out
 
@@ -210,11 +218,12 @@ def test_qualifying_primes_matches_brute_force():
                 for M, N in ((modulus, modulus), (modulus, 1), (1, modulus), (head, modulus // head)):
                     case = (a, b, M, N, d)
                     oracle = want(*case)
-                    assert list(qualifying_primes(2, hi, *case)) == oracle, case
-                    if M == N:
-                        for pieces in (4, 8):
-                            blocks = split_range(2, hi, pieces)
-                            assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+                    for pieces in (4, 8):
+                        blocks = split_range(2, hi, pieces)
+                        assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+                    with monkeypatch.context() as patch:
+                        patch.setattr(residues, "_SEGMENT", 2999)
+                        assert list(qualifying_primes(2, hi, *case)) == oracle, case
 
 
 def test_squares_forced_by_the_modulus():

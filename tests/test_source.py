@@ -132,3 +132,13 @@ def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
         assert args[0].big.q ** args[1] == 4 ** args[1]
         assert isinstance(result.count, int) and isinstance(result.total_irreducible, int)
     assert [result.deg_gcd for _, _, result in calls["ff_direct_verify"]] == [2, 6]
+
+
+def test_trace_mode_installs_for_every_bench_label():
+    # benchmark/spans.py looks up each name it wraps with getattr, so a name
+    # renamed or removed here breaks `benchmark/run.py --trace 1` at install
+    path = [str(ROOT / "src"), str(ROOT / "benchmark")]
+    labels = ["champion", "champion.mixed", "density", "verify-lemma", "ffield.ext", "ffield.prime"]
+    code = f"import sys; sys.path[:0] = {path!r}; import spans\nfor label in {labels!r}: spans.install(label)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
