@@ -6,16 +6,11 @@ offset logarithmic integral.  Everything here is pure and deterministic, so
 the functions are safe to call from any number of workers.
 """
 
-import bisect
 import math
 import re
 from typing import NamedTuple
 
 from .errors import VerificationError
-
-# Trial division handles everything up to this bound; Pollard rho takes the
-# (rare) larger cofactors.  Inputs in this project stay far below 64 bits.
-_TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witnesses: exact for every n below
 # _MR_EXACT_LIMIT, the least strong pseudoprime to all thirteen bases
@@ -62,21 +57,8 @@ def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]
     return [first + step * m.start() for m in _SET_FLAG.finditer(flags)]
 
 
-# Growing prime cache backing factorize / delta scans; extended geometrically.
-_prime_cache: list[int] = sieve_primes(1 << 12)
-_prime_cache_limit = 1 << 12
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """Cached prime list; the cache only grows."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        new_limit = max(limit, 2 * _prime_cache_limit)
-        _prime_cache = sieve_primes(new_limit)
-        _prime_cache_limit = new_limit
-    if limit >= _prime_cache_limit:
-        return list(_prime_cache)
-    return _prime_cache[: bisect.bisect_right(_prime_cache, limit)]
+# factorize trial-divides by these; Pollard rho splits what is left
+_TRIAL_PRIMES = tuple(sieve_primes(1 << 12))
 
 
 def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
@@ -179,7 +161,7 @@ class FactoredInt(_Factorization):
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle finding).
+    """A nontrivial factor of odd composite n (Floyd's cycle finding).
 
     The parameter sequence is fixed, so results are deterministic.
     """
@@ -199,14 +181,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> FactoredInt:
-    """Full prime factorization of n >= 1 (n = 1 gives the empty map)."""
+    """Full prime factorization of n >= 1 (n = 1 gives the empty map): trial
+    division by the primes below 2^12 while p^2 <= n, then Pollard rho."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     value = n
     factors: dict[int, int] = {}
-    bound = min(math.isqrt(n), _TRIAL_LIMIT)
-    for p in primes_up_to(max(bound, 2)):
-        if p > bound:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
             break
         if n % p == 0:
             e = 0
@@ -214,7 +196,6 @@ def factorize(n: int) -> FactoredInt:
                 n //= p
                 e += 1
             factors[p] = e
-            bound = min(math.isqrt(n), _TRIAL_LIMIT)
     if n > 1:
         stack = [n]
         while stack:

@@ -289,14 +289,13 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
     certificate is unsound, so it is never downgraded.
     """
     for p in report.distinct_primes:
-        if eval_mod_prime(params.index_a, params.a, report.n, p) != 0:
-            raise VerificationError(
-                f"{p} does not divide Phi_{params.index_a}({params.a}^{report.n})"
-            )
-        if eval_mod_prime(params.N, params.b, report.n, p) != 0:
-            raise VerificationError(
-                f"{p} does not divide Phi_{params.N}({params.b}^{report.n})"
-            )
+        for index, base in ((params.index_a, params.a), (params.N, params.b)):
+            if base % p == 0:  # then Phi_index(base^n) = Phi_index(0) = +-1 (mod p)
+                raise VerificationError(
+                    f"{p} divides the base {base}, so it does not divide Phi_{index}({base}^{report.n})"
+                )
+            if eval_mod_prime(index, base, report.n, p) != 0:
+                raise VerificationError(f"{p} does not divide Phi_{index}({base}^{report.n})")
     return report._replace(verified=True)
 
 

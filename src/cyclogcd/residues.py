@@ -76,16 +76,17 @@ def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _admissible_wheel(modulus: int, d: int, period: int, cores: tuple[int, ...]) -> bytes:
+def _admissible_wheel(modulus: int, d: int, period: int, tests: tuple[tuple[int, int], ...]) -> bytes:
     """Entry k of the wheel, for k mod period, is set iff the primes
     p = 1 + modulus*d*k in that class can qualify: w = d*k has l ∤ w for
-    each prime l | modulus, and the Jacobi symbol (core / p) is -1 for each
-    squarefree core.  `period` is a multiple of rad(modulus) and of the
-    progression's period mod each core's discriminant."""
+    each prime l | modulus, and the Jacobi symbol (core / p) equals sign for
+    each (squarefree core, sign) test.  `period` is a multiple of
+    rad(modulus) and of the progression's period mod each core's
+    discriminant."""
     step = modulus * d
     ells = factorize(modulus).primes()
     return bytes(
-        all(d * k % l for l in ells) and all(jacobi(core, 1 + step * k) == -1 for core in cores)
+        all(d * k % l for l in ells) and all(jacobi(core, 1 + step * k) == sign for core, sign in tests)
         for k in range(period)
     )
 
@@ -106,32 +107,36 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     Only p = 1 + L*d*k is sieved, which covers both congruences, in
     segments of at most _SEGMENT numbers, and the sieve starts from a wheel
     of the classes of k that pass every other condition the class decides:
-    l ∤ w = d*k for each l, and each square test (l = 2) of a base c.  For
-    an odd prime p not dividing c, (c/p) is the Jacobi symbol
-    (core(c) / p), core(c) the squarefree part of c, and by quadratic
-    reciprocity it depends only on p mod the discriminant of Q(sqrt c).  A
-    square test whose discriminant would stretch the wheel past _WHEEL_CAP
-    classes or past the range runs Euler's criterion per prime instead,
+    l ∤ w = d*k for each l, each square test (l = 2) of a base c, which
+    asks (c/p) = -1, and each order test with L/I = 2, c^((p-1)/2) = 1,
+    which asks (c/p) = +1.  For an odd prime p not dividing c, (c/p) is the
+    Jacobi symbol (core(c) / p), core(c) the squarefree part of c, and by
+    quadratic reciprocity it depends only on p mod the discriminant of
+    Q(sqrt c).  A test whose discriminant would stretch the wheel past
+    _WHEEL_CAP classes or past the range runs its powmod per prime instead,
     like every odd l.
     """
     modulus = math.lcm(M, N)
     # smallest l first: a test with l rejects about 1/l of the primes
     powers = [(a, l) for l in factorize(M).primes()] + [(b, l) for l in factorize(N).primes()]
     powers.sort(key=lambda t: t[1])
+    # c^(w*I) = c^((p-1)/(L/I)) for a base c of index I < L; at I = L it is 1 by Fermat
+    orders = [(c, modulus // index) for c, index in ((a, M), (b, N)) if index < modulus]
     step = modulus * d
     period = math.prod(factorize(modulus).primes())
-    settled = {}  # base -> squarefree core, for the square tests the wheel decides
-    # the wheel costs one Jacobi symbol per class and settled base, and p must be odd
+    # (base, sign) -> (squarefree core, sign) for each test the wheel decides:
+    # sign -1 for a square test, +1 for an order test with L/I = 2
+    settled = {}
+    # the wheel costs one Jacobi symbol per class and settled test, and p must be odd
     limit = min(_WHEEL_CAP, (hi - lo) // step) if step % 2 == 0 else 0
-    for c in sorted({c for c, l in powers if l == 2}):
+    for c, sign in sorted({(c, -1) for c, l in powers if l == 2} | {(c, 1) for c, k in orders if k == 2}):
         core, disc = _quadratic_field(c)
         grown = math.lcm(step * period, disc) // step
         if grown <= limit:
-            period, settled[c] = grown, core
-    powers = [(c, l) for c, l in powers if l != 2 or c not in settled]
+            period, settled[c, sign] = grown, (core, sign)
+    powers = [(c, l) for c, l in powers if l != 2 or (c, -1) not in settled]
+    orders = [(c, k) for c, k in orders if k != 2 or (c, 1) not in settled]
     wheel = _admissible_wheel(modulus, d, period, tuple(settled.values()))
-    # c^(w*I) = c^((p-1)/(L/I)) for a base c of index I < L; at I = L it is 1 by Fermat
-    orders = [(c, modulus // index) for c, index in ((a, M), (b, N)) if index < modulus]
     for start in range(lo, hi, _SEGMENT):
         for p in primes_in_range(start, min(start + _SEGMENT, hi), step, wheel):
             if a % p == 0 or b % p == 0:

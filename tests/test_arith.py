@@ -131,6 +131,22 @@ def test_factorize_matches_sympy_past_the_trial_bound():
         assert factorize(n).factors == sympy.factorint(n), n
 
 
+def test_factorize_matches_sympy_past_the_trial_primes():
+    # trial division stops at the primes below 2^12, so each prime here and
+    # every power or product of them is left to Pollard rho
+    above = [4099, 4111, 10007, 65537]
+    assert min(above) > 2**12 > max(sieve_primes(2**12))
+    cases = [p**e for p in above for e in (1, 2, 3)]
+    cases += [p * q for p in above for q in above if p < q]
+    cases += [2**k * p * q for k in (1, 7, 20) for p, q in zip(above, above[1:])]
+    cases += [4093 * 4099, 4093**2 * 4099, 3**5 * 4099**2 * 65537]
+    rng = random.Random(11)
+    cases += [rng.randrange(2**24, 10**12) for _ in range(200)]
+    cases += [2**24, 2**24 + 1, 10**12 - 1, 10**12]
+    for n in cases:
+        assert factorize(n).factors == sympy.factorint(n), n
+
+
 def test_factorize_examples():
     assert factorize(1).factors == {}
     assert factorize(12).factors == {2: 2, 3: 1}

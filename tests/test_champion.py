@@ -148,6 +148,22 @@ def test_verify_champion_fails_loudly():
     params = ChampionParams(a=3, b=5, N=2, x=10, delta=0.5)
     with pytest.raises(VerificationError):
         verify_champion(_report_for(3, [(1, 5)]), params)  # 5 does not divide 28
+    # 7 divides Phi_1(2^3) = 7 but not Phi_1(13^3) = 2196: the b-side check
+    with pytest.raises(VerificationError, match=r"7 does not divide Phi_1\(13\^3\)"):
+        verify_champion(_report_for(3, [(1, 7)]), ChampionParams(a=2, b=13, N=1, x=10, delta=0.5))
+
+
+def test_verify_champion_refuses_a_prime_dividing_a_base():
+    # Phi_index(c^n) = +-1 mod a prime dividing c, so such a prime certifies nothing
+    params = ChampionParams(a=3, b=5, N=2, x=50, delta=0.5)
+    report = run_champion(params)
+    assert report.distinct_primes == (7, 43)
+    doctored = report._replace(distinct_primes=(3, *report.distinct_primes), verified=False)
+    with pytest.raises(VerificationError, match="3 divides the base 3, so it does not divide Phi_2"):
+        verify_champion(doctored, params)
+    # 7 divides Phi_1(2^3) = 7, so only the b-side check can refuse it
+    with pytest.raises(VerificationError, match="7 divides the base 7, so it does not divide Phi_1"):
+        verify_champion(_report_for(3, [(1, 7)]), ChampionParams(a=2, b=7, N=1, x=10, delta=0.5))
 
 
 FROZEN_X50 = dict(n=63, primes=(19, 43), pair_count=50, kernel=1 * 3)

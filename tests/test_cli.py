@@ -401,6 +401,24 @@ def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
     assert "the cell histogram counted" in capsys.readouterr().err
 
 
+def test_delta_path_disagreement_is_exit_two(capsys, monkeypatch):
+    from cyclogcd import oracles
+
+    real = oracles.sieve_primes
+    calls = []
+
+    def first_call_drops_seven(limit):
+        # path B sieves first; path A's own call stays exact
+        calls.append(limit)
+        primes = real(limit)
+        return [p for p in primes if p != 7] if len(calls) == 1 else primes
+
+    monkeypatch.setattr(oracles, "sieve_primes", first_call_drops_seven)
+    code = main(["delta", "--limit", "50"])
+    assert code == 2 and len(calls) == 2
+    assert "verification failure: delta range paths disagree" in capsys.readouterr().err
+
+
 def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
     from cyclogcd import ffield
 

@@ -21,6 +21,30 @@ def test_no_assert_in_src():
     assert found == []
 
 
+def _annotation_names(tree):
+    # the names read by string annotations such as ratio: "Fraction"
+    notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    texts = [n.value for n in notes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return {n.id for text in texts for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)}
+
+
+def test_every_import_in_src_is_used():
+    # a module imports only what it reads, so the package root re-exports
+    # nothing and a helper's last caller takes its import with it
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_cli_suite_passes_under_python_o():
     # -O strips asserts from the package; pytest still rewrites those of the
     # test modules, so every golden, every exit-code check and the field
@@ -66,8 +90,9 @@ def test_cli_import_leaves_fractions_decimal_and_csv_out():
 
 
 def test_records_keep_value_semantics():
-    from cyclogcd import ChampionParams, FqPolynomial, fq_context, run_champion
+    from cyclogcd.champion import ChampionParams, run_champion
     from cyclogcd.errors import HypothesisError
+    from cyclogcd.ffield import FqPolynomial, fq_context
 
     # a polynomial equals another exactly when the field and the coefficients do
     f2, f4 = fq_context(2, 1), fq_context(2, 2)
