@@ -165,8 +165,6 @@ def _pollard_rho(n: int) -> int:
 
     The parameter sequence is fixed, so results are deterministic.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1

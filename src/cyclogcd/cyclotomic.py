@@ -8,24 +8,9 @@ and grow without bound in general.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import euler_phi, factorize, moebius
 from .errors import VerificationError
-
-
-class CyclotomicPoly(NamedTuple):
-    """Index N plus the dense integer coefficient vector of Phi_N.
-
-    coeffs is ascending (constant term first) with degree euler_phi(N).
-    """
-
-    index: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _mul_by_x_pow_minus_1(coeffs: list[int], d: int) -> list[int]:
@@ -53,8 +38,9 @@ def _divexact_by_x_pow_minus_1(coeffs: list[int], d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def build_cyclotomic(index: int) -> CyclotomicPoly:
-    """Construct Phi_index exactly; Phi_1 = x - 1, Phi_2 = x + 1, and so on."""
+def build_cyclotomic(index: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_index, constant term first, of degree
+    euler_phi(index); Phi_1 = x - 1 is (-1, 1), Phi_2 = x + 1 is (1, 1)."""
     if index < 1:
         raise ValueError("cyclotomic index must be positive")
     numerator_degrees = []
@@ -70,16 +56,16 @@ def build_cyclotomic(index: int) -> CyclotomicPoly:
         coeffs = _mul_by_x_pow_minus_1(coeffs, d)
     for d in denominator_degrees:
         coeffs = _divexact_by_x_pow_minus_1(coeffs, d)
-    poly = CyclotomicPoly(index, tuple(coeffs))
-    if poly.degree != euler_phi(index) or poly.coeffs[-1] != 1:
+    if len(coeffs) != euler_phi(index) + 1 or coeffs[-1] != 1:
         raise VerificationError(f"Phi_{index} is not monic of degree phi({index})")
-    return poly
+    return tuple(coeffs)
 
 
-def eval_int(phi: CyclotomicPoly, v: int) -> int:
-    """Exact Horner evaluation of Phi at an integer."""
+def eval_int(coeffs: tuple[int, ...], v: int) -> int:
+    """Exact Horner evaluation at an integer of the polynomial with these
+    coefficients, constant term first."""
     acc = 0
-    for c in reversed(phi.coeffs):
+    for c in reversed(coeffs):
         acc = acc * v + c
     return acc
 
@@ -94,7 +80,7 @@ def eval_mod_prime(index: int, a: int, n: int, p: int) -> int:
         raise ValueError(f"{p} divides the base {a}")
     t = pow(a, n, p)
     acc = 0
-    for c in reversed(build_cyclotomic(index).coeffs):
+    for c in reversed(build_cyclotomic(index)):
         acc = (acc * t + c) % p
     return acc
 
@@ -110,6 +96,6 @@ def eval_poly_fq(index: int, value):
         raise ValueError(f"characteristic {ctx.p} divides the cyclotomic index {index}")
     constant = type(value).constant
     acc = constant(ctx, 0)
-    for c in reversed(build_cyclotomic(index).coeffs):
+    for c in reversed(build_cyclotomic(index)):
         acc = acc * value + constant(ctx, c % ctx.p)
     return acc

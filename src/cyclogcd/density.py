@@ -49,14 +49,8 @@ def dependence_exponent(a, b, l: int) -> int:
 
 
 class DensityPrediction(NamedTuple):
-    modulus: int
-    d: int
     exponents: tuple[tuple[int, int], ...]  # (l, e) pairs, l ascending
     ratio: "Fraction"
-
-    @property
-    def ratio_float(self) -> float:
-        return float(self.ratio)
 
 
 def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
@@ -80,7 +74,7 @@ def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction
     ratio = num / euler_phi(modulus * d)
     if not 0 < ratio <= 1:
         raise VerificationError(f"density ratio {ratio} left (0, 1]")
-    return DensityPrediction(modulus, d, tuple(exponents), ratio)
+    return DensityPrediction(tuple(exponents), ratio)
 
 
 class DensityCheck(NamedTuple):
@@ -88,7 +82,6 @@ class DensityCheck(NamedTuple):
     expected: float
     relative_error: float
     prediction: DensityPrediction
-    x: int
 
 
 def _count_block(params, block) -> int:
@@ -102,6 +95,6 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
         raise ValueError(f"x must be at least 100, got {x}")
     prediction = predicted_density(modulus, d, a, b)
     count = sum(map_blocks(_count_block, (modulus, d, a, b), 2, x + 1, jobs))
-    expected = prediction.ratio_float * li(x)
-    relative_error = abs(count / expected - 1.0) if expected else math.inf
-    return DensityCheck(count, expected, relative_error, prediction, x)
+    # the ratio lies in (0, 1] and li(x) > 0 for x >= 100, so expected > 0
+    expected = float(prediction.ratio) * li(x)
+    return DensityCheck(count, expected, abs(count / expected - 1.0), prediction)

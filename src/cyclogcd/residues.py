@@ -114,7 +114,9 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     quadratic reciprocity it depends only on p mod the discriminant of
     Q(sqrt c).  A test whose discriminant would stretch the wheel past
     _WHEEL_CAP classes or past the range runs its powmod per prime instead,
-    like every odd l.
+    like every odd l.  A block whose range of k is shorter than rad(L) builds
+    no wheel, whose every class costs a Python step, and tests l ∤ w per
+    prime: the sieve keeps at most one prime per k, so that costs no more.
     """
     modulus = math.lcm(M, N)
     # smallest l first: a test with l rejects about 1/l of the primes
@@ -123,12 +125,15 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     # c^(w*I) = c^((p-1)/(L/I)) for a base c of index I < L; at I = L it is 1 by Fermat
     orders = [(c, modulus // index) for c, index in ((a, M), (b, N)) if index < modulus]
     step = modulus * d
-    period = math.prod(factorize(modulus).primes())
+    ells = factorize(modulus).primes()
+    period = math.prod(ells)
+    k_range = (hi - lo) // step
+    wheeled = period <= k_range
     # (base, sign) -> (squarefree core, sign) for each test the wheel decides:
     # sign -1 for a square test, +1 for an order test with L/I = 2
     settled = {}
     # the wheel costs one Jacobi symbol per class and settled test, and p must be odd
-    limit = min(_WHEEL_CAP, (hi - lo) // step) if step % 2 == 0 else 0
+    limit = min(_WHEEL_CAP, k_range) if step % 2 == 0 and wheeled else 0
     for c, sign in sorted({(c, -1) for c, l in powers if l == 2} | {(c, 1) for c, k in orders if k == 2}):
         core, disc = _quadratic_field(c)
         grown = math.lcm(step * period, disc) // step
@@ -136,9 +141,12 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
             period, settled[c, sign] = grown, (core, sign)
     powers = [(c, l) for c, l in powers if l != 2 or (c, -1) not in settled]
     orders = [(c, k) for c, k in orders if k != 2 or (c, 1) not in settled]
-    wheel = _admissible_wheel(modulus, d, period, tuple(settled.values()))
+    wheel = _admissible_wheel(modulus, d, period, tuple(settled.values())) if wheeled else b"\x01"
     for start in range(lo, hi, _SEGMENT):
-        for p in primes_in_range(start, min(start + _SEGMENT, hi), step, wheel):
+        candidates = primes_in_range(start, min(start + _SEGMENT, hi), step, wheel)
+        if not wheeled:
+            candidates = [p for p in candidates if all((p - 1) // modulus % l for l in ells)]
+        for p in candidates:
             if a % p == 0 or b % p == 0:
                 continue
             if orders and any(pow(c, (p - 1) // k, p) != 1 for c, k in orders):
@@ -151,14 +159,8 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
 
 
 class LemmaScanResult(NamedTuple):
-    modulus: int
-    a: int
-    b: int
-    p_max: int
-    m_max: int
     qualified_primes: int
     cases_checked: int
-    failures: int
 
 
 def _lemma_scan_block(cfg, block) -> tuple[int, int]:
@@ -207,9 +209,9 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     # (smallest member, member count) of each class mod N of admissible m <= m_max
     firsts = [m for m in range(1, min(modulus, m_max) + 1) if math.gcd(m, modulus) == 1]
     classes = [(m, (m_max - m) // modulus + 1) for m in firsts]
-    cfg = (a, b, modulus, classes, build_cyclotomic(modulus).coeffs)
+    cfg = (a, b, modulus, classes, build_cyclotomic(modulus))
     qualified = checked = 0
     for q, c in map_blocks(_lemma_scan_block, cfg, 2, p_max + 1, jobs):
         qualified += q
         checked += c
-    return LemmaScanResult(modulus, a, b, p_max, m_max, qualified, checked, 0)
+    return LemmaScanResult(qualified, checked)

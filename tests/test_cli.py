@@ -437,6 +437,75 @@ def test_irreducible_count_mismatch_is_exit_two(capsys, monkeypatch):
     assert "the Moebius count is 4" in capsys.readouterr().err
 
 
+FF_Q2_DEG1 = [*FF_Q2[:-1], "1"]  # Q = 4 from r = 1, t = 2; n = 1 at degree 1
+
+
+@pytest.mark.parametrize("doctored, named", [
+    ({"r": 2}, "mr does not divide Q^1 - 1"),
+    ({"n0": 0}, "n = 1 escaped the class 0 mod 2"),
+])
+def test_doctored_construction_is_exit_two(doctored, named, capsys, monkeypatch):
+    # FFConstruction.n_for re-checks the n of each degree against the construction
+    from cyclogcd import cli
+
+    real = cli.ff_construction
+    monkeypatch.setattr(cli, "ff_construction", lambda *args: real(*args)._replace(**doctored))
+    assert main(["ff", *FF_Q2_DEG1]) == 2
+    assert f"verification failure: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [(1, 2, 8), (2, 2, 4), (1, 1, 2)])
+def test_construction_invariant_failure_is_exit_two(params, capsys, monkeypatch):
+    # against the real (1, 2, 4): Q not the size of the field built, r outside the class
+    # -1/(m n_0) mod q^k, and mr = 3 not dividing Q - 1
+    from cyclogcd import ffield
+
+    monkeypatch.setattr(ffield, "choose_params", lambda *args: params)
+    assert main(["ff", *FF_Q2_DEG1]) == 2
+    r, t, Q = params
+    assert f"construction invariants fail for r = {r}, t = {t}, Q = {Q}" in capsys.readouterr().err
+
+
+def test_modulus_search_that_finds_nothing_is_exit_two(capsys, monkeypatch):
+    # fresh field caches, so F_4 is searched for again and the cached fields stay as they were
+    from functools import lru_cache
+
+    from cyclogcd import cli, ffield
+
+    fields = lru_cache(ffield.fq_context.__wrapped__)
+    monkeypatch.setattr(ffield, "fq_context", fields)
+    monkeypatch.setattr(cli, "fq_context", fields)
+    monkeypatch.setattr(ffield, "extension", lru_cache(ffield.extension.__wrapped__))
+    monkeypatch.setattr(ffield, "_t_is_primitive", lambda base, mu: False)
+    assert main(["ff", *FF_Q2_DEG1]) == 2
+    assert "no monic polynomial of degree 2 over F_2 has T primitive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doctor", ["degree", "monic"])
+def test_cyclotomic_certificate_failure_is_exit_two(doctor, capsys, monkeypatch):
+    # build_cyclotomic's last check: Phi_1 built uncached, with a doctored totient or negated product
+    from cyclogcd import cyclotomic, oracles
+
+    monkeypatch.setattr(oracles, "build_cyclotomic", cyclotomic.build_cyclotomic.__wrapped__)
+    if doctor == "degree":
+        monkeypatch.setattr(cyclotomic, "euler_phi", lambda n: 2)
+    else:
+        real = cyclotomic._mul_by_x_pow_minus_1
+        monkeypatch.setattr(cyclotomic, "_mul_by_x_pow_minus_1", lambda f, d: [-c for c in real(f, d)])
+    assert main(["gcd-seq", "--a", "2", "--b", "3", "--N", "1", "--n-max", "3"]) == 2
+    assert "Phi_1 is not monic of degree phi(1)" in capsys.readouterr().err
+
+
+def test_non_ascii_polynomial_coefficient_exit_one(capsys):
+    # '²' passes str.isdigit but not int(): refused by name, not by int()'s message
+    argv = ["ff", *FF_Q2_DEG1]
+    argv[argv.index("--a-poly") + 1] = "0,²"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad polynomial coefficient '²'\n"
+
+
 def test_ff_above_the_orbit_table_cap_is_exit_one(capsys):
     # Q = 2^21 at degree 1: refused before any table is built
     code = main(["ff", "--q", "2", "--k", "21", "--n0", str(2**21 - 1), "--m", "1",
