@@ -44,9 +44,11 @@ def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]
     k_lo, k_hi = -(-(lo - 1) // step), -(-(hi - 1) // step)
     if k_hi <= k_lo:
         return []
-    period = len(wheel)
+    period, count = len(wheel), k_hi - k_lo
     shift = k_lo % period
-    flags = bytearray((wheel * -(-(k_hi - k_lo + shift) // period))[shift : shift + k_hi - k_lo])
+    # one allocation of the flags: the wheel turned to start at k_lo, repeated, and the tail cut
+    flags = bytearray(wheel[shift:] + wheel[:shift]) * -(-count // period)
+    del flags[count:]
     for q in _sieve(2, math.isqrt(hi - 1) + 1):
         if step % q == 0:
             continue

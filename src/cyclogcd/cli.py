@@ -24,8 +24,9 @@ from .arith import factorize
 from .champion import ChampionParams, run_champion
 from .density import empirical_density
 from .errors import HypothesisError, VerificationError
-from .ffield import (FieldContext, FqPolynomial, check_table_cap, ff_construction, ff_direct_verify, ff_scan,
-                     fq_context)
+from .ffield import check_table_cap, ff_construction, ff_direct_verify, ff_scan, fq_context
+from .fields import FieldContext
+from .fqpoly import FqPolynomial
 from .oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
 from .parallel import effective_jobs
 from .residues import lemma_scan

@@ -21,8 +21,9 @@ from .parallel import map_blocks
 
 # The longest wheel of admissible classes qualifying_primes builds, in classes of k
 _WHEEL_CAP = 1 << 12
-# The most numbers qualifying_primes sieves at once, so a block's memory is bounded
-_SEGMENT = 1 << 22
+# The most values of k in p = 1 + L*d*k that qualifying_primes sieves at once, so a
+# block's memory is bounded and a large step still sieves many k per segment
+_SEGMENT = 1 << 21
 
 
 def _quadratic_field(c: int) -> tuple[int, int]:
@@ -105,8 +106,8 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     order of c^w divides I, c^((p-1)/l) != 1 says it does not divide I/l.
 
     Only p = 1 + L*d*k is sieved, which covers both congruences, in
-    segments of at most _SEGMENT numbers, and the sieve starts from a wheel
-    of the classes of k that pass every other condition the class decides:
+    segments of at most _SEGMENT values of k, and the sieve starts from a
+    wheel of the classes of k that pass every other condition the class decides:
     l ∤ w = d*k for each l, each square test (l = 2) of a base c, which
     asks (c/p) = -1, and each order test with L/I = 2, c^((p-1)/2) = 1,
     which asks (c/p) = +1.  For an odd prime p not dividing c, (c/p) is the
@@ -142,8 +143,8 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     powers = [(c, l) for c, l in powers if l != 2 or (c, -1) not in settled]
     orders = [(c, k) for c, k in orders if k != 2 or (c, 1) not in settled]
     wheel = _admissible_wheel(modulus, d, period, tuple(settled.values())) if wheeled else b"\x01"
-    for start in range(lo, hi, _SEGMENT):
-        candidates = primes_in_range(start, min(start + _SEGMENT, hi), step, wheel)
+    for start in range(lo, hi, _SEGMENT * step):
+        candidates = primes_in_range(start, min(start + _SEGMENT * step, hi), step, wheel)
         if not wheeled:
             candidates = [p for p in candidates if all((p - 1) // modulus % l for l in ells)]
         for p in candidates:

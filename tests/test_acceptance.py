@@ -19,13 +19,13 @@ from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.density import empirical_density, predicted_density
 from cyclogcd.errors import HypothesisError
 from cyclogcd.ffield import (
-    FqPolynomial,
     ff_construction,
     ff_direct_verify,
     ff_equivalence_check,
     ff_scan,
     fq_context,
 )
+from cyclogcd.fqpoly import FqPolynomial
 from cyclogcd.oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
 from cyclogcd.residues import lemma_scan
 

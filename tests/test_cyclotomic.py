@@ -11,7 +11,8 @@ from cyclogcd.cyclotomic import (
     eval_poly_fq,
 )
 from cyclogcd.errors import VerificationError
-from cyclogcd.ffield import FqPolynomial, fq_context
+from cyclogcd.ffield import fq_context
+from cyclogcd.fqpoly import FqPolynomial
 
 
 def poly_mul(a, b):

@@ -19,14 +19,9 @@ from cyclogcd.ffield import (
     _FIELD_CAP,
     _log_at,
     _log_terms,
-    _pack,
-    _planes_of,
     _primitive_modulus,
     _product,
     _t_is_primitive,
-    _unpack,
-    FieldContext,
-    FqPolynomial,
     choose_params,
     coset_leaders,
     extension,
@@ -36,9 +31,16 @@ from cyclogcd.ffield import (
     ff_scan,
     fq_context,
     irreducible_count,
-    irreducible_test,
     is_lth_power_poly,
     min_poly,
+)
+from cyclogcd.fields import FieldContext
+from cyclogcd.fqpoly import (
+    _pack,
+    _planes_of,
+    _unpack,
+    FqPolynomial,
+    irreducible_test,
     poly_gcd,
     poly_pow,
     poly_powmod,

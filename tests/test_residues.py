@@ -191,7 +191,7 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
     # classes: the whole range builds it, and its 4 and 8 blocks, shorter than that, test
     # 1001 by the powmod instead.  Base a sits at index M and b at index N: both, one of
     # them, and the power of the smallest l against the rest.  The whole range is sieved
-    # in segments of 2999 numbers, so ten segments share its wheel
+    # in segments of the values of k in 2999 numbers, so ten segments share its wheel
     hi = 30000
     primes = list(primerange(2, hi))
     order = functools.cache(lambda c, p, w: n_order(pow(c, w, p), p))  # w = (p-1)/lcm(M, N)
@@ -221,7 +221,7 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                         blocks = split_range(2, hi, pieces)
                         assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
                     with monkeypatch.context() as patch:
-                        patch.setattr(residues, "_SEGMENT", 2999)
+                        patch.setattr(residues, "_SEGMENT", max(1, 2999 // (math.lcm(M, N) * d)))
                         assert list(qualifying_primes(2, hi, *case)) == oracle, case
 
     # rad(L) above the range of k of every block, which builds no wheel and tests l ∤ w per
@@ -237,6 +237,22 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                 for pieces in (1, 4):
                     blocks = split_range(2, hi, pieces)
                     assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+
+
+def test_a_segment_is_counted_in_values_of_k(monkeypatch):
+    # a segment holds _SEGMENT values of k, not _SEGMENT numbers: with step 9699690 the
+    # 206 values of k below 2*10^9 take one sieve, where 2^22 numbers a segment took 477
+    calls, real = [], residues.primes_in_range
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(residues, "primes_in_range", counted)
+    found = list(qualifying_primes(2, 2 * 10**9, 2, 3, 9699690, 9699690))
+    assert len(calls) == 1
+    assert found == [(p, (p - 1) // 9699690) for p in range(9699691, 2 * 10**9, 9699690)
+                     if isprime(p) and qualifies(p, 9699690, 2, 3)]
 
 
 def test_squares_forced_by_the_modulus():

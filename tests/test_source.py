@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,21 @@ def test_no_assert_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_compiles_past_two_mb():
+    # with no bytecode cache every start compiles every module `cli` imports, and the
+    # largest compile() sets the resident high-water mark of a short run
+    peaks = {}
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(text, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "cli.py" in peaks and {name: peak for name, peak in peaks.items() if peak >= 2 << 20} == {}
 
 
 def _annotation_names(tree):
@@ -92,7 +108,8 @@ def test_cli_import_leaves_fractions_decimal_and_csv_out():
 def test_records_keep_value_semantics():
     from cyclogcd.champion import ChampionParams, run_champion
     from cyclogcd.errors import HypothesisError
-    from cyclogcd.ffield import FqPolynomial, fq_context
+    from cyclogcd.ffield import fq_context
+    from cyclogcd.fqpoly import FqPolynomial
 
     # a polynomial equals another exactly when the field and the coefficients do
     f2, f4 = fq_context(2, 1), fq_context(2, 2)
