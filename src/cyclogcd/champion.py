@@ -25,7 +25,13 @@ from .errors import VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
 
-# Cells counted per histogram window: one byte each, whatever x is.
+# Cells of one histogram window, one byte each: _CELLS_PER_PROGRESSION for
+# each progression, rounded up to a power of two between _WINDOW_MIN and
+# _WINDOW.  Every window costs one Python step per progression, so a run with
+# few progressions takes a small window at about the same cost per cell.  Past
+# 2^10 progressions (x >= about 10^5 at N = 2) every window is _WINDOW cells.
+_CELLS_PER_PROGRESSION = 1 << 11
+_WINDOW_MIN = 1 << 16
 _WINDOW = 1 << 22
 # The largest count a histogram byte holds; past it, the byte wraps to 0 and
 # its cell carries 256 more in a dict.
@@ -154,12 +160,19 @@ def _progressions(primes, kernel: int, lcm_idx: int, x: int, units: list[int]) -
     return out
 
 
+def _window(progression_count: int) -> int:
+    """The cells of one histogram window for this many progressions."""
+    cells = 1 << (progression_count * _CELLS_PER_PROGRESSION - 1).bit_length()
+    return min(_WINDOW, max(_WINDOW_MIN, cells))
+
+
 def _busiest_slot(progressions) -> tuple[int, int, int]:
     """(count, cell, total): the largest cell count, the smallest cell that
     holds it, and the number of increments made.  The cell is an index of
     `_progressions`'s cell space; `_cell_slot` maps it to its slot.
 
-    Counts live in a byte per cell over one window of cells at a time.  A
+    Counts live in a byte per cell over one window of cells at a time, its
+    size set by `_window` from the number of progressions.  A
     progression adds 1 to each of its cells at most once, so the window's
     maximum rises by one exactly when the progression meets a byte holding
     the current maximum.  Once that maximum is 255, a byte about to wrap
@@ -168,8 +181,9 @@ def _busiest_slot(progressions) -> tuple[int, int, int]:
     """
     end = max((last for _, _, last in progressions), default=-1) + 1
     best = best_cell = total = 0
-    for lo in range(0, end, _WINDOW):
-        hi = min(lo + _WINDOW, end)
+    window = _window(len(progressions))
+    for lo in range(0, end, window):
+        hi = min(lo + window, end)
         cells = bytearray(hi - lo)
         top = 0  # the window's maximum while below _CELL_MAX
         carry: dict[int, int] = {}

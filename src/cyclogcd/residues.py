@@ -166,10 +166,10 @@ class LemmaScanResult(NamedTuple):
 
 def _lemma_scan_block(cfg, block) -> tuple[int, int]:
     a, b, modulus, classes, coeffs = cfg
+    descending = coeffs[::-1]  # Horner's order; its % p keeps raw coefficients exact
     qualified = checked = 0
     for p, w in qualifying_primes(*block, a, b, modulus, modulus):
         qualified += 1
-        reduced = [c % p for c in coeffs]
         for base in (a, b):
             u = pow(base, w, p)
             # u^N = base^(p-1) = 1 by Fermat; each class below rests on it
@@ -181,7 +181,7 @@ def _lemma_scan_block(cfg, block) -> tuple[int, int]:
             for m, count in classes:
                 t = pow(u, m, p)
                 acc = 0
-                for c in reversed(reduced):
+                for c in descending:
                     acc = (acc * t + c) % p
                 if acc != 0:
                     raise VerificationError(

@@ -320,17 +320,21 @@ def test_progressions_cover_exactly_the_pairs():
         assert covered == want, (a, b, N, M)
 
 
-def test_histogram_peak_memory_is_one_window():
-    # the bench's mixed run, whose cells end past the first window: the
-    # histogram frees each window before it allocates the next, so its traced
-    # peak is one window plus small slices (the slot histogram traced 8.4 MB)
-    params = ChampionParams(a=28, b=5, N=2, M=1, x=7563, delta=0.5)
+def _progressions_of(params):
     L = params.lcm_index
     kernel = build_kernel(params.x, params.delta, L)
-    units = champion._units(L)
     primes = champion._contributing_primes(params, 1)
-    progressions = champion._progressions(primes, kernel, L, params.x, units)
-    assert max(last for _, _, last in progressions) >= champion._WINDOW
+    return champion._progressions(primes, kernel, L, params.x, champion._units(L))
+
+
+def test_histogram_peak_memory_is_one_window():
+    # the bench's mixed run, whose cells span many windows: the histogram
+    # frees each window before it allocates the next, so its traced peak is
+    # one window, of the size the run chooses, plus small slices (the slot
+    # histogram traced 8.4 MB, a fixed 2^22-cell window 4.2 MB)
+    progressions = _progressions_of(ChampionParams(a=28, b=5, N=2, M=1, x=7563, delta=0.5))
+    window = champion._window(len(progressions))
+    assert max(last for _, _, last in progressions) >= 8 * window
     tracemalloc.start()
     try:
         count, _, total = champion._busiest_slot(progressions)
@@ -338,7 +342,20 @@ def test_histogram_peak_memory_is_one_window():
     finally:
         tracemalloc.stop()
     assert (count, total) == (7, 300057)
-    assert peak < champion._WINDOW + (1 << 18), peak
+    assert peak < window + (1 << 16), (peak, window)
+
+
+def test_window_follows_the_progression_count():
+    # 2^11 cells a progression, a power of two from 2^16 up to _WINDOW = 2^22
+    assert champion._WINDOW == 1 << 22
+    assert [champion._window(k) for k in (0, 1, 32, 33, 461, 1 << 10)] == [
+        1 << 16, 1 << 16, 1 << 16, 1 << 17, 1 << 20, 1 << 21]
+    for k in ((1 << 10) + 1, 1 << 11, 10**6):
+        assert champion._window(k) == champion._WINDOW, k
+    # the bench's single run (seed 1) counts at most 2^20 cells at a time
+    progressions = _progressions_of(ChampionParams(a=24, b=17, N=2, x=34231))
+    assert len(progressions) == 461
+    assert champion._window(len(progressions)) <= 1 << 20
 
 
 def _brute_pairs(params):

@@ -2,12 +2,14 @@ import functools
 import math
 
 import pytest
-from sympy import factorint, isprime, primefactors, primerange
+from sympy import Poly, cyclotomic_poly, factorint, isprime, primefactors, primerange
+from sympy.abc import X
 from sympy.external.gmpy import legendre  # the kernel of sympy's legendre_symbol
 from sympy.ntheory import is_nthpow_residue, n_order
 
 from cyclogcd import residues
 from cyclogcd.arith import factorize, sieve_primes
+from cyclogcd.cli import main
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.parallel import split_range
@@ -113,6 +115,32 @@ def test_lemma_scan_refuses_doctored_primes(monkeypatch):
     monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(9, 4)]))
     with pytest.raises(VerificationError, match=r"p = 9, base = 2: u = 2\^4 has u\^2 != 1"):
         lemma_scan(2, 2, 3, 100, 5)
+
+
+def test_lemma_scan_with_large_coefficients_matches_sympy(capsys, monkeypatch):
+    # Phi_105 has the coefficient -2; the scan's Horner steps reduce the raw
+    # coefficients mod p, checked against sympy's Phi_105 at base^(m*w) term by term
+    phi = [int(c) for c in Poly(cyclotomic_poly(105, X), X).all_coeffs()[::-1]]
+    assert min(phi) == -2
+    p_max, m_max = 20000, 120
+    qualified = cases = 0
+    for p in primerange(2, p_max + 1):
+        if p in (2, 3) or not qualifies(p, 105, 2, 3):
+            continue
+        qualified += 1
+        w = (p - 1) // 105
+        for base in (2, 3):
+            for m in range(1, m_max + 1):
+                if math.gcd(m, 105) == 1:
+                    t = pow(base, m * w, p)
+                    assert sum(c * pow(t, k, p) for k, c in enumerate(phi)) % p == 0, (p, base, m)
+                    cases += 1
+    assert qualified >= 10
+    assert lemma_scan(105, 2, 3, p_max, m_max) == (qualified, cases)
+    # 2 is a cube mod 1051: u = 2^10 has order dividing 35, so Phi_105(u) != 0 (mod 1051)
+    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(1051, 10)]))
+    assert main(["verify-lemma", "--N", "105", "--a", "2", "--b", "3", "--p-max", "2000"]) == 2
+    assert "divisibility lemma failed at p = 1051, base = 2, n = 1*10 " in capsys.readouterr().err
 
 
 def test_lemma_scan_rejects_power_bases():
