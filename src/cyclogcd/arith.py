@@ -24,13 +24,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SET_FLAG = re.compile(b"\x01")
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending (empty list for limit < 2)."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    return _sieve(2, limit + 1)
-
-
 def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
     """Primes p = 1 (mod step) in [lo, hi) for lo >= 2 whose k in
     p = 1 + step*k has wheel[k % len(wheel)] set, ascending.
@@ -59,10 +52,6 @@ def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]
     return [first + step * m.start() for m in _SET_FLAG.finditer(flags)]
 
 
-# factorize trial-divides by these; Pollard rho splits what is left
-_TRIAL_PRIMES = tuple(sieve_primes(1 << 12))
-
-
 def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
     """Primes p = 1 (mod step) in [lo, hi) by segmented sieve, kept only
     where wheel[k % len(wheel)] is set for p = 1 + step*k; workers use this
@@ -72,6 +61,10 @@ def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> 
     if not wheel or wheel.strip(b"\x00\x01"):
         raise ValueError("the wheel must have at least one entry, each 0 or 1")
     return _sieve(max(lo, 2), hi, step, wheel)
+
+
+# factorize trial-divides by these; Pollard rho splits what is left
+_TRIAL_PRIMES = tuple(primes_in_range(2, 1 << 12))
 
 
 def jacobi(a: int, n: int) -> int:

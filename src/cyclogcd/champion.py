@@ -19,7 +19,7 @@ the histogram keeps one cell per such slot only.
 import math
 from typing import NamedTuple
 
-from .arith import factorize, sieve_primes
+from .arith import factorize, primes_in_range
 from .cyclotomic import eval_mod_prime
 from .errors import VerificationError
 from .parallel import map_blocks
@@ -45,18 +45,18 @@ class _ChampionInputs(NamedTuple):
     b: int
     N: int
     x: int
-    delta: float = 0.9
-    M: int | None = None  # None: single index N; set: mixed (M, N) run
+    delta: float
+    M: int  # the index of base a; N in a single-index run
 
 
 class ChampionParams(_ChampionInputs):
-    """Inputs of a champion run; hypothesis checks happen at construction."""
+    """Inputs of a champion run, checked at construction, where M = None means M = N."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_bases(self.a, self.b, self.index_a, self.N)
+    def __new__(cls, a, b, N, x, delta=0.9, M=None):
+        self = super().__new__(cls, a, b, N, x, delta, N if M is None else M)
+        check_bases(self.a, self.b, self.M, self.N)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.x < 8:
@@ -68,13 +68,8 @@ class ChampionParams(_ChampionInputs):
         return cls(*iterable)
 
     @property
-    def index_a(self) -> int:
-        """Cyclotomic index applied to base a (M, falling back to N)."""
-        return self.N if self.M is None else self.M
-
-    @property
     def lcm_index(self) -> int:
-        return math.lcm(self.index_a, self.N)
+        return math.lcm(self.M, self.N)
 
 
 def build_kernel(x, delta: float, modulus: int) -> int:
@@ -85,7 +80,7 @@ def build_kernel(x, delta: float, modulus: int) -> int:
     if x < math.e**2:
         raise ValueError("x must be at least e^2")
     bound = delta * math.log(x)
-    return math.prod(q for q in sieve_primes(int(bound) + 1) if q <= bound and modulus % q != 0)
+    return math.prod(q for q in primes_in_range(2, int(bound) + 1) if modulus % q != 0)
 
 
 def _qualify_block(cfg, block) -> list[tuple[int, int]]:
@@ -96,7 +91,7 @@ def _qualify_block(cfg, block) -> list[tuple[int, int]]:
 
 def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, int]]:
     """(p, w = (p-1)/L) for every prime p <= x that contributes pairs, p ascending."""
-    cfg = (params.a, params.b, params.index_a, params.N)
+    cfg = (params.a, params.b, params.M, params.N)
     primes: list[tuple[int, int]] = []
     for chunk in map_blocks(_qualify_block, cfg, 2, params.x + 1, jobs):
         primes.extend(chunk)
@@ -303,7 +298,7 @@ def verify_champion(report: ChampionReport, params: ChampionParams) -> ChampionR
     certificate is unsound, so it is never downgraded.
     """
     for p in report.distinct_primes:
-        for index, base in ((params.index_a, params.a), (params.N, params.b)):
+        for index, base in ((params.M, params.a), (params.N, params.b)):
             if base % p == 0:  # then Phi_index(base^n) = Phi_index(0) = +-1 (mod p)
                 raise VerificationError(
                     f"{p} divides the base {base}, so it does not divide Phi_{index}({base}^{report.n})"
@@ -323,7 +318,7 @@ def run_champion(params: ChampionParams, jobs: int = 1) -> ChampionReport:
     pair_count = sum((last - first) // stride + 1 for first, stride, last in progressions)
     if pair_count == 0:
         raise ValueError(
-            f"no prime p <= x = {x} contributes a pair for indices M = {params.index_a}, "
+            f"no prime p <= x = {x} contributes a pair for indices M = {params.M}, "
             f"N = {params.N}: cannot pigeonhole an empty pair set"
         )
     count, cell, increments = _busiest_slot(progressions)  # a cell, not yet a slot

@@ -120,12 +120,12 @@ def _cmd_champion(args, jobs):
 
 def _cmd_density(args, jobs):
     check = empirical_density(args.x, args.N, args.d, args.a, args.b, jobs=jobs)
-    ratio = check.prediction.ratio
+    num, den = check.prediction.ratio
     report = {
         "N": args.N, "d": args.d, "x": args.x,
         "exponents": check.prediction.exponents,
-        "ratio": f"{ratio.numerator}/{ratio.denominator}",
-        "ratio_decimal": float(ratio),
+        "ratio": f"{num}/{den}",
+        "ratio_decimal": num / den,
         "count": check.count,
         "expected": check.expected,
         "relative_error": check.relative_error,

@@ -11,22 +11,12 @@ counts against ratio * li(x) stand in for any analytic error term.
 """
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arith import FactoredInt, euler_phi, factorize, li
-from .errors import HypothesisError, VerificationError
+from .errors import VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-def _exponent_vectors(a: FactoredInt, b: FactoredInt, l: int):
-    support = sorted(set(a.factors) | set(b.factors))
-    va = [a.factors.get(p, 0) % l for p in support]
-    vb = [b.factors.get(p, 0) % l for p in support]
-    return va, vb
 
 
 def dependence_exponent(a, b, l: int) -> int:
@@ -39,7 +29,9 @@ def dependence_exponent(a, b, l: int) -> int:
     fa = a if isinstance(a, FactoredInt) else factorize(a)
     fb = b if isinstance(b, FactoredInt) else factorize(b)
     check_bases(fa.value, fb.value, l, l)
-    va, vb = _exponent_vectors(fa, fb, l)
+    support = sorted(set(fa.factors) | set(fb.factors))
+    va = [fa.factors.get(p, 0) % l for p in support]
+    vb = [fb.factors.get(p, 0) % l for p in support]
     # Both vectors nonzero: dependence over F_l <=> every 2x2 minor vanishes.
     k = len(va)
     dependent = all(
@@ -50,31 +42,24 @@ def dependence_exponent(a, b, l: int) -> int:
 
 class DensityPrediction(NamedTuple):
     exponents: tuple[tuple[int, int], ...]  # (l, e) pairs, l ascending
-    ratio: "Fraction"
+    ratio: tuple[int, int]  # (numerator, denominator) in lowest terms
 
 
 def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
     """Exact density of qualifying primes with the extra filter d | (p-1)/N."""
-    from fractions import Fraction  # imports decimal and numbers: only this run pays
-
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    if any(e > 1 for e in factorize(d).factors.values()):
-        raise HypothesisError(f"d = {d} must be squarefree")
-    if math.gcd(d, modulus) != 1:
-        raise HypothesisError(f"d = {d} must be coprime to the modulus {modulus}")
     check_bases(a, b, modulus, modulus, d)
     fa, fb = factorize(a), factorize(b)
     exponents = []
-    num = Fraction(1)
+    num, den = 1, euler_phi(modulus * d)
     for l in factorize(modulus).primes():
         e = dependence_exponent(fa, fb, l)
         exponents.append((l, e))
-        num *= Fraction((l - 1) ** e, l**e)
-    ratio = num / euler_phi(modulus * d)
-    if not 0 < ratio <= 1:
-        raise VerificationError(f"density ratio {ratio} left (0, 1]")
-    return DensityPrediction(tuple(exponents), ratio)
+        num, den = num * (l - 1) ** e, den * l**e
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if not 0 < num <= den:
+        raise VerificationError(f"density ratio {num}/{den} left (0, 1]")
+    return DensityPrediction(tuple(exponents), (num, den))
 
 
 class DensityCheck(NamedTuple):
@@ -96,5 +81,6 @@ def empirical_density(x: int, modulus: int, d: int, a: int, b: int, jobs: int = 
     prediction = predicted_density(modulus, d, a, b)
     count = sum(map_blocks(_count_block, (modulus, d, a, b), 2, x + 1, jobs))
     # the ratio lies in (0, 1] and li(x) > 0 for x >= 100, so expected > 0
-    expected = float(prediction.ratio) * li(x)
+    num, den = prediction.ratio
+    expected = num / den * li(x)
     return DensityCheck(count, expected, abs(count / expected - 1.0), prediction)

@@ -10,7 +10,7 @@ gcd_seq_exact rows with M = N = 1.
 import math
 from typing import NamedTuple
 
-from .arith import euler_phi, factorize, sieve_primes
+from .arith import euler_phi, factorize, primes_in_range
 from .cyclotomic import build_cyclotomic, eval_int
 from .errors import VerificationError
 from .parallel import map_blocks
@@ -76,7 +76,7 @@ def delta_count_range(limit: int) -> list[int]:
         raise ValueError(f"limit must be positive, got {limit}")
     # path B: for each prime p <= limit + 1 mark multiples of p - 1
     table_b = [0] * (limit + 1)
-    for p in sieve_primes(limit + 1):
+    for p in primes_in_range(2, limit + 2):
         step = p - 1
         for j in range(step, limit + 1, step):
             table_b[j] += 1
@@ -88,7 +88,7 @@ def delta_count_range(limit: int) -> list[int]:
                 if spf[j] == j:
                     spf[j] = p
     prime_flags = bytearray(limit + 2)
-    for p in sieve_primes(limit + 1):
+    for p in primes_in_range(2, limit + 2):
         prime_flags[p] = 1
     table_a = [0] * (limit + 1)
     for n in range(1, limit + 1):
@@ -112,7 +112,7 @@ def delta_squarefree_range(limit: int) -> list[int]:
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     table = [0] * (limit + 1)
-    for p in sieve_primes(limit + 1):
+    for p in primes_in_range(2, limit + 2):
         d = p - 1
         if d >= 1 and all(e == 1 for e in factorize(d).factors.values()):
             for j in range(d, limit + 1, d):

@@ -34,7 +34,8 @@ def _quadratic_field(c: int) -> tuple[int, int]:
 
 def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
     """The hypotheses on the bases of an integer run, with a taken to the
-    index M and b to the index N: bases at least 2, indices at least 1,
+    index M and b to the index N and the filter d | (p-1)/lcm(M, N): d
+    squarefree and prime to lcm(M, N), bases at least 2, indices at least 1,
     neither base an l-th power in Q for a prime l | lcm(M, N), no base of
     even index a square mod every prime p = 1 (mod lcm(M, N)*d), and
     gcd(M/D, D) = gcd(N/D, D) = 1 for D = gcd(M, N).
@@ -45,12 +46,18 @@ def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
     gives a prime l | M or l | N the same power there as in lcm(M, N), which
     the order test of `qualifying_primes` rests on.
     """
+    modulus = math.lcm(M, N)
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if any(e > 1 for e in factorize(d).factors.values()):
+        raise HypothesisError(f"d = {d} must be squarefree")
+    if math.gcd(d, modulus) != 1:
+        raise HypothesisError(f"d = {d} must be coprime to the modulus {modulus}")
     if a < 2 or b < 2:
         raise ValueError(f"bases must be at least 2, got a = {a}, b = {b}")
     if M < 1 or N < 1:
         got = f"N = {N}" if M == N else f"M = {M}, N = {N}"
         raise ValueError(f"indices must be at least 1, got {got}")
-    modulus = math.lcm(M, N)
     for l in factorize(modulus).primes():
         for name, v in (("a", a), ("b", b)):
             if factorize(v).is_lth_power(l):
@@ -215,4 +222,7 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     for q, c in map_blocks(_lemma_scan_block, cfg, 2, p_max + 1, jobs):
         qualified += q
         checked += c
+    if qualified == 0:
+        raise ValueError(f"no prime p <= p_max = {p_max} qualifies for N = {modulus}, a = {a}, b = {b}: "
+                         f"a scan of no prime certifies nothing")
     return LemmaScanResult(qualified, checked)

@@ -35,6 +35,12 @@ BASES = (2, 3, 5, 6, 7, 10)
 # c is a square mod every p = 1 (mod modulus), so no prime can qualify
 SQUARE_FORCED = {8: 2, 10: 5, 12: 3}
 
+# (modulus, c, c') whose quadratic characters are tied on every p the congruences leave:
+# at N = 4 and 12, p = 5 (mod 8) makes 2 a non-square, so one of c, 2c is a square; at
+# N = 6, p = 7 (mod 12) makes 3 a non-square, so one of 2, 6 is.  No prime qualifies.
+NO_PRIME = {(N, a, b) for N, c, c2 in ((4, 3, 6), (4, 5, 10), (6, 2, 6), (12, 5, 10))
+            for a, b in ((c, c2), (c2, c))}
+
 
 def _ok(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS — {detail}")
@@ -44,7 +50,7 @@ def test_criterion_1_lemma_exhaustivity():
     start = time.perf_counter()
     cases = 0
     qualified = 0
-    refused = 0
+    refused = empty = 0
     for modulus in range(1, 13):
         for a in BASES:
             for b in BASES:
@@ -53,15 +59,20 @@ def test_criterion_1_lemma_exhaustivity():
                         lemma_scan(modulus, a, b, 20000, 20, jobs=1)
                     refused += 1
                     continue
+                if (modulus, a, b) in NO_PRIME:
+                    with pytest.raises(ValueError, match="no prime p <= p_max = 20000 qualifies"):
+                        lemma_scan(modulus, a, b, 20000, 20, jobs=1)
+                    empty += 1
+                    continue
                 result = lemma_scan(modulus, a, b, 20000, 20, jobs=1)
                 cases += result.cases_checked
                 qualified += result.qualified_primes
     elapsed = time.perf_counter() - start
-    assert refused == 33
+    assert refused == 33 and empty == len(NO_PRIME) == 8
     assert cases > 10**6
     assert elapsed < 60.0, f"lemma exhaustivity took {elapsed:.1f}s"
     _ok(1, f"{cases} divisibility cases over N <= 12, p <= 20000, zero failures, "
-           f"{refused} square-forced triples refused, {elapsed:.1f}s")
+           f"{refused} square-forced and {empty} prime-free triples refused, {elapsed:.1f}s")
 
 
 def test_criterion_2_champion_pipeline():
@@ -97,11 +108,11 @@ def test_criterion_2_champion_pipeline():
 def test_criterion_3_density():
     start = time.perf_counter()
     pred = predicted_density(2, 1, 2, 3)
-    assert pred.ratio == pytest.approx(1 / 8) and str(pred.ratio) == "1/8"
+    assert pred.ratio == (1, 8)
     check = empirical_density(10**6, 2, 1, 2, 3)
     assert check.relative_error < 0.15
     pred8 = predicted_density(2, 1, 2, 8)
-    assert str(pred8.ratio) == "1/4"    # dependent case, exponent 2
+    assert pred8.ratio == (1, 4)    # dependent case, exponent 2
     check8 = empirical_density(10**6, 2, 1, 2, 8)
     assert check8.relative_error < 0.15
     elapsed = time.perf_counter() - start

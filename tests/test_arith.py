@@ -14,7 +14,6 @@ from cyclogcd.arith import (
     li,
     moebius,
     primes_in_range,
-    sieve_primes,
 )
 from cyclogcd.parallel import split_range
 
@@ -29,24 +28,22 @@ def trial_division_primes(limit):
 
 
 def test_sieve_examples():
-    assert sieve_primes(1) == []
-    assert sieve_primes(0) == []
-    assert sieve_primes(10) == [2, 3, 5, 7]
-    thirty = sieve_primes(30)
+    assert primes_in_range(2, 2) == []
+    assert primes_in_range(2, 1) == []
+    assert primes_in_range(2, 11) == [2, 3, 5, 7]
+    thirty = primes_in_range(2, 31)
     assert thirty[-1] == 29 and len(thirty) == 10
 
 
 def test_sieve_matches_trial_division():
     oracle = trial_division_primes(2000)
-    assert sieve_primes(2000) == oracle
+    assert primes_in_range(2, 2001) == oracle
     for limit in (0, 1, 2, 3, 4, 24, 25, 26, 48, 49, 50, 121, 1369, 1681):
-        assert sieve_primes(limit) == [p for p in oracle if p <= limit], limit
-    with pytest.raises(ValueError):
-        sieve_primes(-1)
+        assert primes_in_range(2, limit + 1) == [p for p in oracle if p <= limit], limit
 
 
 def test_primes_in_range_segmented():
-    assert primes_in_range(2, 101) == sieve_primes(100)
+    assert primes_in_range(2, 101) == trial_division_primes(100)
     assert primes_in_range(90, 114) == [97, 101, 103, 107, 109, 113]
     assert primes_in_range(50, 50) == []
 
@@ -105,7 +102,7 @@ def test_primes_in_range_wheel_matches_sympy():
             for pieces in (4, 8):
                 blocks = split_range(37, 20000, pieces)
                 assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step, wheel)] == oracle
-    assert primes_in_range(2, 100, 1, bytearray(b"\x01")) == sieve_primes(99)
+    assert primes_in_range(2, 100, 1, bytearray(b"\x01")) == primes_in_range(2, 100)
     with pytest.raises(ValueError):
         primes_in_range(2, 100, 2, b"")
     with pytest.raises(ValueError):   # the sieve keeps the entries that are 1
@@ -135,7 +132,7 @@ def test_factorize_matches_sympy_past_the_trial_primes():
     # trial division stops at the primes below 2^12, so each prime here and
     # every power or product of them is left to Pollard rho
     above = [4099, 4111, 10007, 65537]
-    assert min(above) > 2**12 > max(sieve_primes(2**12))
+    assert min(above) > 2**12 > max(primes_in_range(2, 2**12 + 1))
     cases = [p**e for p in above for e in (1, 2, 3)]
     cases += [p * q for p in above for q in above if p < q]
     cases += [2**k * p * q for k in (1, 7, 20) for p, q in zip(above, above[1:])]
@@ -229,7 +226,7 @@ def test_li_monotone_and_close_to_prime_count():
 
 
 def test_is_prime_against_sieve():
-    flags = set(sieve_primes(5000))
+    flags = set(primes_in_range(2, 5001))
     for n in range(5000):
         assert is_prime(n) == (n in flags)
 

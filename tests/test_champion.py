@@ -7,7 +7,7 @@ import pytest
 from sympy.ntheory import is_nthpow_residue, n_order
 
 from cyclogcd import champion
-from cyclogcd.arith import euler_phi, factorize, sieve_primes
+from cyclogcd.arith import euler_phi, factorize, primes_in_range
 from cyclogcd.champion import (
     ChampionParams,
     ChampionReport,
@@ -38,7 +38,7 @@ def test_enumerate_pairs_index_one():
     # no residue conditions for N = 1; primes dividing a*b are excluded
     params = ChampionParams(a=2, b=3, N=1, x=50, delta=0.3)
     pairs = enumerate_pairs(params)
-    usable_primes = [p for p in sieve_primes(50) if p not in (2, 3)]
+    usable_primes = [p for p in primes_in_range(2, 51) if p not in (2, 3)]
     assert len(pairs) == 50 * len(usable_primes) == 650
     assert pairs == sorted(pairs, key=lambda mp: (mp[1], mp[0]))
 
@@ -361,11 +361,11 @@ def test_window_follows_the_progression_count():
 def _brute_pairs(params):
     # the pair set from its definition, by sympy's power-residue and order tests
     a, b, N, x = params.a, params.b, params.N, params.x
-    M, L = params.index_a, params.lcm_index
+    M, L = params.M, params.lcm_index
     kernel = build_kernel(x, params.delta, L)
     ells = factorize(L).primes()
     pairs = []
-    for p in sieve_primes(x):
+    for p in primes_in_range(2, x + 1):
         if a % p == 0 or b % p == 0 or (p - 1) % L:
             continue
         if any((p - 1) % (L * l) == 0 for l in ells):

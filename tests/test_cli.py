@@ -254,6 +254,9 @@ def test_verify_lemma(capsys):
     # K = 1 (0.9 log 8 < 2); of the primes p = 3 (mod 4) up to 8, 3 divides b and 2 is a square mod 7
     (["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "8"],
      "no prime p <= x = 8 contributes a pair for indices M = 2, N = 2"),
+    # p = 1 (mod 5) below 10 is 11 at the least
+    (["verify-lemma", "--N", "5", "--a", "2", "--b", "3", "--p-max", "10"],
+     "no prime p <= p_max = 10 qualifies for N = 5, a = 2, b = 3"),
 ])
 def test_vacuous_scans_exit_one(argv, named, capsys):
     # no prime, no m, no pair or no degree to check: a report would certify nothing
@@ -404,16 +407,16 @@ def test_internal_invariant_failure_is_exit_two(capsys, monkeypatch):
 def test_delta_path_disagreement_is_exit_two(capsys, monkeypatch):
     from cyclogcd import oracles
 
-    real = oracles.sieve_primes
+    real = oracles.primes_in_range
     calls = []
 
-    def first_call_drops_seven(limit):
+    def first_call_drops_seven(lo, hi):
         # path B sieves first; path A's own call stays exact
-        calls.append(limit)
-        primes = real(limit)
+        calls.append((lo, hi))
+        primes = real(lo, hi)
         return [p for p in primes if p != 7] if len(calls) == 1 else primes
 
-    monkeypatch.setattr(oracles, "sieve_primes", first_call_drops_seven)
+    monkeypatch.setattr(oracles, "primes_in_range", first_call_drops_seven)
     code = main(["delta", "--limit", "50"])
     assert code == 2 and len(calls) == 2
     assert "verification failure: delta range paths disagree" in capsys.readouterr().err

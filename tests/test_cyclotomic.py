@@ -2,7 +2,7 @@ import pytest
 from sympy import cyclotomic_poly
 from sympy.ntheory import n_order
 
-from cyclogcd.arith import euler_phi, sieve_primes
+from cyclogcd.arith import euler_phi, primes_in_range
 from cyclogcd.cyclotomic import (
     _divexact_by_x_pow_minus_1,
     build_cyclotomic,
@@ -81,7 +81,7 @@ def test_eval_mod_prime_examples():
 
 def test_eval_mod_prime_commutes_with_reduction():
     # exhaustive: N <= 12, a <= 10, n <= 50, p <= 100
-    primes = sieve_primes(100)
+    primes = primes_in_range(2, 101)
     polys = {n_idx: build_cyclotomic(n_idx) for n_idx in range(1, 13)}
     for a in range(2, 11):
         power = 1
@@ -97,7 +97,7 @@ def test_eval_mod_prime_commutes_with_reduction():
 
 def test_root_iff_multiplicative_order():
     # Phi_N(t) = 0 mod p with p not dividing N <=> ord_p(t) = N
-    for p in sieve_primes(500):
+    for p in primes_in_range(2, 501):
         from cyclogcd.arith import factorize
 
         orders = {t: n_order(t, p) for t in range(1, p)}

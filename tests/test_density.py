@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclogcd.arith import euler_phi, li, sieve_primes
+from cyclogcd.arith import euler_phi, li, primes_in_range
 from cyclogcd.density import dependence_exponent, empirical_density, predicted_density
 from cyclogcd.errors import HypothesisError
 
@@ -29,17 +29,17 @@ def test_dependence_exponent_symmetric():
 
 
 def test_predicted_density_examples():
-    assert predicted_density(2, 1, 2, 3).ratio == Fraction(1, 8)
-    # (3-1)^3 / (phi(3) * 3^3) = 8/54 = 4/27
-    assert predicted_density(3, 1, 2, 3).ratio == Fraction(4, 27)
-    assert predicted_density(2, 1, 2, 8).ratio == Fraction(1, 4)
-    assert predicted_density(1, 1, 2, 3).ratio == Fraction(1, 1)
+    assert predicted_density(2, 1, 2, 3).ratio == (1, 8)
+    # (3-1)^3 / (phi(3) * 3^3) = 8/54 = 4/27, in lowest terms
+    assert predicted_density(3, 1, 2, 3).ratio == (4, 27)
+    assert predicted_density(2, 1, 2, 8).ratio == (1, 4)
+    assert predicted_density(1, 1, 2, 3).ratio == (1, 1)
 
 
 def test_predicted_density_monotone_in_d():
     last = Fraction(2)
     for d in (1, 3, 5, 15, 105):
-        ratio = predicted_density(2, d, 2, 3).ratio
+        ratio = Fraction(*predicted_density(2, d, 2, 3).ratio)
         assert ratio < last
         last = ratio
 
@@ -55,7 +55,7 @@ def test_predicted_density_hypotheses():
 
 def brute_count(x, modulus, d, a, b, ells):
     count = 0
-    for p in sieve_primes(x):
+    for p in primes_in_range(2, x + 1):
         if (p - 1) % (modulus * d) or a % p == 0 or b % p == 0:
             continue
         ok = True
@@ -126,4 +126,4 @@ def test_group_complement_count():
         prediction = predicted_density(l, 1, a, b)
         assert prediction.exponents == ((l, e),)
         complement = sum(1 for t in itertools.product(range(l), repeat=e) if all(t))
-        assert prediction.ratio * euler_phi(l) * l**e == complement
+        assert Fraction(*prediction.ratio) * euler_phi(l) * l**e == complement

@@ -8,7 +8,7 @@ from sympy.external.gmpy import legendre  # the kernel of sympy's legendre_symbo
 from sympy.ntheory import is_nthpow_residue, n_order
 
 from cyclogcd import residues
-from cyclogcd.arith import factorize, sieve_primes
+from cyclogcd.arith import factorize, primes_in_range
 from cyclogcd.cli import main
 from cyclogcd.cyclotomic import eval_mod_prime
 from cyclogcd.errors import HypothesisError, VerificationError
@@ -39,7 +39,7 @@ def test_is_lth_power_mod_examples():
 
 
 def test_is_lth_power_mod_matches_enumeration():
-    for p in sieve_primes(500):
+    for p in primes_in_range(2, 501):
         for l, e in factorize(p - 1).factors.items():
             powers = {pow(t, l, p) for t in range(1, p)}
             for a in range(1, p):
@@ -80,7 +80,7 @@ def test_lemma_divides_preconditions_distinct():
 
 def test_divisibility_iff_order():
     # p | Phi_N(a^n) <=> ord_p(a^n) = N, for p not dividing N*a
-    for p in sieve_primes(200):
+    for p in primes_in_range(2, 201):
         for n_idx in factorize(p - 1).divisors():
             for a in (2, 3, 10):
                 if a % p == 0:
@@ -175,6 +175,13 @@ def test_check_bases_refusals():
                                               r"for D = gcd\(M, N\) = 2$"):
         check_bases(5, 7, 4, 6)
     check_bases(5, 7, 2, 6)
+    # the filter d is checked first, with the messages density runs have always given
+    with pytest.raises(ValueError, match="d must be at least 1, got 0$"):
+        check_bases(1, 3, 2, 2, 0)
+    with pytest.raises(HypothesisError, match="d = 4 must be squarefree$"):
+        check_bases(2, 3, 2, 2, 4)
+    with pytest.raises(HypothesisError, match="d = 2 must be coprime to the modulus 2$"):
+        check_bases(2, 3, 2, 2, 2)
 
 
 def test_constructed_n_coprimality():
@@ -188,7 +195,7 @@ def test_qualifying_primes_matches_explainer():
     for modulus, a, b in ((1, 2, 3), (2, 2, 3), (3, 2, 5), (6, 5, 7), (4, 3, 5)):
         for d in (1, 5, 7):
             got = list(qualifying_primes(2, 3000, a, b, modulus, modulus, d))
-            want = [p for p in sieve_primes(2999)
+            want = [p for p in primes_in_range(2, 3000)
                     if a % p and b % p and qualifies(p, modulus, a, b)
                     and (p - 1) // modulus % d == 0]
             assert got == [(p, (p - 1) // modulus) for p in want]
@@ -288,7 +295,7 @@ def test_squares_forced_by_the_modulus():
     # a at index modulus and as b; the other base, 2 at index 1, is never tested for squares
     for modulus in (2, 4, 6, 8, 10, 12, 24, 40):
         for c in (2, 3, 5, 6, 7, 10, 12, 18):
-            primes = [p for p in sieve_primes(5000) if p % modulus == 1 and c % p]
+            primes = [p for p in primes_in_range(2, 5001) if p % modulus == 1 and c % p]
             always = all(is_nthpow_residue(c, 2, p) for p in primes)
             for name, args in (("a", (c, 2, modulus, 1)), ("b", (2, c, 1, modulus))):
                 try:

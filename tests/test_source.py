@@ -77,32 +77,34 @@ def test_cli_suite_passes_under_python_o():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def _loaded_by_cli_import(names):
-    # the modules among `names` that a fresh `import cyclogcd.cli` loads
+def _loaded_by_cli(names, argv=None):
+    # the modules among `names` that a fresh `import cyclogcd.cli` loads, then a run of `argv`
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, cyclogcd.cli; print(sorted({set(names)!r} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True,
-    )
+    status = f"cyclogcd.cli.main({argv!r})" if argv else "0"
+    code = f"import sys, cyclogcd.cli; status = {status}; print(sorted({set(names)!r} & set(sys.modules))); sys.exit(status)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.strip()
 
 
 def test_cli_import_leaves_the_process_pool_out():
     # --jobs 1 never starts a pool, so starting the CLI does not import one
-    assert _loaded_by_cli_import(["concurrent.futures"]) == "[]"
+    assert _loaded_by_cli(["concurrent.futures"]) == "[]"
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # the records are NamedTuples: dataclasses would import inspect, ast, dis
     # and tokenize and exec each record's methods at every start
-    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]"
+    assert _loaded_by_cli(["dataclasses", "inspect"]) == "[]"
 
 
 def test_cli_import_leaves_fractions_decimal_and_csv_out():
-    # only a density run reads the exact ratio, whose fractions imports
-    # decimal, and only --format csv reads csv
-    assert _loaded_by_cli_import(["fractions", "decimal", "csv"]) == "[]"
+    # only --format csv reads csv; a whole density run keeps its exact ratio as an
+    # integer pair, since fractions would import decimal, whose C extension raises
+    # the resident high-water mark of the run
+    assert _loaded_by_cli(["fractions", "decimal", "csv"]) == "[]"
+    argv = ["density", "--N", "6", "--d", "5", "--a", "2", "--b", "3", "--x", "10000", "--out", os.devnull]
+    assert _loaded_by_cli(["fractions", "decimal"], argv) == "[]"
 
 
 def test_records_keep_value_semantics():
