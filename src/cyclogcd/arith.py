@@ -20,6 +20,10 @@ _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# Pollard rho steps, over all c, before a factorization is refused (a few s):
+# a prime factor p takes about sqrt(p) steps, so factors up to ~10^12 are found
+_RHO_STEPS = 1 << 20
+
 # a set flag of _sieve; the scan for them runs in C and makes no int for a struck k
 _SET_FLAG = re.compile(b"\x01")
 
@@ -160,22 +164,27 @@ def _pollard_rho(n: int) -> int:
 
     The parameter sequence is fixed, so results are deterministic.
     """
+    steps = _RHO_STEPS
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            if not steps:
+                raise ValueError(f"cannot factor {n}: Pollard rho found no factor in {_RHO_STEPS} steps")
+            steps -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise VerificationError(f"rho failed on {n}")  # unreachable for our input sizes
+    raise VerificationError(f"rho failed on {n}")  # every c met d = n within the budget
 
 
 def factorize(n: int) -> FactoredInt:
     """Full prime factorization of n >= 1 (n = 1 gives the empty map): trial
-    division by the primes below 2^12 while p^2 <= n, then Pollard rho."""
+    division by the primes below 2^12 while p^2 <= n, then Pollard rho
+    (refused with ValueError past _RHO_STEPS)."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     value = n

@@ -14,9 +14,9 @@ the modulus the unfiltered search would find.
 The construction machinery picks (r, t, Q) from (q, k, n_0, m) so that
 n = (Q^N - 1)/(mr) is forced into the congruence class n_0 mod q^k, scans
 the monic irreducible pi of degree N over F_Q as the Frobenius orbits of
-F_{Q^N}, one coset leader L each, qualifies each by the discrete
-logarithms of the bases at its root y^L, and certifies
-deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (number of qualifying pi) by exact
+F_{Q^N}, one coset leader L each, qualifies pi when a^n and b^n both have
+order exactly m modulo pi (read off the logarithms at its root y^L), and
+certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (their number) by exact
 polynomial arithmetic over F_q (`fqpoly`), with one division by their
 product.  The Moebius formula checks the scan's orbit count;
 `ff_equivalence_check` rebuilds the qualifying set by exact divisibility
@@ -323,8 +323,8 @@ def _primitive_modulus(base: FieldContext, N: int) -> tuple[int, ...]:
     if N == 1:
         return next(lows), 1
     lows = list(lows)
-    for high in itertools.product(range(Q), repeat=N - 1):  # in index order of mu
-        h = (0,) + high[::-1] + (1,)  # mu - mu_0
+    for g in _monic_by_index(Q, N - 1):  # in index order of mu
+        h = (0,) + g  # mu - mu_0
         if math.gcd(*(i for i, c in enumerate(h) if c)) > 1:  # mu in F_Q[T^d]
             continue
         roots = {base.sub(0, base.eval(h, x)) for x in range(1, Q)}
@@ -351,19 +351,19 @@ def check_ff_bases(constr: FFConstruction, a: FqPolynomial, b: FqPolynomial) -> 
 
 
 def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) -> FFScanResult:
-    """Count the monic irreducible pi of degree N over F_Q at which both
-    bases are r-th powers and neither is an l-th power for a prime l | m;
-    report the density predictions next to it.  The bases pass the gate
-    check_ff_bases here, once for every certificate of the scan.
+    """Count the monic irreducible pi of degree N over F_Q at which a^n and
+    b^n both have order exactly m; report the density predictions next to
+    it.  The bases pass the gate check_ff_bases here, once for every
+    certificate of the scan.
 
     Each pi but T is the minimal polynomial of the orbit of y^L for one
-    coset leader L (see coset_leaders), and F_Q[T]/(pi) = F_Q(y^L), so pi
-    qualifies iff for both bases f, f(y^L) != 0, r | log_y f(y^L) and no
-    prime l | m divides log_y f(y^L); _log_at reads that logarithm off the
-    logarithms of the coefficients of f.  The scan keeps one root of each
-    qualifying pi; their minimal polynomials are computed only when a
-    certificate reads `qualifying`.  F_{Q^N} is the degree-N extension of
-    F_Q, so Q^N is capped at _FIELD_CAP.
+    coset leader L (see coset_leaders), and F_Q[T]/(pi) = F_Q(y^L): a base
+    f with f(y^L) = y^lg (lg from _log_at, None at a root of f: no order)
+    has f^n of order (Q^N - 1)/gcd(n lg, Q^N - 1) mod pi, and as Q^N - 1 =
+    nmr with gcd(m, r) = 1, that is m iff r | lg and no prime l | m divides
+    lg: the lemma's form.  The scan keeps a root of each qualifying pi, and
+    a certificate that reads `qualifying` computes their minimal polynomials.
+    F_{Q^N} = extension(F_Q, N) caps Q^N at _FIELD_CAP.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
     jointly independent: Q^N/(N r^2) * prod_{l | m} (1 - 1/l)^2.
@@ -375,10 +375,10 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     check_ff_bases(constr, a, b)
     n = constr.n_for(N)
     ext = extension(constr.big, N)
-    r, rad = constr.r, math.prod(factorize(constr.m).primes())
+    order, m = ext.order, constr.m
 
-    def qualifies(lg: int | None) -> bool:  # r | lg and no prime l | m divides lg
-        return lg is not None and lg % r == 0 and math.gcd(lg, rad) == 1
+    def qualifies(lg: int | None) -> bool:  # (y^lg)^n has order exactly m
+        return lg is not None and order // math.gcd(n * lg, order) == m
 
     log_a, log_b = (_log_terms(ext, f.coeffs) for f in (a, b))  # F_q is the elements below q
     total = 0

@@ -69,8 +69,9 @@ def delta_count_range(limit: int) -> list[int]:
     """delta(n) for every n in 1..limit (index 0 unused), dual-path.
 
     Path A enumerates divisors per n from a smallest-prime-factor table and
-    checks d + 1 against a sieve; path B walks, for each prime p, the
-    multiples of p - 1.  The two tables must agree entry by entry.
+    reads the primality of d + 1 off the same table; path B walks, for each
+    prime p from the sieve, the multiples of p - 1.  The two tables must
+    agree entry by entry.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -80,16 +81,13 @@ def delta_count_range(limit: int) -> list[int]:
         step = p - 1
         for j in range(step, limit + 1, step):
             table_b[j] += 1
-    # path A: smallest prime factor -> divisors -> sieve-backed primality
+    # path A: smallest prime factor -> divisors -> primality of d + 1 from the same table
     spf = list(range(limit + 2))
     for p in range(2, math.isqrt(limit + 1) + 1):
         if spf[p] == p:
             for j in range(p * p, limit + 2, p):
                 if spf[j] == j:
                     spf[j] = p
-    prime_flags = bytearray(limit + 2)
-    for p in primes_in_range(2, limit + 2):
-        prime_flags[p] = 1
     table_a = [0] * (limit + 1)
     for n in range(1, limit + 1):
         divs = [1]
@@ -101,7 +99,7 @@ def delta_count_range(limit: int) -> list[int]:
                 rest //= p
                 e += 1
             divs = [d * p**i for d in divs for i in range(e + 1)]
-        table_a[n] = sum(1 for d in divs if prime_flags[d + 1])
+        table_a[n] = sum(1 for d in divs if spf[d + 1] == d + 1)
     if table_a != table_b:
         raise VerificationError("delta range paths disagree")
     return table_a

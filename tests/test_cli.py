@@ -266,6 +266,11 @@ def test_vacuous_scans_exit_one(argv, named, capsys):
     assert named in captured.err
 
 
+# the product of the primes 10^16 + 61 and 3 * 10^16 + 29, beyond Pollard rho's step budget
+_SEMIPRIME = "300000000000002120000000000001769"
+_UNFACTORED = f"cannot factor {_SEMIPRIME}: Pollard rho found no factor in"
+
+
 @pytest.mark.parametrize("argv,named", [
     (["verify-lemma", "--N", "3", "--a", "-2", "--b", "5", "--p-max", "100"], "a = -2"),
     (["verify-lemma", "--N", "0", "--a", "2", "--b", "5", "--p-max", "100"], "N = 0"),
@@ -281,9 +286,13 @@ def test_vacuous_scans_exit_one(argv, named, capsys):
       "--deg-max", "1"], "q = 0"),
     (["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "7"], "scan bound x must be at least 8 (x >= e^2), got 7"),
     (["delta", "--limit", "0"], "limit must be positive, got 0"),
+    (["density", "--N", "2", "--a", _SEMIPRIME, "--b", "3", "--x", "1000"], _UNFACTORED),
+    (["champion", "--a", "2", "--b", "3", "--N", "2", "--M", _SEMIPRIME, "--x", "1000"], _UNFACTORED),
+    (["gcd-seq", "--a", "2", "--b", "3", "--N", _SEMIPRIME, "--n-max", "1"], _UNFACTORED),
 ])
 def test_integer_inputs_out_of_range_exit_one(argv, named, capsys):
-    # a base below 2, an index below 1, a negative n_max, an x or a limit too small is refused by name
+    # a base below 2, an index below 1, a negative n_max, an x or a limit too small is refused
+    # by name, and so is an input that Pollard rho cannot factor within its step budget
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -411,14 +420,14 @@ def test_delta_path_disagreement_is_exit_two(capsys, monkeypatch):
     calls = []
 
     def first_call_drops_seven(lo, hi):
-        # path B sieves first; path A's own call stays exact
+        # path B is the only path that sieves; path A reads primality off its own table
         calls.append((lo, hi))
         primes = real(lo, hi)
         return [p for p in primes if p != 7] if len(calls) == 1 else primes
 
     monkeypatch.setattr(oracles, "primes_in_range", first_call_drops_seven)
     code = main(["delta", "--limit", "50"])
-    assert code == 2 and len(calls) == 2
+    assert code == 2 and len(calls) == 1
     assert "verification failure: delta range paths disagree" in capsys.readouterr().err
 
 

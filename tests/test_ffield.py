@@ -550,6 +550,17 @@ def _power_criterion(pi, f, constr):
             and all(poly_powmod(f, total // l, pi) != one for l in primefactors(constr.m)))
 
 
+def _order_criterion(pi, f, constr):
+    # the definition as powmods mod pi: f^n has order exactly m, that is
+    # f^(nm) = 1 and f^(nm/l) != 1, at n = constr.n_for(deg pi)
+    if (f % pi).is_zero:
+        return False
+    nm = constr.n_for(pi.degree) * constr.m
+    one = FqPolynomial.one(pi.ctx)
+    return (poly_powmod(f, nm, pi) == one
+            and all(poly_powmod(f, nm // l, pi) != one for l in primefactors(constr.m)))
+
+
 def _horner_scan(constr, N, a, b):
     # the scan before the exponent walk: every orbit, each base at a root by
     # Horner, and the minimal polynomial of each orbit that qualifies
@@ -564,7 +575,8 @@ def _horner_scan(constr, N, a, b):
 
 
 def test_ff_scan_matches_the_power_criterion():
-    # every monic irreducible pi tested by powmods: odd p, Q != p, r > 1 with
+    # every monic irreducible pi tested by powmods, once by the lemma's power
+    # criterion and once by the order definition: odd p, Q != p, r > 1 with
     # k = 2, m = 15 with two primes l | m, bases over F_4 \ F_2, and pi = T
     # qualifying at N = 1 (bases T + 2, T + 4 over F_7); one base twice where
     # no pi makes two distinct bases r-th powers
@@ -581,9 +593,13 @@ def test_ff_scan_matches_the_power_criterion():
         assert constr.Q**N <= 4096
         a, b = P(base, *a), P(base, *b)
         a_big, b_big = constr.lift(a), constr.lift(b)
-        expected = [pi.coeffs for pi in monic_polys(constr.big, N) if irreducible_test(pi)
-                    and _power_criterion(pi, a_big, constr) and _power_criterion(pi, b_big, constr)]
+        pis = [pi for pi in monic_polys(constr.big, N) if irreducible_test(pi)]
+        expected = [pi.coeffs for pi in pis
+                    if _power_criterion(pi, a_big, constr) and _power_criterion(pi, b_big, constr)]
+        defined = [pi.coeffs for pi in pis
+                   if _order_criterion(pi, a_big, constr) and _order_criterion(pi, b_big, constr)]
         scan = ff_scan(constr, N, a, b)
+        assert defined == expected, (base, k, n0, m, N)
         assert scan.qualifying == tuple(sorted(expected)) == _horner_scan(constr, N, a, b), (base, k, n0, m, N)
         assert scan.count == len(scan.qualifying) > 0, (base, k, n0, m, N)
         if T in scan.qualifying:

@@ -186,3 +186,23 @@ def test_trace_mode_installs_for_every_bench_label():
     code = f"import sys; sys.path[:0] = {path!r}; import spans\nfor label in {labels!r}: spans.install(label)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("label,argv,names", [
+    ("density", ["density", "--N", "6", "--a", "2", "--b", "3", "--x", "10000"],
+     ["arith.sieve", "density.count", "density.predict"]),
+    ("ffield.ext", ["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1",
+                    "--b-poly", "1,1", "--deg-max", "2"],
+     ["cyclotomic.eval", "ffield.construct", "ffield.ext.scan", "ffield.gcd", "ffield.power", "ffield.verify"]),
+])
+def test_bench_tracer_records_the_spans_of_a_run(label, argv, names):
+    # as a `benchmark/run.py --trace 1` worker does: install the tracer, then run
+    # the command; a wrapped name the run stops calling would record no span
+    path = [str(ROOT / "src"), str(ROOT / "benchmark")]
+    argv = argv + ["--out", os.devnull]
+    code = (f"import sys; sys.path[:0] = {path!r}; import cyclogcd.cli, spans\n"
+            f"tracer = spans.install({label!r}); status = cyclogcd.cli.main({argv!r})\n"
+            f"print(sorted({{span[0] for span in tracer.spans}})); sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == repr(names)
