@@ -20,9 +20,12 @@ _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# Pollard rho steps, over all c, before a factorization is refused (a few s):
-# a prime factor p takes about sqrt(p) steps, so factors up to ~10^12 are found
-_RHO_STEPS = 1 << 20
+# Pollard rho steps, over all c, before a factorization is refused (1-2 s):
+# a prime factor p takes a small multiple of sqrt(p) steps, so factors up to
+# ~10^12 are found
+_RHO_STEPS = 1 << 22
+# Pollard rho steps whose differences share one gcd
+_RHO_BATCH = 128
 
 # a set flag of _sieve; the scan for them runs in C and makes no int for a struck k
 _SET_FLAG = re.compile(b"\x01")
@@ -160,25 +163,48 @@ class FactoredInt(_Factorization):
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Floyd's cycle finding).
+    """A nontrivial factor of odd composite n: Pollard rho with Brent's cycle
+    finding (Brent, BIT 20, 1980), whose differences are multiplied together
+    so that one gcd serves _RHO_BATCH steps.
 
-    The parameter sequence is fixed, so results are deterministic.
+    Every step of every c counts against _RHO_STEPS.  The parameter sequence
+    is fixed, so results are deterministic.
     """
     steps = _RHO_STEPS
+
+    def spend(count):
+        nonlocal steps
+        if count > steps:
+            raise ValueError(f"cannot factor {n}: Pollard rho found no factor in {_RHO_STEPS} steps")
+        steps -= count
+
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            if not steps:
-                raise ValueError(f"cannot factor {n}: Pollard rho found no factor in {_RHO_STEPS} steps")
-            steps -= 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise VerificationError(f"rho failed on {n}")  # every c met d = n within the budget
+        y, r, g = 2, 1, 1
+        while g == 1:
+            # x stays at the start of the round while y walks 2r steps, the last r compared to it
+            x = y
+            spend(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BATCH):
+                ys, batch, q = y, min(_RHO_BATCH, r - k), 1
+                spend(batch)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch met every factor at once: step it again, one gcd per step
+            g = 1
+            while g == 1:
+                spend(1)
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise VerificationError(f"rho failed on {n}")  # every c met g = n within the budget
 
 
 def factorize(n: int) -> FactoredInt:

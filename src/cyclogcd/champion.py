@@ -86,7 +86,7 @@ def build_kernel(x, delta: float, modulus: int) -> int:
 def _qualify_block(cfg, block) -> list[tuple[int, int]]:
     # (p, w) for the primes of the block that contribute pairs.  An admissible
     # m is coprime to L, so a^(mw) and b^(mw) keep the orders M and N of a^w, b^w.
-    return list(qualifying_primes(*block, *cfg))
+    return [(p, w) for p, w, _, _ in qualifying_primes(*block, *cfg)]
 
 
 def _contributing_primes(params: ChampionParams, jobs: int) -> list[tuple[int, int]]:

@@ -100,17 +100,21 @@ def _admissible_wheel(modulus: int, d: int, period: int, tests: tuple[tuple[int,
 
 
 def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int = 1):
-    """Yield (p, w) for each prime p in [lo, hi) with p = 1 (mod L),
+    """Yield (p, w, u_a, u_b) for each prime p in [lo, hi) with p = 1 (mod L),
     p != 1 (mod L*l) for every prime l | L, d | w, and a^w of order exactly
     M and b^w of order exactly N mod p, where L = lcm(M, N), w = (p-1)/L.
-    This is the one statement of the conditions that champion, density and
-    the lemma scan share; check_bases states the hypotheses they rest on.
+    u_c is c^w mod p, or None for a base c whose every test the wheel below
+    settles, which takes no power.  This is the one statement of the
+    conditions that champion, density and the lemma scan share; check_bases
+    states the hypotheses they rest on.
 
     The orders are tested as: p divides neither base, a is not an l-th
     power mod p for any prime l | M nor b for any prime l | N, and
     c^(w*I) = 1 for each base c whose index I is below L.  Under the index
     hypothesis each prime l | I has the same power in I as in L, so once the
     order of c^w divides I, c^((p-1)/l) != 1 says it does not divide I/l.
+    Each base takes its power u_c once and reads these tests off it with
+    small exponents: c^((p-1)/l) = u_c^(L/l) and c^(w*I) = u_c^I.
 
     Only p = 1 + L*d*k is sieved, which covers both congruences, in
     segments of at most _SEGMENT values of k, and the sieve starts from a
@@ -121,17 +125,12 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     Jacobi symbol (core(c) / p), core(c) the squarefree part of c, and by
     quadratic reciprocity it depends only on p mod the discriminant of
     Q(sqrt c).  A test whose discriminant would stretch the wheel past
-    _WHEEL_CAP classes or past the range runs its powmod per prime instead,
+    _WHEEL_CAP classes or past the range is read off u_c per prime instead,
     like every odd l.  A block whose range of k is shorter than rad(L) builds
     no wheel, whose every class costs a Python step, and tests l ∤ w per
     prime: the sieve keeps at most one prime per k, so that costs no more.
     """
     modulus = math.lcm(M, N)
-    # smallest l first: a test with l rejects about 1/l of the primes
-    powers = [(a, l) for l in factorize(M).primes()] + [(b, l) for l in factorize(N).primes()]
-    powers.sort(key=lambda t: t[1])
-    # c^(w*I) = c^((p-1)/(L/I)) for a base c of index I < L; at I = L it is 1 by Fermat
-    orders = [(c, modulus // index) for c, index in ((a, M), (b, N)) if index < modulus]
     step = modulus * d
     ells = factorize(modulus).primes()
     period = math.prod(ells)
@@ -142,28 +141,46 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     settled = {}
     # the wheel costs one Jacobi symbol per class and settled test, and p must be odd
     limit = min(_WHEEL_CAP, k_range) if step % 2 == 0 and wheeled else 0
-    for c, sign in sorted({(c, -1) for c, l in powers if l == 2} | {(c, 1) for c, k in orders if k == 2}):
+    bases = ((a, M), (b, N))
+    for c, sign in sorted({(c, -1) for c, index in bases if index % 2 == 0}
+                          | {(c, 1) for c, index in bases if modulus // index == 2}):
         core, disc = _quadratic_field(c)
         grown = math.lcm(step * period, disc) // step
         if grown <= limit:
             period, settled[c, sign] = grown, (core, sign)
-    powers = [(c, l) for c, l in powers if l != 2 or (c, -1) not in settled]
-    orders = [(c, k) for c, k in orders if k != 2 or (c, 1) not in settled]
+    # the tests the wheel leaves to each base c of index I, read off u = c^w: u^I = 1
+    # for I < L (order 0 for none), then u^(L/l) != 1 for each prime l | I, smallest first
+    tests = []
+    for c, index in bases:
+        order = index if index < modulus and (modulus // index != 2 or (c, 1) not in settled) else 0
+        powers = tuple(modulus // l for l in factorize(index).primes() if l != 2 or (c, -1) not in settled)
+        tests.append((order, powers, bool(order or powers)))
+    (a_order, a_powers, a_tested), (b_order, b_powers, b_tested) = tests
     wheel = _admissible_wheel(modulus, d, period, tuple(settled.values())) if wheeled else b"\x01"
+    top = max(a, b)
     for start in range(lo, hi, _SEGMENT * step):
         candidates = primes_in_range(start, min(start + _SEGMENT * step, hi), step, wheel)
         if not wheeled:
             candidates = [p for p in candidates if all((p - 1) // modulus % l for l in ells)]
         for p in candidates:
-            if a % p == 0 or b % p == 0:
+            if p <= top and (a % p == 0 or b % p == 0):
                 continue
-            if orders and any(pow(c, (p - 1) // k, p) != 1 for c, k in orders):
+            w = (p - 1) // modulus
+            u_a = pow(a, w, p) if a_tested else None
+            if a_order and pow(u_a, a_order, p) != 1:
                 continue
-            for c, l in powers:
-                if pow(c, (p - 1) // l, p) == 1:
+            for e in a_powers:
+                if pow(u_a, e, p) == 1:
                     break
             else:
-                yield p, (p - 1) // modulus
+                u_b = pow(b, w, p) if b_tested else None
+                if b_order and pow(u_b, b_order, p) != 1:
+                    continue
+                for e in b_powers:
+                    if pow(u_b, e, p) == 1:
+                        break
+                else:
+                    yield p, w, u_a, u_b
 
 
 class LemmaScanResult(NamedTuple):
@@ -175,10 +192,11 @@ def _lemma_scan_block(cfg, block) -> tuple[int, int]:
     a, b, modulus, classes, coeffs = cfg
     descending = coeffs[::-1]  # Horner's order; its % p keeps raw coefficients exact
     qualified = checked = 0
-    for p, w in qualifying_primes(*block, a, b, modulus, modulus):
+    for p, w, u_a, u_b in qualifying_primes(*block, a, b, modulus, modulus):
         qualified += 1
-        for base in (a, b):
-            u = pow(base, w, p)
+        for base, u in ((a, u_a), (b, u_b)):
+            if u is None:  # the wheel settled every test of base, which took no power
+                u = pow(base, w, p)
             # u^N = base^(p-1) = 1 by Fermat; each class below rests on it
             if pow(u, modulus, p) != 1:
                 raise VerificationError(
@@ -204,8 +222,8 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
     p <= p_max and every admissible n = m(p-1)/modulus with m <= m_max.
 
     Each case (p, base, m) is settled exactly but evaluated once per class of
-    m mod modulus, after u = base^((p-1)/modulus) is checked to have
-    u^modulus = 1.  Any counterexample raises VerificationError; the result
+    m mod modulus, after u = base^((p-1)/modulus), the power the
+    qualification took, is checked to have u^modulus = 1.  Any counterexample raises VerificationError; the result
     records how much ground was covered; a scan of no prime or no m is
     refused, since it would certify nothing.
     """

@@ -164,6 +164,14 @@ def test_factorize_large_semiprime():
     assert factorize(n).factors == {10007: 1, 10009: 1, 65537: 1}
 
 
+def test_factorize_two_13_digit_primes_by_brent():
+    # found by probe: walking x -> x^2 + 1 from 2 mod each prime from 10^12 up, both primes
+    # here evade Floyd's x_i = x_2i past 2^20 steps, where Floyd's rho gave up, while Brent's
+    # cycle finding meets 1000000000169 after 1,770,750 counted steps, inside _RHO_STEPS
+    p, q = 1000000000121, 1000000000169
+    assert factorize(p * q).factors == {p: 1, q: 1}
+
+
 def test_factored_int_invariants_enforced():
     with pytest.raises(ValueError):
         FactoredInt(12, {2: 1, 3: 1})

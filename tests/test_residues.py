@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -25,7 +26,21 @@ def qualifies(p, modulus, a, b):
 
 
 def yields(p, a, b, M, N):
-    return list(qualifying_primes(p, p + 1, a, b, M, N)) == [(p, (p - 1) // math.lcm(M, N))]
+    # a block of one prime builds no wheel, so every base takes its power unless L = 1,
+    # where neither base has a test
+    modulus = math.lcm(M, N)
+    w = (p - 1) // modulus
+    u_a, u_b = (pow(c, w, p) if modulus > 1 else None for c in (a, b))
+    return list(qualifying_primes(p, p + 1, a, b, M, N)) == [(p, w, u_a, u_b)]
+
+
+def pairs(found, a, b):
+    # (p, w) of each yield of qualifying_primes, once each power it carries is c^w mod p
+    out = []
+    for p, w, u_a, u_b in found:
+        assert u_a in (None, pow(a, w, p)) and u_b in (None, pow(b, w, p)), (p, w, u_a, u_b)
+        out.append((p, w))
+    return out
 
 
 def test_is_lth_power_mod_examples():
@@ -108,13 +123,33 @@ def test_lemma_scan_counts_every_admissible_m():
 
 def test_lemma_scan_refuses_doctored_primes(monkeypatch):
     # 2 is a square mod 7, so Phi_2(2^(1*3)) = 9 is not divisible by 7
-    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(7, 3)]))
-    with pytest.raises(VerificationError, match=r"p = 7, base = 2, n = 1\*3 "):
-        lemma_scan(2, 2, 3, 100, 5)
+    # None takes the power in the lemma, as for a base the wheel settled; the same prime
+    # carrying its true powers u = 2^3 = 1 and 3^3 = 6 (mod 7) fails alike
+    for doctored in ((7, 3, None, None), (7, 3, 1, 6)):
+        monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([doctored]))
+        with pytest.raises(VerificationError, match=r"p = 7, base = 2, n = 1\*3 "):
+            lemma_scan(2, 2, 3, 100, 5)
     # 9 is no prime: u = 2^4 = 7 (mod 9) has u^2 = 4, so the classes of m mod 2 cannot stand in for m
-    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(9, 4)]))
+    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(9, 4, None, None)]))
     with pytest.raises(VerificationError, match=r"p = 9, base = 2: u = 2\^4 has u\^2 != 1"):
         lemma_scan(2, 2, 3, 100, 5)
+
+
+def test_lemma_scan_takes_each_power_once(monkeypatch):
+    # the lemma reads u = base^w from the qualification, so no (base, p) is raised to an
+    # exponent above N twice; taking u again would raise both bases of every prime twice
+    for modulus, a, b, m_max in ((3, 30, 29, 20), (15, 2, 7, 40)):
+        raised = collections.Counter()
+
+        def counted(base, e, mod):
+            if e > modulus:
+                raised[base, mod] += 1
+            return pow(base, e, mod)
+
+        monkeypatch.setattr(residues, "pow", counted, raising=False)
+        result = lemma_scan(modulus, a, b, 20000, m_max)
+        assert len(raised) >= 2 * result.qualified_primes > 0, modulus
+        assert max(raised.values()) == 1, [t for t, n in raised.items() if n > 1][:5]
 
 
 def test_lemma_scan_with_large_coefficients_matches_sympy(capsys, monkeypatch):
@@ -138,7 +173,7 @@ def test_lemma_scan_with_large_coefficients_matches_sympy(capsys, monkeypatch):
     assert qualified >= 10
     assert lemma_scan(105, 2, 3, p_max, m_max) == (qualified, cases)
     # 2 is a cube mod 1051: u = 2^10 has order dividing 35, so Phi_105(u) != 0 (mod 1051)
-    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(1051, 10)]))
+    monkeypatch.setattr(residues, "qualifying_primes", lambda *args: iter([(1051, 10, None, None)]))
     assert main(["verify-lemma", "--N", "105", "--a", "2", "--b", "3", "--p-max", "2000"]) == 2
     assert "divisibility lemma failed at p = 1051, base = 2, n = 1*10 " in capsys.readouterr().err
 
@@ -186,7 +221,7 @@ def test_check_bases_refusals():
 
 def test_constructed_n_coprimality():
     # for qualified p, n = m (p-1)/N with gcd(m, N) = 1 is coprime to N
-    for p, w in qualifying_primes(2, 2000, 2, 5, 3, 3):
+    for p, w, _, _ in qualifying_primes(2, 2000, 2, 5, 3, 3):
         for m in (1, 2, 4, 5):
             assert math.gcd(m * w, 3) == 1
 
@@ -194,7 +229,7 @@ def test_constructed_n_coprimality():
 def test_qualifying_primes_matches_explainer():
     for modulus, a, b in ((1, 2, 3), (2, 2, 3), (3, 2, 5), (6, 5, 7), (4, 3, 5)):
         for d in (1, 5, 7):
-            got = list(qualifying_primes(2, 3000, a, b, modulus, modulus, d))
+            got = pairs(qualifying_primes(2, 3000, a, b, modulus, modulus, d), a, b)
             want = [p for p in primes_in_range(2, 3000)
                     if a % p and b % p and qualifies(p, modulus, a, b)
                     and (p - 1) // modulus % d == 0]
@@ -212,11 +247,11 @@ def test_square_class_memo_matches_legendre():
             want = [(p, (p - 1) // modulus) for p in primes
                     if p % modulus == 1 and c % p and all((p - 1) % (modulus * l) for l in ells)
                     and legendre(c, p) == -1 and all(pow(c, (p - 1) // l, p) != 1 for l in ells if l > 2)]
-            assert list(qualifying_primes(2, 10**5, c, 1, modulus, 1)) == want, (modulus, c)
+            assert pairs(qualifying_primes(2, 10**5, c, 1, modulus, 1), c, 1) == want, (modulus, c)
             for pieces in (4, 8):
                 blocks = split_range(2, 10**5, pieces)
-                assert [t for block in blocks
-                        for t in qualifying_primes(*block, c, 1, modulus, 1)] == want, (modulus, c)
+                assert pairs([t for block in blocks for t in qualifying_primes(*block, c, 1, modulus, 1)],
+                             c, 1) == want, (modulus, c)
 
 
 def test_qualifying_primes_matches_brute_force(monkeypatch):
@@ -226,10 +261,14 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
     # classes: the whole range builds it, and its 4 and 8 blocks, shorter than that, test
     # 1001 by the powmod instead.  Base a sits at index M and b at index N: both, one of
     # them, and the power of the smallest l against the rest.  The whole range is sieved
-    # in segments of the values of k in 2999 numbers, so ten segments share its wheel
+    # in segments of the values of k in 2999 numbers, so ten segments share its wheel.
+    # Each yield carries u_c = c^w mod p, or None where the wheel of its call, seen through
+    # the (core, sign) tests it was built with, settled every test of c
     hi = 30000
     primes = list(primerange(2, hi))
     order = functools.cache(lambda c, p, w: n_order(pow(c, w, p), p))  # w = (p-1)/lcm(M, N)
+    wheels, real_wheel = [], residues._admissible_wheel
+    monkeypatch.setattr(residues, "_admissible_wheel", lambda *args: wheels.append(set(args[3])) or real_wheel(*args))
 
     def want(a, b, M, N, d):
         out = []
@@ -244,6 +283,24 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                 out.append((p, w))
         return out
 
+    def settles_all(c, index, modulus, settled):
+        # c's tests: l | index for each prime l, and the order test when index < L; the
+        # wheel takes only the square test (core, -1) and the order test with L/I = 2 (core, +1)
+        core = math.prod(q for q, e in factorint(c).items() if e % 2)
+        return (all(l == 2 for l in primefactors(index)) and (index % 2 or (core, -1) in settled)
+                and (index == modulus or (modulus == 2 * index and (core, 1) in settled)))
+
+    def check_block(lo, hi, case, oracle):
+        # qualifying_primes on [lo, hi) against the oracle's (p, w) there, with their powers
+        a, b, M, N, _ = case
+        modulus = math.lcm(M, N)
+        wheels.clear()
+        got = list(qualifying_primes(lo, hi, *case))
+        settled = wheels[0] if wheels else set()
+        taken = [(c, not settles_all(c, index, modulus, settled)) for c, index in ((a, M), (b, N))]
+        assert got == [(p, w, *(pow(c, w, p) if took else None for c, took in taken))
+                       for p, w in oracle if lo <= p < hi], (case, lo, hi, settled)
+
     for modulus in range(1, 13):
         l, e = min(factorint(modulus).items(), default=(1, 0))
         head = l**e  # the power of the smallest prime l | modulus
@@ -253,11 +310,11 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                     case = (a, b, M, N, d)
                     oracle = want(*case)
                     for pieces in (4, 8):
-                        blocks = split_range(2, hi, pieces)
-                        assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+                        for block in split_range(2, hi, pieces):
+                            check_block(*block, case, oracle)
                     with monkeypatch.context() as patch:
                         patch.setattr(residues, "_SEGMENT", max(1, 2999 // (math.lcm(M, N) * d)))
-                        assert list(qualifying_primes(2, hi, *case)) == oracle, case
+                        check_block(2, hi, case, oracle)
 
     # rad(L) above the range of k of every block, which builds no wheel and tests l ∤ w per
     # prime: k stays below 143 for 210 to 30000, 433 for 2310 to 10^6, 196 for 510510 to 10^8
@@ -270,8 +327,8 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                 case = (a, b, M, N, d)
                 oracle = want(*case)
                 for pieces in (1, 4):
-                    blocks = split_range(2, hi, pieces)
-                    assert [t for block in blocks for t in qualifying_primes(*block, *case)] == oracle, case
+                    for block in split_range(2, hi, pieces):
+                        check_block(*block, case, oracle)
 
 
 def test_a_segment_is_counted_in_values_of_k(monkeypatch):
@@ -286,8 +343,8 @@ def test_a_segment_is_counted_in_values_of_k(monkeypatch):
     monkeypatch.setattr(residues, "primes_in_range", counted)
     found = list(qualifying_primes(2, 2 * 10**9, 2, 3, 9699690, 9699690))
     assert len(calls) == 1
-    assert found == [(p, (p - 1) // 9699690) for p in range(9699691, 2 * 10**9, 9699690)
-                     if isprime(p) and qualifies(p, 9699690, 2, 3)]
+    assert pairs(found, 2, 3) == [(p, (p - 1) // 9699690) for p in range(9699691, 2 * 10**9, 9699690)
+                                  if isprime(p) and qualifies(p, 9699690, 2, 3)]
 
 
 def test_squares_forced_by_the_modulus():
