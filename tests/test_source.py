@@ -191,11 +191,11 @@ def test_trace_mode_installs_for_every_bench_label():
 @pytest.mark.parametrize("label,argv,names", [
     ("density", ["density", "--N", "6", "--a", "2", "--b", "3", "--x", "10000"],
      ["arith.sieve", "density.count", "density.predict"]),
-    ("verify-lemma", ["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "10000", "--m-max", "20"],
-     ["arith.sieve", "residues.lemma"]),
     ("ffield.ext", ["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1",
                     "--b-poly", "1,1", "--deg-max", "2"],
      ["cyclotomic.eval", "ffield.construct", "ffield.ext.scan", "ffield.gcd", "ffield.power", "ffield.verify"]),
+    ("verify-lemma", ["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "10000", "--m-max", "20"],
+     ["arith.sieve", "residues.lemma"]),
 ])
 def test_bench_tracer_records_the_spans_of_a_run(label, argv, names):
     # as a `benchmark/run.py --trace 1` worker does: install the tracer, then run
