@@ -6,6 +6,7 @@ offset logarithmic integral.  Everything here is pure and deterministic, so
 the functions are safe to call from any number of workers.
 """
 
+import functools
 import math
 import re
 from typing import NamedTuple
@@ -29,17 +30,24 @@ _RHO_BATCH = 128
 
 # a set flag of _sieve; the scan for them runs in C and makes no int for a struck k
 _SET_FLAG = re.compile(b"\x01")
+# _sieve clears a class of k in runs of at most _RUN flags, each from a cut of this one zero
+# buffer as long as the run, so no temporary grows with the range
+_RUN = 1 << 14
+_ZEROS = bytes(_RUN)
 
 
-def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
+def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01",
+           strike: tuple[int, ...] = ()) -> list[int]:
     """Primes p = 1 (mod step) in [lo, hi) for lo >= 2 whose k in
-    p = 1 + step*k has wheel[k % len(wheel)] set, ascending.
+    p = 1 + step*k has wheel[k % len(wheel)] set and no m in strike
+    dividing k, ascending.
 
-    A flag stands for k and starts as its wheel entry; the wheel is aligned
-    on k itself, so the blocks of a split range agree.  A sieving prime q up
-    to sqrt(hi - 1), from the same sieve one level down, divides no such p
-    when q | step; otherwise q | p exactly when k = -step^-1 (mod q), and
-    those k are struck from the first p >= q^2, so q itself survives.
+    A flag stands for k and starts as its wheel entry; the wheel and the
+    classes m | k are aligned on k itself, so the blocks of a split range
+    agree.  A sieving prime q up to sqrt(hi - 1), from the same sieve one
+    level down, divides no such p when q | step; otherwise q | p exactly
+    when k = -step^-1 (mod q), and those k are struck from the first
+    p >= q^2, so q itself survives; each m | k is struck throughout.
     """
     k_lo, k_hi = -(-(lo - 1) // step), -(-(hi - 1) // step)
     if k_hi <= k_lo:
@@ -49,25 +57,32 @@ def _sieve(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]
     # one allocation of the flags: the wheel turned to start at k_lo, repeated, and the tail cut
     flags = bytearray(wheel[shift:] + wheel[:shift]) * -(-count // period)
     del flags[count:]
+
+    def clear(stride, start):
+        for i in range(start, count, stride * _RUN):
+            flags[i:i + stride * _RUN:stride] = _ZEROS[:len(range(i, count, stride))]
+    for m in strike:
+        clear(m, -k_lo % m)
     for q in _sieve(2, math.isqrt(hi - 1) + 1):
-        if step % q == 0:
-            continue
-        k_first = max(k_lo, -(-(q * q - 1) // step))
-        start = k_first - k_lo + (-pow(step, -1, q) - k_first) % q
-        flags[start::q] = bytes(len(range(start, k_hi - k_lo, q)))
+        if step % q:
+            k_first = max(k_lo, -(-(q * q - 1) // step))
+            clear(q, k_first - k_lo + (-pow(step, -1, q) - k_first) % q)
     first = 1 + step * k_lo
     return [first + step * m.start() for m in _SET_FLAG.finditer(flags)]
 
 
-def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01") -> list[int]:
+def primes_in_range(lo: int, hi: int, step: int = 1, wheel: bytes = b"\x01",
+                    strike: tuple[int, ...] = ()) -> list[int]:
     """Primes p = 1 (mod step) in [lo, hi) by segmented sieve, kept only
-    where wheel[k % len(wheel)] is set for p = 1 + step*k; workers use this
-    on their block."""
+    where wheel[k % len(wheel)] is set and no m in strike divides k, for
+    p = 1 + step*k; workers use this on their block."""
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
     if not wheel or wheel.strip(b"\x00\x01"):
         raise ValueError("the wheel must have at least one entry, each 0 or 1")
-    return _sieve(max(lo, 2), hi, step, wheel)
+    if any(m < 1 for m in strike):
+        raise ValueError(f"every modulus struck must be positive, got {strike}")
+    return _sieve(max(lo, 2), hi, step, wheel, strike)
 
 
 # factorize trial-divides by these; Pollard rho splits what is left
@@ -207,10 +222,12 @@ def _pollard_rho(n: int) -> int:
     raise VerificationError(f"rho failed on {n}")  # every c met g = n within the budget
 
 
+@functools.lru_cache(maxsize=128)
 def factorize(n: int) -> FactoredInt:
     """Full prime factorization of n >= 1 (n = 1 gives the empty map): trial
     division by the primes below 2^12 while p^2 <= n, then Pollard rho
-    (refused with ValueError past _RHO_STEPS)."""
+    (refused with ValueError past _RHO_STEPS).  The last 128 results are
+    kept and shared by every caller, which must not change them."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     value = n

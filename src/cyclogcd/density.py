@@ -13,22 +13,21 @@ counts against ratio * li(x) stand in for any analytic error term.
 import math
 from typing import NamedTuple
 
-from .arith import FactoredInt, euler_phi, factorize, li
+from .arith import euler_phi, factorize, li
 from .errors import VerificationError
 from .parallel import map_blocks
 from .residues import check_bases, qualifying_primes
 
 
-def dependence_exponent(a, b, l: int) -> int:
+def dependence_exponent(a: int, b: int, l: int) -> int:
     """2 if a, b are multiplicatively dependent mod l-th powers in Q, else 3.
 
     Dependence means the prime-exponent vectors of a and b are linearly
-    dependent over the field with l elements.  Accepts ints or FactoredInt;
-    bases that are l-th powers in Q, with a zero vector, are refused.
+    dependent over the field with l elements.  Bases that are l-th powers
+    in Q, with a zero vector, are refused.
     """
-    fa = a if isinstance(a, FactoredInt) else factorize(a)
-    fb = b if isinstance(b, FactoredInt) else factorize(b)
-    check_bases(fa.value, fb.value, l, l)
+    check_bases(a, b, l, l)
+    fa, fb = factorize(a), factorize(b)
     support = sorted(set(fa.factors) | set(fb.factors))
     va = [fa.factors.get(p, 0) % l for p in support]
     vb = [fb.factors.get(p, 0) % l for p in support]
@@ -48,11 +47,10 @@ class DensityPrediction(NamedTuple):
 def predicted_density(modulus: int, d: int, a: int, b: int) -> DensityPrediction:
     """Exact density of qualifying primes with the extra filter d | (p-1)/N."""
     check_bases(a, b, modulus, modulus, d)
-    fa, fb = factorize(a), factorize(b)
     exponents = []
     num, den = 1, euler_phi(modulus * d)
     for l in factorize(modulus).primes():
-        e = dependence_exponent(fa, fb, l)
+        e = dependence_exponent(a, b, l)
         exponents.append((l, e))
         num, den = num * (l - 1) ** e, den * l**e
     g = math.gcd(num, den)

@@ -84,19 +84,11 @@ def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _admissible_wheel(modulus: int, d: int, period: int, tests: tuple[tuple[int, int], ...]) -> bytes:
-    """Entry k of the wheel, for k mod period, is set iff the primes
-    p = 1 + modulus*d*k in that class can qualify: w = d*k has l ∤ w for
-    each prime l | modulus, and the Jacobi symbol (core / p) equals sign for
-    each (squarefree core, sign) test.  `period` is a multiple of
-    rad(modulus) and of the progression's period mod each core's
-    discriminant."""
-    step = modulus * d
-    ells = factorize(modulus).primes()
-    return bytes(
-        all(d * k % l for l in ells) and all(jacobi(core, 1 + step * k) == sign for core, sign in tests)
-        for k in range(period)
-    )
+def _admissible_wheel(step: int, period: int, tests: tuple[tuple[int, int], ...]) -> bytes:
+    """Entry k of the wheel, for k mod period, is set iff the Jacobi symbol
+    (core / p) of p = 1 + step*k equals sign for each (squarefree core,
+    sign) test; `period` is a period in k of p mod each core's discriminant."""
+    return bytes(all(jacobi(core, 1 + step * k) == sign for core, sign in tests) for k in range(period))
 
 
 def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int = 1):
@@ -117,30 +109,26 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
     small exponents: c^((p-1)/l) = u_c^(L/l) and c^(w*I) = u_c^I.
 
     Only p = 1 + L*d*k is sieved, which covers both congruences, in
-    segments of at most _SEGMENT values of k, and the sieve starts from a
-    wheel of the classes of k that pass every other condition the class decides:
-    l ∤ w = d*k for each l, each square test (l = 2) of a base c, which
-    asks (c/p) = -1, and each order test with L/I = 2, c^((p-1)/2) = 1,
-    which asks (c/p) = +1.  For an odd prime p not dividing c, (c/p) is the
-    Jacobi symbol (core(c) / p), core(c) the squarefree part of c, and by
-    quadratic reciprocity it depends only on p mod the discriminant of
-    Q(sqrt c).  A test whose discriminant would stretch the wheel past
-    _WHEEL_CAP classes or past the range is read off u_c per prime instead,
-    like every odd l.  A block whose range of k is shorter than rad(L) builds
-    no wheel, whose every class costs a Python step, and tests l ∤ w per
-    prime: the sieve keeps at most one prime per k, so that costs no more.
+    segments of at most _SEGMENT values of k.  The sieve strikes each k
+    with l | w = d*k, that is with l / gcd(l, d) | k, for each l, and
+    starts from a wheel of the classes of k that pass the quadratic tests:
+    each square test (l = 2) of a base c, which asks (c/p) = -1, and each
+    order test with L/I = 2, c^((p-1)/2) = 1, which asks (c/p) = +1.  For
+    an odd prime p not dividing c, (c/p) is the Jacobi symbol
+    (core(c) / p), core(c) the squarefree part of c, and by quadratic
+    reciprocity it depends only on p mod the discriminant of Q(sqrt c).  A
+    test whose discriminant would stretch the wheel past _WHEEL_CAP classes
+    or past the range is read off u_c per prime instead, like every odd l.
     """
     modulus = math.lcm(M, N)
     step = modulus * d
-    ells = factorize(modulus).primes()
-    period = math.prod(ells)
-    k_range = (hi - lo) // step
-    wheeled = period <= k_range
+    strike = tuple(l // math.gcd(l, d) for l in factorize(modulus).primes())
+    period = 1
     # (base, sign) -> (squarefree core, sign) for each test the wheel decides:
     # sign -1 for a square test, +1 for an order test with L/I = 2
     settled = {}
     # the wheel costs one Jacobi symbol per class and settled test, and p must be odd
-    limit = min(_WHEEL_CAP, k_range) if step % 2 == 0 and wheeled else 0
+    limit = min(_WHEEL_CAP, (hi - lo) // step) if step % 2 == 0 else 0
     bases = ((a, M), (b, N))
     for c, sign in sorted({(c, -1) for c, index in bases if index % 2 == 0}
                           | {(c, 1) for c, index in bases if modulus // index == 2}):
@@ -156,13 +144,10 @@ def qualifying_primes(lo: int, hi: int, a: int, b: int, M: int, N: int, d: int =
         powers = tuple(modulus // l for l in factorize(index).primes() if l != 2 or (c, -1) not in settled)
         tests.append((order, powers, bool(order or powers)))
     (a_order, a_powers, a_tested), (b_order, b_powers, b_tested) = tests
-    wheel = _admissible_wheel(modulus, d, period, tuple(settled.values())) if wheeled else b"\x01"
+    wheel = _admissible_wheel(step, period, tuple(settled.values()))
     top = max(a, b)
     for start in range(lo, hi, _SEGMENT * step):
-        candidates = primes_in_range(start, min(start + _SEGMENT * step, hi), step, wheel)
-        if not wheeled:
-            candidates = [p for p in candidates if all((p - 1) // modulus % l for l in ells)]
-        for p in candidates:
+        for p in primes_in_range(start, min(start + _SEGMENT * step, hi), step, wheel, strike):
             if p <= top and (a % p == 0 or b % p == 0):
                 continue
             w = (p - 1) // modulus
@@ -223,9 +208,9 @@ def lemma_scan(modulus: int, a: int, b: int, p_max: int, m_max: int, jobs: int =
 
     Each case (p, base, m) is settled exactly but evaluated once per class of
     m mod modulus, after u = base^((p-1)/modulus), the power the
-    qualification took, is checked to have u^modulus = 1.  Any counterexample raises VerificationError; the result
-    records how much ground was covered; a scan of no prime or no m is
-    refused, since it would certify nothing.
+    qualification took, is checked to have u^modulus = 1.  Any counterexample
+    raises VerificationError; the result records how much ground was covered;
+    a scan of no prime or no m is refused, since it would certify nothing.
     """
     if p_max < 2:
         raise ValueError(f"p_max must be at least 2, got {p_max}")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -86,27 +87,49 @@ def test_primes_in_range_progression_matches_sympy():
 
 
 def test_primes_in_range_wheel_matches_sympy():
-    # the wheel entry of p = 1 + step*k is wheel[k % len(wheel)] for the global k, so a lo
-    # off the period and every block split keep the same primes
-    def want(lo, hi, step, wheel):
-        return [p for p in sympy.primerange(lo, hi)
-                if (p - 1) % step == 0 and wheel[(p - 1) // step % len(wheel)]]
+    # the wheel entry of p = 1 + step*k is wheel[k % len(wheel)] for the global k, and so is
+    # each struck m | k, so a lo off the period and every block split keep the same primes;
+    # 30011 strikes no k of these ranges.  Up to 70000, steps 1 and 2 clear the classes of
+    # the smallest strides in more than one run of 2^14 flags
+    primes = list(sympy.primerange(2, 70000))
+
+    def want(lo, hi, step, wheel, strike):
+        return [p for p in primes if lo <= p < hi
+                and (p - 1) % step == 0 and wheel[(p - 1) // step % len(wheel)]
+                and all((p - 1) // step % m for m in strike)]
 
     wheels = (b"\x01", b"\x00", b"\x00\x01", b"\x01\x00\x00", bytes([1, 0, 1, 1, 0, 0, 1]),
               bytes(k % 3 != 0 and k % 5 != 2 for k in range(60)))
     for step in (1, 2, 6, 12, 30):
         for wheel in wheels:
-            for lo, hi in ((0, 200), (2, 3), (7, 8), (13, 14), (50, 40), (97, 5003), (1001, 12000)):
-                assert primes_in_range(lo, hi, step, wheel) == want(lo, hi, step, wheel), (lo, hi, step, wheel)
-            oracle = want(37, 20000, step, wheel)
-            for pieces in (4, 8):
-                blocks = split_range(37, 20000, pieces)
-                assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step, wheel)] == oracle
+            for strike in ((), (1,), (2,), (3, 5), (2, 3, 5, 7), (30011,)):
+                for lo, hi in ((0, 200), (2, 3), (7, 8), (13, 14), (50, 40), (97, 5003), (1001, 70000)):
+                    assert primes_in_range(lo, hi, step, wheel, strike) == want(lo, hi, step, wheel, strike), \
+                        (lo, hi, step, wheel, strike)
+                oracle = want(37, 20000, step, wheel, strike)
+                for pieces in (4, 8):
+                    blocks = split_range(37, 20000, pieces)
+                    assert [p for lo, hi in blocks for p in primes_in_range(lo, hi, step, wheel, strike)] == oracle
     assert primes_in_range(2, 100, 1, bytearray(b"\x01")) == primes_in_range(2, 100)
     with pytest.raises(ValueError):
         primes_in_range(2, 100, 2, b"")
     with pytest.raises(ValueError):   # the sieve keeps the entries that are 1
         primes_in_range(2, 100, 2, b"\x01\x02")
+    for strike in ((0,), (-2,)):
+        with pytest.raises(ValueError, match="every modulus struck must be positive"):
+            primes_in_range(2, 100, 2, b"\x01", strike)
+
+
+def test_primes_in_range_clears_in_bounded_runs():
+    # the zero wheel sets no flag, so no list of primes is built: beyond the 2*10^6 flags,
+    # the sieve holds only its sieving primes below 2001 and one run of zeros at a time
+    tracemalloc.start()
+    try:
+        assert primes_in_range(2, 4 * 10**6 + 2, 2, b"\x00", (2,)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6 + 128 * 1024, peak
 
 
 def test_jacobi_matches_sympy():

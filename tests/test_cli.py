@@ -73,6 +73,20 @@ def test_density_reports_fraction_and_decimal(capsys):
     assert doc["report"]["count"] > 0
 
 
+def test_density_factors_each_base_once(monkeypatch, capsys):
+    # the gate, the prediction, its re-gate and each block's quadratic field all factor a =
+    # 100000000003 * 300000000077; the cache leaves one Pollard rho run, which splits it
+    from cyclogcd import arith
+
+    calls, real = [], arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or real(n))
+    arith.factorize.cache_clear()
+    code, _ = run_cli(["density", "--N", "6", "--a", "30000000008600000000231", "--b", "3",
+                       "--x", "1000", "--jobs", "1"], capsys)
+    assert code == 0
+    assert calls == [30000000008600000000231]
+
+
 def test_champion_hypothesis_violation_exit_code(capsys):
     code = main(["champion", "--a", "4", "--b", "3", "--N", "2", "--x", "100"])
     err = capsys.readouterr().err

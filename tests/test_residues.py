@@ -268,7 +268,7 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
     primes = list(primerange(2, hi))
     order = functools.cache(lambda c, p, w: n_order(pow(c, w, p), p))  # w = (p-1)/lcm(M, N)
     wheels, real_wheel = [], residues._admissible_wheel
-    monkeypatch.setattr(residues, "_admissible_wheel", lambda *args: wheels.append(set(args[3])) or real_wheel(*args))
+    monkeypatch.setattr(residues, "_admissible_wheel", lambda *args: wheels.append(set(args[2])) or real_wheel(*args))
 
     def want(a, b, M, N, d):
         out = []
@@ -316,9 +316,10 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                         patch.setattr(residues, "_SEGMENT", max(1, 2999 // (math.lcm(M, N) * d)))
                         check_block(2, hi, case, oracle)
 
-    # rad(L) above the range of k of every block, which builds no wheel and tests l ∤ w per
-    # prime: k stays below 143 for 210 to 30000, 433 for 2310 to 10^6, 196 for 510510 to 10^8
-    monkeypatch.setattr(residues, "_admissible_wheel", None)
+    # rad(L) above the range of k of every block, whose sieve strikes the k with l | w all the
+    # same: k stays below 143 for 210 to 30000, 433 for 2310 to 10^6, 196 for 510510 to 10^8
+    sieved, real_sieve = [], residues.primes_in_range
+    monkeypatch.setattr(residues, "primes_in_range", lambda *args: sieved.append(args) or real_sieve(*args))
     for modulus, hi, bases in ((210, 30000, ((3, 7), (2, 3))), (2310, 10**6, ((3, 11), (3, 7))),
                                (510510, 10**8, ((2, 3),))):
         primes = [p for p in range(1 + modulus, hi, modulus) if isprime(p)]
@@ -328,7 +329,9 @@ def test_qualifying_primes_matches_brute_force(monkeypatch):
                 oracle = want(*case)
                 for pieces in (1, 4):
                     for block in split_range(2, hi, pieces):
+                        sieved.clear()
                         check_block(*block, case, oracle)
+                        assert sieved and all(args[4] == tuple(primefactors(modulus)) for args in sieved), block
 
 
 def test_a_segment_is_counted_in_values_of_k(monkeypatch):

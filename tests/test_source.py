@@ -196,6 +196,11 @@ def test_trace_mode_installs_for_every_bench_label():
      ["cyclotomic.eval", "ffield.construct", "ffield.ext.scan", "ffield.gcd", "ffield.power", "ffield.verify"]),
     ("verify-lemma", ["verify-lemma", "--N", "3", "--a", "2", "--b", "5", "--p-max", "10000", "--m-max", "20"],
      ["arith.sieve", "residues.lemma"]),
+    ("champion", ["champion", "--a", "2", "--b", "3", "--N", "2", "--x", "2000"],
+     ["arith.sieve", "champion.setup", "champion.verify"]),
+    ("champion.mixed", ["champion", "--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "2000",
+                        "--delta", "0.5"],
+     ["arith.sieve", "champion.setup", "champion.verify"]),
 ])
 def test_bench_tracer_records_the_spans_of_a_run(label, argv, names):
     # as a `benchmark/run.py --trace 1` worker does: install the tracer, then run
