@@ -18,9 +18,11 @@ F_{Q^N}, one coset leader L each, qualifies pi when a^n and b^n both have
 order exactly m modulo pi (read off the logarithms at its root y^L), and
 certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (their number) by exact
 polynomial arithmetic over F_q (`fqpoly`), with one division by their
-product.  The Moebius formula checks the scan's orbit count;
-`ff_equivalence_check` rebuilds the qualifying set by exact divisibility
-alone, as an oracle.
+product.  That product lies in F_q[T]: it is taken there, as the product of
+the minimal polynomials over F_q of the orbits of z -> z^q on their roots.
+The Moebius formula checks the scan's orbit count; `ff_equivalence_check`
+rebuilds the qualifying set over F_Q by exact divisibility alone, as an
+oracle.
 """
 
 import itertools
@@ -196,25 +198,42 @@ def coset_leaders(ext: FieldContext):
         L = seen.find(0, L)
 
 
-def conjugates(ext: FieldContext, z: int) -> tuple[int, ...]:
-    """z, z^Q, ..., z^(Q^(N-1)) for a root z of degree N over F_Q (read
-    off its logarithm), and (0,) for z = 0."""
+def conjugates(ext: FieldContext, z: int, s: int) -> tuple[int, ...]:
+    """z, z^s, z^(s^2), ... up to the first repeat: the conjugates of z over
+    the subfield F_s of ext (read off its logarithm), and (0,) for z = 0."""
     if not z:
         return (0,)
-    L, Q, order = ext.log[z], ext.base.q, ext.order
-    return tuple(ext.exp[L * Q**i % order] for i in range(ext.degree))
+    L = j = ext.log[z]
+    orbit = []
+    while True:
+        orbit.append(ext.exp[j])
+        j = j * s % ext.order
+        if j == L:
+            return tuple(orbit)
 
 
-def min_poly(ext: FieldContext, orbit: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients of prod (X - z) over the orbit, which lie in F_Q."""
-    coeffs = [1]
+def min_poly(ext: FieldContext, orbit: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The coefficients of prod (X - z) over an orbit of z -> z^s in ext,
+    refused outside the subfield F_s; summed as logarithms (None for 0)."""
+    zech, order = ext.zech, ext.order
+    logs = [0]  # the monic 1
     for z in orbit:
-        shifted = [0] + coeffs  # X * coeffs - z * coeffs
-        ext.add_scaled(shifted, 0, ext.sub(0, z), coeffs)
-        coeffs = shifted
-    if any(c >= ext.base.q for c in coeffs):
+        shifted = [None] + logs  # X * logs - z * logs
+        if z:
+            lw = (ext.log[z] + ext.half) % order  # -z = y^half z
+            for j, c in enumerate(logs):
+                if c is not None:
+                    b, a = (c + lw) % order, shifted[j]
+                    if a is None:
+                        shifted[j] = b
+                    else:
+                        k = zech[b - a]  # y^a + y^b = y^a (1 + y^(b - a))
+                        shifted[j] = (a + k) % order if k >= 0 else None
+        logs = shifted
+    coeffs = [0 if c is None else ext.exp[c] for c in logs]
+    if any(c >= s for c in coeffs):
         raise VerificationError(f"the orbit of {orbit[0]} in F_{{{ext.base.q}^{ext.degree}}} has a "
-                                f"coefficient outside F_{ext.base.q}")
+                                f"coefficient outside F_{s}")
     return tuple(coeffs)
 
 
@@ -252,8 +271,9 @@ class _FFScanFields(NamedTuple):
 
 class FFScanResult(_FFScanFields):
     """The qualifying pi of degree N and what they were computed from: the
-    certificates ff_direct_verify and ff_equivalence_check read it all here.
-    A copy made by `_replace` computes its own `qualifying` and `count`."""
+    certificates ff_direct_verify and ff_equivalence_check read it all here,
+    the first from the roots alone, over F_q.  A copy made by `_replace`
+    computes its own `qualifying` and `count`."""
 
     @property
     def count(self) -> int:
@@ -262,9 +282,11 @@ class FFScanResult(_FFScanFields):
     @cached_property
     def qualifying(self) -> tuple[tuple[int, ...], ...]:
         """The coefficient tuples over F_Q of the qualifying pi, sorted: the
-        minimal polynomials of the roots, computed on first read."""
-        ext = extension(self.constr.big, self.N)
-        return tuple(sorted(min_poly(ext, conjugates(ext, z)) for z in self.roots))
+        minimal polynomials of the roots, computed on first read.  Only the
+        oracle ff_equivalence_check reads them, and ff_direct_verify when it
+        names the pi that fails."""
+        ext, Q = extension(self.constr.big, self.N), self.constr.Q
+        return tuple(sorted(min_poly(ext, conjugates(ext, z, Q), Q) for z in self.roots))
 
 
 def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
@@ -362,7 +384,7 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     has f^n of order (Q^N - 1)/gcd(n lg, Q^N - 1) mod pi, and as Q^N - 1 =
     nmr with gcd(m, r) = 1, that is m iff r | lg and no prime l | m divides
     lg: the lemma's form.  The scan keeps a root of each qualifying pi, and
-    a certificate that reads `qualifying` computes their minimal polynomials.
+    the certificates compute minimal polynomials from the roots.
     F_{Q^N} = extension(F_Q, N) caps Q^N at _FIELD_CAP.
 
     `predicted` assumes the r-th/l-th power conditions for a and b are
@@ -421,25 +443,53 @@ class FFVerifyResult(NamedTuple):
     ratio_to_n: float
 
 
+def _norms(scan: FFScanResult) -> list[FqPolynomial]:
+    """The minimal polynomials over F_q of the orbits O of z -> z^q on the
+    scan's roots, refused unless each O holds one root of each of its pi:
+    as Q = q^t, the conjugates over F_Q of z = O[0] are the O[j] with s | j,
+    s = gcd(|O|, t), so O holds s pi, of degree N iff |O| = N s."""
+    constr, N, q = scan.constr, scan.N, scan.constr.base.q
+    ext = extension(constr.big, N)
+    pis, norms = set(), {}  # the least root of each pi; by the least element of O: [its norm, its pi unseen]
+    for z in scan.roots:
+        orbit = conjugates(ext, z, q)
+        s, key = math.gcd(len(orbit), constr.t), min(orbit)
+        pis.add(min(orbit[::s]))
+        if key not in norms:  # -1 marks a root of degree below N over F_Q
+            norms[key] = [FqPolynomial(constr.base, min_poly(ext, orbit, q)),
+                          s if len(orbit) == N * s else -1]
+        norms[key][1] -= 1
+    if len(pis) < scan.count or any(left for _, left in norms.values()):
+        raise VerificationError(f"the product of the qualifying pi is no product over F_{q}: an orbit of "
+                                f"z -> z^{q} on their roots misses or repeats one of its pi")
+    return [norm for norm, _ in norms.values()]
+
+
 def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     """Compute gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field and
-    certify deg gcd >= N * (number of qualifying pi of the scan)."""
+    certify deg gcd >= N * (number of qualifying pi of the scan).
+
+    The bases lie in F_q[T] and gcd(q, mr) = 1, so z -> z^q keeps the
+    qualifying set, and the product of its pi is that of `_norms`, distinct
+    irreducibles over F_q of total degree N * count: all divide g iff their
+    product does.  Only a failure lifts g to F_Q, to name a culprit pi.
+    """
     constr, n = scan.constr, scan.n
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
-    pis = [FqPolynomial(constr.big, coeffs) for coeffs in scan.qualifying]
-    value_a = eval_poly_fq(constr.m, poly_pow(scan.a, n))
-    value_b = eval_poly_fq(constr.m, poly_pow(scan.b, n))
-    g = poly_gcd(value_a, value_b)
-    # the qualifying pi are distinct monic irreducibles, so all of them divide
-    # the lifted gcd iff their product does; the per-pi loop names a culprit
-    g_big = constr.lift(g)
-    if not (g_big % _product(pis, constr.big)).is_zero:
-        for pi in pis:
+    # the values are freed before the product is formed
+    g = poly_gcd(*(eval_poly_fq(constr.m, poly_pow(f, n)) for f in (scan.a, scan.b)))
+    try:
+        if not (g % _product(_norms(scan), constr.base)).is_zero:
+            raise VerificationError("the product of the qualifying pi does not divide the gcd")
+    except VerificationError:
+        g_big = constr.lift(g)
+        for coeffs in scan.qualifying:
+            pi = FqPolynomial(constr.big, coeffs)
             if not (g_big % pi).is_zero:
-                raise VerificationError(f"qualifying pi = {pi} does not divide the gcd")
-        raise VerificationError("the product of the qualifying pi does not divide the gcd")
-    certified = scan.N * len(pis)
+                raise VerificationError(f"qualifying pi = {pi} does not divide the gcd") from None
+        raise
+    certified = scan.N * scan.count
     if g.degree < certified:
         raise VerificationError(f"deg gcd = {g.degree} is below the certified bound {certified}")
     return FFVerifyResult(deg_gcd=g.degree, certified_bound=certified, ratio_to_n=g.degree / n)

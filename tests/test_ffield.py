@@ -19,10 +19,12 @@ from cyclogcd.ffield import (
     _FIELD_CAP,
     _log_at,
     _log_terms,
+    _norms,
     _primitive_modulus,
     _product,
     _t_is_primitive,
     choose_params,
+    conjugates,
     coset_leaders,
     extension,
     ff_construction,
@@ -570,7 +572,7 @@ def _horner_scan(constr, N, a, b):
         return v != 0 and ext.log[v] % constr.r == 0 and all(ext.log[v] % l for l in primefactors(constr.m))
 
     bases = (constr.lift(a).coeffs, constr.lift(b).coeffs)
-    return tuple(sorted(min_poly(ext, orbit) for orbit in frobenius_orbits(ext)
+    return tuple(sorted(min_poly(ext, orbit, constr.Q) for orbit in frobenius_orbits(ext)
                         if all(qualifies(ext.eval(f, orbit[0])) for f in bases)))
 
 
@@ -617,7 +619,7 @@ def test_norm_is_the_product_of_the_conjugates():
         t = FqPolynomial.variable(base)
         sign = 1 if N % 2 == 0 else base.sub(0, 1)
         for orbit in frobenius_orbits(ext):
-            pi = FqPolynomial(base, min_poly(ext, orbit))
+            pi = FqPolynomial(base, min_poly(ext, orbit, base.q))
             norm = functools.reduce(ext.mul, orbit, 1)
             assert norm == base.mul(sign, pi.coeffs[0]) and norm < base.q
             assert poly_powmod(t, (base.q**N - 1) // (base.q - 1), pi).coeffs == ((norm,) if norm else ())
@@ -651,7 +653,7 @@ def test_orbit_tables_use_the_first_primitive_modulus():
         assert ext.modulus == first.coeffs, (base, N)
         if N > 1:   # y is no root of a polynomial over F_Q of degree 1
             with pytest.raises(VerificationError, match="coefficient outside"):
-                min_poly(ext, (ext.exp[1],))
+                min_poly(ext, (ext.exp[1],), base.q)
 
 
 def _tables_one_element_at_a_time(base, mu):
@@ -790,6 +792,65 @@ def test_ff_direct_verify_names_a_qualifying_pi_that_does_not_divide():
     twice = scan._replace(roots=scan.roots + scan.roots[:1])
     with pytest.raises(VerificationError, match="product of the qualifying pi"):
         ff_direct_verify(twice)
+
+
+def test_ff_direct_verify_refuses_a_scan_that_misses_a_conjugate_pi(monkeypatch, capsys):
+    # sigma: c -> c^2 on the coefficients maps the qualifying set over F_4 to
+    # itself; drop the root of one pi not over F_2 and keep that of sigma(pi):
+    # every listed pi divides the gcd, but their product is not over F_2
+    from cyclogcd import cli
+
+    scan = scan_of(3)
+    ext = extension(CONSTR.big, 3)
+    z = next(z for z in scan.roots if len(conjugates(ext, z, 2)) == 6)
+    doctored = scan._replace(roots=array("i", (x for x in scan.roots if x != z)))
+    assert sum(x in conjugates(ext, z, 2) for x in doctored.roots) == 1
+    with pytest.raises(VerificationError, match="product of the qualifying pi is no product over F_2"):
+        ff_direct_verify(doctored)
+    real = cli.ff_scan
+    monkeypatch.setattr(cli, "ff_scan", lambda constr, N, a, b: doctored if N == 3 else real(constr, N, a, b))
+    assert cli.main(["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "0,1",
+                     "--b-poly", "1,1", "--deg-max", "3"]) == 2
+    assert "product of the qualifying pi is no product over F_2" in capsys.readouterr().err
+
+
+def test_norms_multiply_to_the_product_of_the_qualifying_pi():
+    # the product over F_q of the norms, lifted, is the product over F_Q of
+    # the qualifying pi, at every degree with Q^N < 2^20 and a nonzero count
+    # (at Q^N = 2^20 the F_Q tree alone takes tens of seconds); the oracle
+    # agrees with the scans where Q^N <= 2^10.  Over F_5 the bases T, T + 1
+    # count no pi at N <= 2, and T + 2, T^2 + T + 4 count some at every degree
+    cases = 0
+    for q, m, t, a, b in ((2, 3, 2, (0, 1), (1, 1)), (2, 5, 4, (0, 1), (1, 1)), (3, 4, 4, (0, 1), (1, 1)),
+                          (5, 3, 2, (2, 1), (4, 1, 1))):
+        base = fq_context(q, 1)
+        constr = ff_construction(base, 1, 1, m)
+        assert constr.t == t
+        N = 1
+        while constr.Q**N < _FIELD_CAP:
+            scan = ff_scan(constr, N, P(base, *a), P(base, *b))
+            if scan.count:
+                cases += 1
+                pis = [FqPolynomial(constr.big, c) for c in scan.qualifying]
+                assert constr.lift(_product(_norms(scan), base)) == _product(pis, constr.big), (q, m, N)
+                if constr.Q**N <= 2**10:
+                    assert ff_equivalence_check(scan)[1] == [], (q, m, N)
+            N += 1
+    assert cases == 19
+
+
+def test_min_poly_refuses_a_truncated_orbit():
+    # the orbit of z -> z^2 through a root of a pi over F_4 not over F_2 has six
+    # elements in F_{4^3}: all six give a polynomial over F_2, five or the three
+    # conjugates over F_4 do not
+    ext = extension(F4, 3)
+    z = next(z for z in scan_of(3).roots if len(conjugates(ext, z, 2)) == 6)
+    orbit = conjugates(ext, z, 2)
+    assert max(min_poly(ext, orbit, 2)) == 1 and orbit[::2] == conjugates(ext, z, 4)
+    assert max(min_poly(ext, orbit[::2], 4)) > 1
+    for truncated in (orbit[:-1], orbit[::2]):
+        with pytest.raises(VerificationError, match="coefficient outside F_2$"):
+            min_poly(ext, truncated, 2)
 
 
 def test_ff_equivalence_names_the_pi_a_doctored_scan_gets_wrong():

@@ -64,7 +64,7 @@ def test_every_import_in_src_is_used():
 def test_cli_suite_passes_under_python_o():
     # -O strips asserts from the package; pytest still rewrites those of the
     # test modules, so every golden, every exit-code check and the field
-    # certificates (a y that is not primitive, a minimal polynomial outside F_Q),
+    # certificates (a y that is not primitive, a minimal polynomial outside its subfield),
     # the lemma scan's u^N = 1 check, the wheel of admissible classes and the
     # champion certificates (the report's invariants, the histogram cross-checks)
     # keep failing loudly
@@ -176,6 +176,38 @@ def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
         assert args[0].big.q ** args[1] == 4 ** args[1]
         assert isinstance(result.count, int) and isinstance(result.total_irreducible, int)
     assert [result.deg_gcd for _, _, result in calls["ff_direct_verify"]] == [2, 6]
+
+
+def test_ff_verify_success_path_stays_over_the_base_field(monkeypatch, capsys):
+    # a certificate that passes forms and divides its product over F_q: it
+    # lifts nothing to F_Q and computes no minimal polynomial over F_Q; only
+    # the failure path that names a culprit does
+    from cyclogcd import cli, ffield
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ffield.FFConstruction, "lift", spy("lift", ffield.FFConstruction.lift))
+    monkeypatch.setattr(ffield.FFScanResult, "qualifying",
+                        property(spy("qualifying", ffield.FFScanResult.qualifying.func)))
+    for name in ("poly_pow", "eval_poly_fq", "poly_gcd"):
+        monkeypatch.setattr(ffield, name, spy(name, getattr(ffield, name)))
+    assert cli.main(["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
+                     "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "4"]) == 0
+    capsys.readouterr()
+    assert set(calls) == {"poly_pow", "eval_poly_fq", "poly_gcd"}
+    base = ffield.fq_context(2, 1)
+    scan = ffield.ff_scan(ffield.ff_construction(base, 1, 1, 3), 2,
+                          ffield.FqPolynomial(base, (0, 1)), ffield.FqPolynomial(base, (1, 1)))
+    with pytest.raises(ffield.VerificationError, match="product of the qualifying pi"):
+        ffield.ff_direct_verify(scan._replace(roots=scan.roots + scan.roots[:1]))
+    assert {"lift", "qualifying"} <= set(calls)
 
 
 def test_trace_mode_installs_for_every_bench_label():
