@@ -25,10 +25,10 @@ def _width(bound: int) -> int:
 
 def _pack(digits, w: int) -> int:
     """The int whose w-byte slots, lowest first, hold digits: bytes or a
-    bytearray, or a sequence of ints below 2^64 (below 256 if w is 1)."""
-    if w == 1:
-        return int.from_bytes(bytes(digits), "little")
+    bytearray, or a sequence of ints below 2^64."""
     if isinstance(digits, (bytes, bytearray)):
+        if w == 1:
+            return int.from_bytes(digits, "little")
         buf = bytearray(len(digits) * w)
         buf[::w] = digits
     else:
@@ -89,13 +89,14 @@ class _DigitPlanes:
         # a product term of two polynomials with digits below p adds at most
         # this much to a slot
         self.growth = (p - 1) ** 2 * max(sum(c for _, _, k, c in self.mix if k == K) for K in range(E))
-        # a division step adds one such product term (see reduce): division
+        # a division step adds one such product term (see remainders): division
         # slots hold a digit plus at least four steps, and take `lazy` steps
         # before the digits must be reduced
         self.width = _width(p - 1 + 4 * self.growth)
         self.lazy = (256**self.width - p) // self.growth
         self.wq = _width(ctx.q - 1)  # join: sum_k d_k p^k < q, so no slot carries
         self.mod_byte = bytes(v % p for v in range(256))  # one-byte slots reduce by translate
+        self.places = [self.mod_byte]  # places[j][b] = b 256^j mod p, built as wider slots need them
         # digit k of each element of a field of at most 256, by translate
         self.tables = ([bytes(v // c % p for v in range(256)) for c in self.powers]
                        if E > 1 and ctx.q <= 256 else None)
@@ -103,43 +104,69 @@ class _DigitPlanes:
 
     def planes(self, coeffs) -> list:
         """The digit planes of a sequence of field elements: plane k holds
-        their k-th base-p digits (over a prime field, the elements)."""
+        their k-th base-p digits (over a prime field, the elements), as
+        bytearrays when the elements are below 256."""
         if self.E == 1:
-            return [coeffs]
+            return [bytearray(coeffs) if self.p < 256 else coeffs]
         if self.tables:
-            raw = bytes(coeffs)
+            raw = bytearray(coeffs)
             return [raw.translate(t) for t in self.tables]
         p = self.p
         return [[v // c % p for v in coeffs] for c in self.powers]
 
-    def join(self, planes) -> list[int]:
+    def join(self, planes) -> tuple[int, ...]:
         """The field elements whose k-th digits are planes[k]."""
         if self.E == 1:
-            return list(planes[0])
+            return tuple(planes[0])
         wq = self.wq
         x = sum(_pack(d, wq) * c for d, c in zip(planes, self.powers))
-        return list(_unpack(x.to_bytes(len(planes[0]) * wq, "little"), wq))
+        return tuple(_unpack(x.to_bytes(len(planes[0]) * wq, "little"), wq))
 
     def digits(self, x: int, count: int, w: int):
         """The first count w-byte slots of x, reduced mod p: bytes when p < 256."""
         raw = x.to_bytes(count * w, "little")
-        if w == 1:
-            return raw.translate(self.mod_byte)
-        d = [v % self.p for v in _unpack(raw, w)]
-        return bytes(d) if self.p < 256 else d
+        if w > 1:
+            if self.p >= 256:
+                return [v % self.p for v in _unpack(raw, w)]
+            raw = self._fold(raw, count, w)
+        return raw.translate(self.mod_byte)
+
+    def _fold(self, raw: bytes, count: int, w: int) -> bytes:
+        """The count w-byte slots of raw, for p < 256, as one-byte slots
+        congruent to them mod p.
+
+        A slot is the sum of b_j 256^j over its bytes b_j, so its byte
+        planes raw[j::w], each mapped by b -> b 256^j mod p (`places[j]`),
+        add up to a value congruent to it.  top bounds every slot: the lower
+        planes map below p, the top one to at most (its largest byte)
+        256^(w-1) mod p.  The planes add at the width top needs, one byte
+        when w (p - 1) fits; a sum of two bytes folds again, and once it is
+        below 2p its top byte is 0 or 1, which maps to 256 - p for p > 128,
+        so the next sum stays below 256.
+        """
+        p, places, top = self.p, self.places, 256**w - 1
+        while w > 1:
+            while len(places) < w:  # b 256^j = (b mod p) 256^j mod p
+                c = pow(256, len(places), p)
+                places.append(self.mod_byte.translate(bytes(v * c % p for v in range(p)).ljust(256, b"\0")))
+            top = (w - 1) * (p - 1) + min(p - 1, (top >> 8 * (w - 1)) * places[w - 1][1])
+            to = _width(top)
+            s = sum(_pack(raw[j::w].translate(places[j]), to) for j in range(w))
+            raw, w = s.to_bytes(count * to, "little"), to
+        return raw
 
     def pack(self, coeffs) -> int:
         """A polynomial as one int at the division width, the E digits of
         each coefficient side by side."""
-        E = self.E
+        E, planes = self.E, self.planes(coeffs)
         if E == 1:
-            return _pack(coeffs, self.width)
-        out = [0] * (len(coeffs) * E)
-        for k, d in enumerate(self.planes(coeffs)):
+            return _pack(planes[0], self.width)
+        out = bytearray(len(coeffs) * E) if self.p < 256 else [0] * (len(coeffs) * E)
+        for k, d in enumerate(planes):
             out[k::E] = d
         return _pack(out, self.width)
 
-    def unpack(self, x: int, n: int) -> list[int]:
+    def unpack(self, x: int, n: int) -> tuple[int, ...]:
         """The first n coefficients of a polynomial packed at the division width."""
         d = self.digits(x, n * self.E, self.width)
         return self.join([d[k::self.E] for k in range(self.E)])
@@ -171,14 +198,14 @@ class _DigitPlanes:
             out[i] += c * x[j] << k * bits
         return out
 
-    def mul(self, a, b) -> list[int]:
+    def mul(self, a, b) -> tuple[int, ...]:
         """The coefficients of a * b, for nonempty coefficient sequences."""
         E = self.E
         n, w = len(a) + len(b) - 1, _width(min(len(a), len(b)) * self.growth)
-        A = [_pack(d, w) for d in self.planes(a)]
-        B = [_pack(d, w) for d in self.planes(b)]
+        A, B = self.planes(a), self.planes(b)
         if E == 1:  # C = [[1]]: one product
-            return list(self.digits(A[0] * B[0], n, w))
+            return tuple(self.digits(_pack(A[0], w) * _pack(B[0], w), n, w))
+        A, B = [_pack(d, w) for d in A], [_pack(d, w) for d in B]
         # plane k of the product is sum_i A_i (plane k of e_i B)
         Bx = [[0] * E for _ in range(E)]
         for i, j, k, c in self.mix:
@@ -190,53 +217,59 @@ class _DigitPlanes:
                     H[k] += x * y
         return self.join([self.digits(h, n, w) for h in H])
 
-    def reduce(self, R: int, n: int, B: int, m: int) -> int:
-        """R mod B, packed and reduced, for the packed and reduced R of n
-        coefficients and B of m.
+    def remainders(self, R: int, n: int, B: int, m: int):
+        """Euclid's remainders on the packed and reduced R of n coefficients
+        and B of m > 0: R mod B, then B mod (R mod B) and so on, each packed
+        and reduced with its number of coefficients, the last one zero.
 
         Each step adds -(r / b) B under the top coefficient r of R, b the
         lead of B: one shifted big-int add, over F_p of (p - r / b) B, else
         of sum_k (p - r_k)(e_k M) over the nonzero digits r_k of r, with
-        M = B / b and its multiples e_k M built once.  The steps work on a
-        window of the top slots, so a step costs O(m), not O(n), and the
-        window's digits are reduced after at most `lazy` steps, which keeps
-        every slot below 256^width.
+        M = B / b and its multiples e_k M built once per division.  The
+        steps work on a window of the top slots, so a step costs O(m), not
+        O(n), and the window's digits are reduced after at most `lazy`
+        steps, which keeps every slot below 256^width.  A quotient of at
+        most one window, as nearly all of Euclid's are, works on R itself.
         """
-        p, E, w, powers = self.p, self.E, self.width, self.powers
+        p, E, w, lazy = self.p, self.E, self.width, self.lazy
         bits = 8 * w
         top, span = (1 << bits) - 1, E * bits
-        inv = self.ctx.inv(self.lead(B, m))
-        if E > 1 and inv != 1:  # M = sum_k (digit k of 1 / b)(e_k B), reduced
-            M = sum(inv // d % p * x for d, x in zip(powers, self.multiples(B, m)))
-            B = _pack(self.digits(M, m * E, w), w)
-        terms = self.multiples(B, m)
-        # a window spans at least 128 steps, so splitting R costs O(n / 128) per step
-        lazy, chunk = self.lazy, max(m, 128)
-        while n >= m:
-            steps = min(chunk, n - m + 1)
-            base = n - steps - m + 1  # the lowest coefficient the window's steps touch
-            win, R = R >> base * span, R & ((1 << base * span) - 1)
-            for first in range(steps + m - 2, m - 2, -lazy):
-                for pos in range(first, max(first - lazy, m - 2), -1):
-                    v = win >> pos * span
-                    if E == 1:
-                        c = (v & top) * inv % p
-                        if c:
-                            win += (p - c) * B << (pos - m + 1) * span
-                    else:
-                        add = 0
-                        for x in terms:
-                            d = (v & top) % p
-                            v >>= bits
-                            if d:
-                                add += (p - d) * x
-                        if add:
-                            win += add << (pos - m + 1) * span
-                # the eliminated coefficients reduce to 0
-                win = _pack(self.digits(win, (steps + m - 1) * E, w), w)
-            R |= win << base * span
-            n -= steps
-        return R
+        while m:
+            inv = self.ctx.inv(self.lead(B, m))
+            if E > 1:
+                if inv != 1:  # M = sum_k (digit k of 1 / b)(e_k B), reduced
+                    M = sum(inv // d % p * x for d, x in zip(self.powers, self.multiples(B, m)))
+                    B = _pack(self.digits(M, m * E, w), w)
+                terms = self.multiples(B, m)
+            # a window spans at least 128 steps, so splitting R costs O(n / 128) per step
+            chunk = max(m, 128)
+            while n >= m:
+                steps = min(chunk, n - m + 1)
+                base = n - steps - m + 1  # the lowest coefficient the window's steps touch
+                win = R >> base * span if base else R
+                for first in range(steps + m - 2, m - 2, -lazy):
+                    for pos in range(first, max(first - lazy, m - 2), -1):
+                        v = win >> pos * span
+                        if E == 1:
+                            c = (v & top) * inv % p
+                            if c:
+                                win += (p - c) * B << (pos - m + 1) * span
+                        else:
+                            add = 0
+                            for x in terms:
+                                d = (v & top) % p
+                                v >>= bits
+                                if d:
+                                    add += (p - d) * x
+                            if add:
+                                win += add << (pos - m + 1) * span
+                    # the eliminated coefficients reduce to 0
+                    win = _pack(self.digits(win, (steps + m - 1) * E, w), w)
+                R = R & (1 << base * span) - 1 | win << base * span if base else win
+                n -= steps
+            n = (R.bit_length() + span - 1) // span
+            yield R, n
+            R, n, B, m = B, m, R, n
 
 
 class FqPolynomial(NamedTuple):
@@ -322,7 +355,8 @@ class FqPolynomial(NamedTuple):
         ctx = self.ctx
         if self.is_zero or other.is_zero:
             return FqPolynomial.zero(ctx)
-        return FqPolynomial._trimmed(ctx, _planes_of(ctx).mul(self.coeffs, other.coeffs))
+        # the lead of a product of nonzero polynomials is the product of their leads
+        return FqPolynomial(ctx, _planes_of(ctx).mul(self.coeffs, other.coeffs))
 
     def __mod__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._require_same_ctx(other)
@@ -333,8 +367,8 @@ class FqPolynomial(NamedTuple):
             return self
         ctx = self.ctx
         kernel = _planes_of(ctx)
-        rem = kernel.reduce(kernel.pack(self.coeffs), n, kernel.pack(other.coeffs), m)
-        return FqPolynomial._trimmed(ctx, kernel.unpack(rem, m - 1))
+        rem, r = next(kernel.remainders(kernel.pack(self.coeffs), n, kernel.pack(other.coeffs), m))
+        return FqPolynomial(ctx, kernel.unpack(rem, r))
 
     def monic(self) -> "FqPolynomial":
         if self.is_zero:
@@ -437,13 +471,11 @@ def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
         return f.monic()
     ctx = f.ctx
     kernel = _planes_of(ctx)
-    span = 8 * kernel.width * kernel.E  # bits per coefficient
-    F, nf = kernel.pack(f.coeffs), len(f.coeffs)
     G, ng = kernel.pack(g.coeffs), len(g.coeffs)
-    while ng:
-        R = kernel.reduce(F, nf, G, ng)
-        F, nf, G, ng = G, ng, R, (R.bit_length() + span - 1) // span
-    return FqPolynomial(ctx, tuple(kernel.unpack(F, nf))).monic()
+    for R, r in kernel.remainders(kernel.pack(f.coeffs), len(f.coeffs), G, ng):
+        if r:
+            G, ng = R, r
+    return FqPolynomial(ctx, kernel.unpack(G, ng)).monic()
 
 
 def irreducible_test(f: FqPolynomial) -> bool:

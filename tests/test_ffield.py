@@ -13,6 +13,7 @@ from sympy.polys.galoistools import (
     gf_add, gf_div, gf_gcd, gf_irreducible_p, gf_mul, gf_pow, gf_pow_mod, gf_rem, gf_strip, gf_sub,
 )
 
+from cyclogcd import fqpoly
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import HypothesisError, VerificationError
 from cyclogcd.ffield import (
@@ -329,6 +330,65 @@ def test_slot_packing_round_trips_at_every_width():
         assert x.bit_length() <= 8 * w * len(values)
         assert list(_unpack(x.to_bytes(w * len(values), "little"), w)) == values, w
         assert _pack(bytes(v % 256 for v in values), w) == _pack([v % 256 for v in values], w)
+
+
+def test_renormalisation_comes_within_lazy_steps():
+    # one quotient of lazy + 1 (and 2 lazy + 1) nonzero steps, within one
+    # window since the divisor is longer: every step adds (p - 1) times a
+    # divisor whose digits below the lead are all p - 1, so the slots under
+    # lazy + 1 steps and away from the lead pass 256^width unless the
+    # window is reduced in time.  For the gcd both sides take the factor
+    # h = T^(2k) + (q - 1), which keeps the quotient and puts a copy of the
+    # divisor above a scaled one, so a wrong first remainder loses h.
+    rng = random.Random(18)
+    for ctx in (F3, fq_context(7, 1), fq_context(251, 1), F4):
+        lazy = _planes_of(ctx).lazy
+        for k in (lazy + 1, 2 * lazy + 1) if lazy < 100 else (lazy + 1,):
+            b, h = _full(ctx, 2 * k), P(ctx, ctx.q - 1, *[0] * (2 * k - 1), 1)
+            f = _ones(ctx, k) * b + _random(ctx, 2 * k - 1, rng)
+            g = poly_gcd(f * h, b * h)
+            assert g.degree >= 2 * k, (ctx, k)
+            if ctx.e == 1:
+                p = ctx.p
+                assert _sympy(f % b) == gf_rem(_sympy(f), _sympy(b), p, ZZ), (ctx, k)
+                assert _sympy(g) == gf_gcd(_sympy(f * h), _sympy(b * h), p, ZZ), (ctx, k)
+            else:
+                assert f % b == _schoolbook_mod(f, b) and g == _schoolbook_gcd(f * h, b * h), (ctx, k)
+
+
+def test_digits_reduce_slots_of_every_width():
+    # digits against v % p over _unpack: one to four bytes a slot, every
+    # two-byte value, and the first width at which the byte planes' images
+    # could sum past 255 (w (p - 1) > 255: two bytes for p = 131 and 251);
+    # p = 257 keeps the per-slot path
+    rng = random.Random(19)
+    for p in (2, 3, 7, 131, 251, 257):
+        kernel = _planes_of(fq_context(p, 1))
+        widths = sorted({1, 2, 3, 4, 255 // (p - 1) + 1} - ({1} if p > 256 else set()))
+        for w in widths:
+            values = [v % 256**w for v in (0, p - 1, p, 2 * p - 1, -1)] + [rng.randrange(256**w) for _ in range(300)]
+            if w == 2:
+                values += range(65536)
+            raw = b"".join(v.to_bytes(w, "little") for v in values)
+            expected = [v % p for v in _unpack(raw, w)]
+            assert list(kernel.digits(int.from_bytes(raw, "little"), len(values), w)) == expected, (p, w)
+
+
+def test_no_slot_is_unpacked_below_p_256(monkeypatch):
+    # slots of two bytes and more reduce by translate below p = 256, so
+    # neither a product over F_7 at two-byte slots nor a remainder over
+    # F_251 at three-byte slots unpacks a slot as an int
+    rng = random.Random(20)
+    calls = []
+    monkeypatch.setattr(fqpoly, "_unpack", lambda raw, w: calls.append(w) or _unpack(raw, w))
+    F7 = fq_context(7, 1)
+    f, g = _random(F7, 10, rng), _random(F7, 800, rng)
+    assert _sympy(f * g) == gf_mul(_sympy(f), _sympy(g), 7, ZZ)
+    F251 = fq_context(251, 1)
+    f, g = _random(F251, 60, rng), _random(F251, 20, rng)
+    assert _planes_of(F251).width == 3
+    assert _sympy(f % g) == gf_rem(_sympy(f), _sympy(g), 251, ZZ)
+    assert calls == []
 
 
 def test_poly_powmod():

@@ -233,6 +233,10 @@ def test_trace_mode_installs_for_every_bench_label():
     ("champion.mixed", ["champion", "--a", "2", "--b", "3", "--M", "1", "--N", "2", "--x", "2000",
                         "--delta", "0.5"],
      ["arith.sieve", "champion.setup", "champion.verify"]),
+    ("ffield.prime", ["ff-verify", "--q", "7", "--k", "1", "--n0", "1", "--m", "3", "--a-poly", "2,1",
+                      "--b-poly", "1,1", "--deg-max", "2"],
+     ["cyclotomic.eval", "ffield.construct", "ffield.gcd", "ffield.power", "ffield.prime.scan",
+      "ffield.verify"]),
 ])
 def test_bench_tracer_records_the_spans_of_a_run(label, argv, names):
     # as a `benchmark/run.py --trace 1` worker does: install the tracer, then run
