@@ -20,9 +20,9 @@ certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (their number) by exact
 polynomial arithmetic over F_q (`fqpoly`), with one division by their
 product.  That product lies in F_q[T]: it is taken there, as the product of
 the minimal polynomials over F_q of the orbits of z -> z^q on their roots.
-The Moebius formula checks the scan's orbit count; `ff_equivalence_check`
-rebuilds the qualifying set over F_Q by exact divisibility alone, as an
-oracle.
+The Moebius formula checks the scan's orbit count; the tests rebuild the
+qualifying set over F_Q by exact divisibility alone, as an independent
+oracle (`tests/ffield_oracle.py`).
 """
 
 import itertools
@@ -35,7 +35,7 @@ from .arith import factorize, moebius
 from .cyclotomic import eval_poly_fq
 from .errors import HypothesisError, VerificationError
 from .fields import FieldContext
-from .fqpoly import FqPolynomial, _powmod, irreducible_test, poly_gcd, poly_pow
+from .fqpoly import FqPolynomial, _powmod, poly_gcd, poly_pow
 
 _FIELD_CAP = 2**20  # the largest field whose exp/log/Zech tables are built
 
@@ -270,9 +270,9 @@ class _FFScanFields(NamedTuple):
 
 
 class FFScanResult(_FFScanFields):
-    """The qualifying pi of degree N and what they were computed from: the
-    certificates ff_direct_verify and ff_equivalence_check read it all here,
-    the first from the roots alone, over F_q.  A copy made by `_replace`
+    """The qualifying pi of degree N and what they were computed from:
+    ff_direct_verify certifies from the roots alone, over F_q, and the tests'
+    exact-divisibility oracle reads the rest here.  A copy made by `_replace`
     computes its own `qualifying` and `count`."""
 
     @property
@@ -282,9 +282,9 @@ class FFScanResult(_FFScanFields):
     @cached_property
     def qualifying(self) -> tuple[tuple[int, ...], ...]:
         """The coefficient tuples over F_Q of the qualifying pi, sorted: the
-        minimal polynomials of the roots, computed on first read.  Only the
-        oracle ff_equivalence_check reads them, and ff_direct_verify when it
-        names the pi that fails."""
+        minimal polynomials of the roots, computed on first read.  Only
+        ff_direct_verify reads them, when it names the pi that fails, and
+        the tests' exact-divisibility oracle."""
         ext, Q = extension(self.constr.big, self.N), self.constr.Q
         return tuple(sorted(min_poly(ext, conjugates(ext, z, Q), Q) for z in self.roots))
 
@@ -493,31 +493,3 @@ def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     if g.degree < certified:
         raise VerificationError(f"deg gcd = {g.degree} is below the certified bound {certified}")
     return FFVerifyResult(deg_gcd=g.degree, certified_bound=certified, ratio_to_n=g.degree / n)
-
-
-def ff_equivalence_check(scan: FFScanResult) -> tuple[int, list[tuple[int, ...]]]:
-    """Check a scan against exact divisibility, without the power criterion.
-
-    Every monic irreducible pi of degree N over F_Q not dividing ab is tested
-    for pi | gcd(Phi_m(a^n), Phi_m(b^n)) by exact remainders of both values.
-    Returns (number of pi checked, the sorted coefficient tuples of the pi
-    on which the dividing set and scan.qualifying differ).
-    """
-    constr = scan.constr
-    value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.a, scan.n)))
-    value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.b, scan.n)))
-    a_big, b_big = constr.lift(scan.a), constr.lift(scan.b)
-    checked = 0
-    dividing = set()
-    monics = (FqPolynomial(constr.big, mu) for mu in _monic_by_index(constr.Q, scan.N))
-    for pi in filter(irreducible_test, monics):
-        divides = (value_a % pi).is_zero and (value_b % pi).is_zero
-        if (a_big % pi).is_zero or (b_big % pi).is_zero:
-            # pi | base implies Phi_m(base^n) = Phi_m(0) = +-1 mod pi, never 0
-            if divides:
-                raise VerificationError(f"pi = {pi} divides despite dividing a base")
-            continue
-        checked += 1
-        if divides:
-            dividing.add(pi.coeffs)
-    return checked, sorted(dividing.symmetric_difference(scan.qualifying))

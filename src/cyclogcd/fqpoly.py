@@ -5,8 +5,7 @@ constant first.  Products, remainders and gcds run on packed integers
 (Kronecker substitution, `_DigitPlanes`): the base-p digits of the
 coefficients go into one Python int, so CPython's big-int loops do the
 per-coefficient work.  Exact powers go by base-q digits (f^q = f(T^q)),
-modular powers by residues on coefficient lists, and Rabin's test decides
-irreducibility for the exact-divisibility oracle.
+and the modulus search's powers of T by residues on coefficient lists.
 """
 
 import sys
@@ -14,7 +13,6 @@ from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import factorize
 from .fields import FieldContext
 
 
@@ -343,13 +341,6 @@ class FqPolynomial(NamedTuple):
         ctx.add_scaled(out, 0, 1, b)
         return FqPolynomial._trimmed(ctx, out)
 
-    def __neg__(self) -> "FqPolynomial":
-        ctx = self.ctx
-        return FqPolynomial(ctx, tuple(ctx.sub(0, c) for c in self.coeffs))
-
-    def __sub__(self, other: "FqPolynomial") -> "FqPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "FqPolynomial") -> "FqPolynomial":
         self._require_same_ctx(other)
         ctx = self.ctx
@@ -452,16 +443,6 @@ def _powmod(ctx: FieldContext, x, exponent: int, neg_low: list) -> list:
     return result
 
 
-def poly_powmod(base: FqPolynomial, exponent: int, modulus: FqPolynomial) -> FqPolynomial:
-    """base**exponent mod modulus; exponent may be Q^N sized.  The modulus
-    reduces by its monic associate, the base once up front."""
-    if modulus.degree < 1:
-        raise ValueError("modulus must have degree at least 1")
-    ctx, mu = base.ctx, modulus.monic()
-    neg_low = [ctx.sub(0, c) for c in mu.coeffs[:-1]]
-    return FqPolynomial._trimmed(ctx, _powmod(ctx, (base % mu).coeffs, exponent, neg_low))
-
-
 def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
     """Monic gcd by Euclid's algorithm, on packed digits throughout."""
     f._require_same_ctx(g)
@@ -476,24 +457,3 @@ def poly_gcd(f: FqPolynomial, g: FqPolynomial) -> FqPolynomial:
         if r:
             G, ng = R, r
     return FqPolynomial(ctx, kernel.unpack(G, ng)).monic()
-
-
-def irreducible_test(f: FqPolynomial) -> bool:
-    """Rabin irreducibility test for a monic polynomial of degree >= 1."""
-    if f.degree < 1:
-        raise ValueError("irreducibility is tested on degree >= 1")
-    if not f.is_monic:
-        raise ValueError("irreducibility test expects a monic polynomial")
-    ctx = f.ctx
-    n = f.degree
-    x = FqPolynomial.variable(ctx)
-    frob = [x % f]  # frob[j] = T^(q^j) mod f
-    for _ in range(n):
-        frob.append(poly_powmod(frob[-1], ctx.q, f))
-    if frob[n] != x % f:
-        return False
-    for l in factorize(n).primes():
-        if poly_gcd(frob[n // l] - x, f).degree != 0:
-            return False
-    return True
-

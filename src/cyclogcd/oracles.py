@@ -19,6 +19,8 @@ from .parallel import map_blocks
 _FACTOR_REPORT_CAP = 10**15
 # refuse a gcd sequence whose values would grow past this many bits
 _BIT_CAP = 10**6
+# refuse a delta table past this limit: a run holds about 250 bytes per n
+_LIMIT_CAP = 10**7
 
 
 class GcdSeqRow(NamedTuple):
@@ -65,6 +67,14 @@ def gcd_seq_exact(a: int, b: int, idx_a: int, idx_b: int, n_max: int, jobs: int 
     return rows
 
 
+def _check_limit(limit: int) -> None:
+    """Refuse a limit below 1 or over the cap, before any table is built."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if limit > _LIMIT_CAP:
+        raise ValueError(f"limit must be at most {_LIMIT_CAP}, got {limit}")
+
+
 def delta_count_range(limit: int) -> list[int]:
     """delta(n) for every n in 1..limit (index 0 unused), dual-path.
 
@@ -73,8 +83,7 @@ def delta_count_range(limit: int) -> list[int]:
     prime p from the sieve, the multiples of p - 1.  The two tables must
     agree entry by entry.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    _check_limit(limit)
     # path B: for each prime p <= limit + 1 mark multiples of p - 1
     table_b = [0] * (limit + 1)
     for p in primes_in_range(2, limit + 2):
@@ -107,8 +116,7 @@ def delta_count_range(limit: int) -> list[int]:
 
 def delta_squarefree_range(limit: int) -> list[int]:
     """delta(n) counting squarefree d only, for every n in 1..limit (index 0 unused)."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    _check_limit(limit)
     table = [0] * (limit + 1)
     for p in primes_in_range(2, limit + 2):
         d = p - 1

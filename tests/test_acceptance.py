@@ -21,13 +21,13 @@ from cyclogcd.errors import HypothesisError
 from cyclogcd.ffield import (
     ff_construction,
     ff_direct_verify,
-    ff_equivalence_check,
     ff_scan,
     fq_context,
 )
 from cyclogcd.fqpoly import FqPolynomial
 from cyclogcd.oracles import delta_count_range, delta_squarefree_range, gcd_seq_exact
 from cyclogcd.residues import lemma_scan
+from ffield_oracle import ff_equivalence_check
 
 BASES = (2, 3, 5, 6, 7, 10)
 

@@ -303,10 +303,12 @@ _UNFACTORED = f"cannot factor {_SEMIPRIME}: Pollard rho found no factor in"
     (["density", "--N", "2", "--a", _SEMIPRIME, "--b", "3", "--x", "1000"], _UNFACTORED),
     (["champion", "--a", "2", "--b", "3", "--N", "2", "--M", _SEMIPRIME, "--x", "1000"], _UNFACTORED),
     (["gcd-seq", "--a", "2", "--b", "3", "--N", _SEMIPRIME, "--n-max", "1"], _UNFACTORED),
+    (["delta", "--limit", "1000000000000"], "limit must be at most 10000000, got 1000000000000"),
 ])
 def test_integer_inputs_out_of_range_exit_one(argv, named, capsys):
-    # a base below 2, an index below 1, a negative n_max, an x or a limit too small is refused
-    # by name, and so is an input that Pollard rho cannot factor within its step budget
+    # a base below 2, an index below 1, a negative n_max, an x or a limit too small, or a limit
+    # over the delta cap is refused by name, and so is an input that Pollard rho cannot factor
+    # within its step budget
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

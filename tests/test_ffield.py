@@ -30,7 +30,6 @@ from cyclogcd.ffield import (
     extension,
     ff_construction,
     ff_direct_verify,
-    ff_equivalence_check,
     ff_scan,
     fq_context,
     irreducible_count,
@@ -43,11 +42,10 @@ from cyclogcd.fqpoly import (
     _planes_of,
     _unpack,
     FqPolynomial,
-    irreducible_test,
     poly_gcd,
     poly_pow,
-    poly_powmod,
 )
+from ffield_oracle import ff_equivalence_check, irreducible_test, poly_powmod
 
 F2 = fq_context(2, 1)
 F3 = fq_context(3, 1)

@@ -31,6 +31,11 @@ def test_gcd_seq_size_cap():
         gcd_seq_exact(2, 3, 1, 1, 10**7)
     with pytest.raises(ValueError):
         gcd_seq_exact(1, 3, 1, 1, 5)
+    # a delta table is refused before it is allocated
+    with pytest.raises(ValueError, match="at most"):
+        delta_count_range(10**12)
+    with pytest.raises(ValueError, match="at most"):
+        delta_squarefree_range(10**12)
 
 
 def test_gcd_seq_parallel_matches():

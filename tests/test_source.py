@@ -61,6 +61,39 @@ def test_every_import_in_src_is_used():
     assert unused == []
 
 
+def _names_read(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_src_holds_only_code_a_command_runs():
+    # a top-level function or class is reached by name from cli.py, from a module's
+    # import-time statements, from a name the bench tracer patches or from the body of
+    # one so reached; an import alone reaches nothing, and code that only the tests
+    # call lives under tests/
+    defs, reached = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "cli.py":
+            reached |= _names_read(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, node))
+            else:
+                reached |= _names_read(node)
+    spans = ast.parse((ROOT / "benchmark" / "spans.py").read_text())
+    reached |= {call.args[1].value for call in ast.walk(spans)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "patch"}
+    grown = True
+    while grown:
+        size = len(reached)
+        for _, node in defs:
+            if node.name in reached:
+                reached |= _names_read(node)
+        grown = len(reached) > size
+    assert sorted(f"{module}:{node.name}" for module, node in defs if node.name not in reached) == []
+
+
 def test_cli_suite_passes_under_python_o():
     # -O strips asserts from the package; pytest still rewrites those of the
     # test modules, so every golden, every exit-code check and the field
