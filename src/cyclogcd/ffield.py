@@ -19,7 +19,8 @@ order exactly m modulo pi (read off the logarithms at its root y^L), and
 certifies deg gcd(Phi_m(a^n), Phi_m(b^n)) >= N * (their number) by exact
 polynomial arithmetic over F_q (`fqpoly`), with one division by their
 product.  That product lies in F_q[T]: it is taken there, as the product of
-the minimal polynomials over F_q of the orbits of z -> z^q on their roots.
+the minimal polynomials over F_q of the orbits of z -> z^q on their roots,
+and a pi that fails is found there too, by the norm of its orbit.
 The Moebius formula checks the scan's orbit count; the tests rebuild the
 qualifying set over F_Q by exact divisibility alone, as an independent
 oracle (`tests/ffield_oracle.py`).
@@ -28,7 +29,7 @@ oracle (`tests/ffield_oracle.py`).
 import itertools
 import math
 from array import array
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, moebius
@@ -149,13 +150,6 @@ class FFConstruction(NamedTuple):
             raise VerificationError(f"n = {n} escaped the class {self.n0} mod {qk}")
         return n
 
-    def lift(self, f: FqPolynomial) -> FqPolynomial:
-        """Reinterpret a base-field polynomial over the big field, whose
-        elements below q are the base field."""
-        if f.ctx is not self.base:
-            raise ValueError("polynomial is not over the base field")
-        return FqPolynomial(self.big, f.coeffs)
-
 
 def ff_construction(base: FieldContext, k: int, n0: int, m: int) -> FFConstruction:
     r, t, Q = choose_params(base.q, k, n0, m)
@@ -257,7 +251,10 @@ def _log_at(ext: FieldContext, terms: list[tuple[int, int]], L: int) -> int | No
     return acc
 
 
-class _FFScanFields(NamedTuple):
+class FFScanResult(NamedTuple):
+    """The qualifying pi of degree N, each by one of its roots, and what they
+    were computed from; ff_direct_verify certifies from the roots, over F_q."""
+
     constr: FFConstruction
     N: int
     a: FqPolynomial
@@ -268,25 +265,9 @@ class _FFScanFields(NamedTuple):
     total_irreducible: int
     roots: array  # one root in F_{Q^N} of each qualifying pi: y^L, or 0 for pi = T
 
-
-class FFScanResult(_FFScanFields):
-    """The qualifying pi of degree N and what they were computed from:
-    ff_direct_verify certifies from the roots alone, over F_q, and the tests'
-    exact-divisibility oracle reads the rest here.  A copy made by `_replace`
-    computes its own `qualifying` and `count`."""
-
     @property
     def count(self) -> int:
         return len(self.roots)
-
-    @cached_property
-    def qualifying(self) -> tuple[tuple[int, ...], ...]:
-        """The coefficient tuples over F_Q of the qualifying pi, sorted: the
-        minimal polynomials of the roots, computed on first read.  Only
-        ff_direct_verify reads them, when it names the pi that fails, and
-        the tests' exact-divisibility oracle."""
-        ext, Q = extension(self.constr.big, self.N), self.constr.Q
-        return tuple(sorted(min_poly(ext, conjugates(ext, z, Q), Q) for z in self.roots))
 
 
 def _t_is_primitive(base: FieldContext, mu: tuple[int, ...]) -> bool:
@@ -443,52 +424,53 @@ class FFVerifyResult(NamedTuple):
     ratio_to_n: float
 
 
-def _norms(scan: FFScanResult) -> list[FqPolynomial]:
+def _norms(scan: FFScanResult) -> tuple[list[tuple[FqPolynomial, list[int]]], bool]:
     """The minimal polynomials over F_q of the orbits O of z -> z^q on the
-    scan's roots, refused unless each O holds one root of each of its pi:
-    as Q = q^t, the conjugates over F_Q of z = O[0] are the O[j] with s | j,
-    s = gcd(|O|, t), so O holds s pi, of degree N iff |O| = N s."""
+    scan's roots, each with the roots listed in O, and whether each O holds
+    one root of each of its pi: as Q = q^t, the conjugates over F_Q of
+    z = O[0] are the O[j] with s | j, s = gcd(|O|, t), so O holds s pi, of
+    degree N iff |O| = N s."""
     constr, N, q = scan.constr, scan.N, scan.constr.base.q
     ext = extension(constr.big, N)
-    pis, norms = set(), {}  # the least root of each pi; by the least element of O: [its norm, its pi unseen]
+    pis, norms = set(), {}  # the least root of each pi; by min(O): (its norm, its roots, its number of pi)
     for z in scan.roots:
         orbit = conjugates(ext, z, q)
         s, key = math.gcd(len(orbit), constr.t), min(orbit)
         pis.add(min(orbit[::s]))
         if key not in norms:  # -1 marks a root of degree below N over F_Q
-            norms[key] = [FqPolynomial(constr.base, min_poly(ext, orbit, q)),
-                          s if len(orbit) == N * s else -1]
-        norms[key][1] -= 1
-    if len(pis) < scan.count or any(left for _, left in norms.values()):
-        raise VerificationError(f"the product of the qualifying pi is no product over F_{q}: an orbit of "
-                                f"z -> z^{q} on their roots misses or repeats one of its pi")
-    return [norm for norm, _ in norms.values()]
+            norms[key] = (FqPolynomial(constr.base, min_poly(ext, orbit, q)), [], s if len(orbit) == N * s else -1)
+        norms[key][1].append(z)
+    whole = len(pis) == scan.count and all(len(roots) == s for _, roots, s in norms.values())
+    return [(norm, roots) for norm, roots, _ in norms.values()], whole
 
 
 def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
-    """Compute gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field and
-    certify deg gcd >= N * (number of qualifying pi of the scan).
+    """Compute g = gcd(Phi_m(a^n), Phi_m(b^n)) exactly over the base field
+    and certify deg g >= N * (number of qualifying pi of the scan).
 
     The bases lie in F_q[T] and gcd(q, mr) = 1, so z -> z^q keeps the
     qualifying set, and the product of its pi is that of `_norms`, distinct
     irreducibles over F_q of total degree N * count: all divide g iff their
-    product does.  Only a failure lifts g to F_Q, to name a culprit pi.
+    product does.  As g lies in F_q[T], a pi divides g iff the norm of its
+    orbit does, so a failure names the least pi over F_Q (by the minimal
+    polynomial of a listed root) of an orbit whose norm misses g.
     """
-    constr, n = scan.constr, scan.n
+    constr, n, q = scan.constr, scan.n, scan.constr.base.q
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the exact-computation cap {n_cap}")
     # the values are freed before the product is formed
     g = poly_gcd(*(eval_poly_fq(constr.m, poly_pow(f, n)) for f in (scan.a, scan.b)))
-    try:
-        if not (g % _product(_norms(scan), constr.base)).is_zero:
-            raise VerificationError("the product of the qualifying pi does not divide the gcd")
-    except VerificationError:
-        g_big = constr.lift(g)
-        for coeffs in scan.qualifying:
-            pi = FqPolynomial(constr.big, coeffs)
-            if not (g_big % pi).is_zero:
-                raise VerificationError(f"qualifying pi = {pi} does not divide the gcd") from None
-        raise
+    norms, whole = _norms(scan)
+    rest = g % _product([norm for norm, _ in norms], constr.base)  # g mod a norm is rest mod it
+    if not (whole and rest.is_zero):
+        ext, Q = extension(constr.big, scan.N), constr.Q
+        missed = [min_poly(ext, conjugates(ext, z, Q), Q)
+                  for norm, roots in norms if not (rest % norm).is_zero for z in roots]
+        # distinct norms are coprime, so a scan whose orbits are whole always misses one
+        raise VerificationError(f"qualifying pi = {FqPolynomial(constr.big, min(missed))} does not divide "
+                                f"the gcd" if missed else
+                                f"the product of the qualifying pi is no product over F_{q}: an orbit "
+                                f"of z -> z^{q} on their roots misses or repeats one of its pi")
     certified = scan.N * scan.count
     if g.degree < certified:
         raise VerificationError(f"deg gcd = {g.degree} is below the certified bound {certified}")

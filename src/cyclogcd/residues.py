@@ -32,19 +32,46 @@ def _quadratic_field(c: int) -> tuple[int, int]:
     return core, core if core % 4 == 1 else 4 * core
 
 
+def _character_pairs(cores: tuple[int, int], L: int, d: int) -> set[tuple[int, int]]:
+    """The pairs ((c/p), (c'/p)), for (c, c') = cores (squarefree, positive),
+    over the primes p = 1 (mod L*d) with (p-1)/L prime to L, p not dividing c c'.
+
+    (c/p) is a product of local factors: (p/l) for each odd prime l | c, and
+    (D_2/p), read off p mod 8, for the 2-part D_2 of the discriminant of
+    Q(sqrt c).  The congruences on p are local too, and by the Chinese
+    remainder theorem and Dirichlet's theorem every choice of one admitted
+    class at each prime holds primes.  So the pairs are the products of the
+    pairs each prime admits: at 2 those of the classes mod 8 whose p - 1 has
+    the 2-adic valuation of L (any odd class for odd L); at an odd l | c c'
+    not dividing L*d every unit, so (1, 1) and the pair of l's own factors.
+    """
+    v = (L & -L).bit_length() - 1  # the 2-adic valuation of L
+    # D_2 is 1 for c = 1 (mod 4), -4 for c = 3 (mod 4), 8 for c = 2 (mod 8), -8 for c = 6 (mod 8)
+    pairs = {tuple(jacobi(1 if c % 4 == 1 else -4 if c % 2 else 8 if c % 8 == 2 else -8, x) for c in cores)
+             for x in (1, 3, 5, 7) if v == 0 or (x - 1) % 2 ** min(v + 1, 3) == 2**v % 8}
+    for l in {l for c in cores for l in factorize(c).primes() if l > 2 and L * d % l}:
+        pairs |= {tuple(-s if c % l == 0 else s for s, c in zip(pair, cores)) for pair in pairs}
+    return pairs
+
+
 def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
     """The hypotheses on the bases of an integer run, with a taken to the
     index M and b to the index N and the filter d | (p-1)/lcm(M, N): d
     squarefree and prime to lcm(M, N), bases at least 2, indices at least 1,
-    neither base an l-th power in Q for a prime l | lcm(M, N), no base of
-    even index a square mod every prime p = 1 (mod lcm(M, N)*d), and
-    gcd(M/D, D) = gcd(N/D, D) = 1 for D = gcd(M, N).
+    neither base an l-th power in Q for a prime l | lcm(M, N), gcd(M/D, D)
+    = gcd(N/D, D) = 1 for D = gcd(M, N), and quadratic characters that some
+    prime can satisfy.
 
-    A base c is such a square when the discriminant of Q(sqrt c) divides
-    the modulus: then Q(sqrt c) lies in Q(zeta_modulus), so c is a square
-    mod every prime p = 1 (mod modulus) and no prime can qualify.  The last
-    gives a prime l | M or l | N the same power there as in lcm(M, N), which
-    the order test of `qualifying_primes` rests on.
+    The index hypothesis gives a prime l | M or l | N the same power there
+    as in L = lcm(M, N), which the order test of `qualifying_primes` rests
+    on.  So a base c of even index has L/I odd, and a qualifying p asks
+    (c/p) = -1 of it, as c must not be a square mod p; a base whose index I
+    has L/I even asks (c/p) = +1, as c^(w*I) = 1 then makes c^((p-1)/2) = 1.
+    When no prime p = 1 (mod L*d) with (p-1)/L prime to L meets both (see
+    `_character_pairs`), no prime qualifies and the run is refused: a base
+    of even index is a square mod every such p when the discriminant of
+    Q(sqrt c) divides L*d, and two bases can have tied characters, as a = 3,
+    b = 6 at N = 4, where every such p is 5 mod 8 and (2/p) = -1.
     """
     modulus = math.lcm(M, N)
     if d < 1:
@@ -65,21 +92,31 @@ def check_bases(a: int, b: int, M: int, N: int, d: int = 1) -> None:
                     f"{name} = {v} is an l-th power in Q for l = {l}; the bases must "
                     f"not be l-th powers in Q for any prime l dividing the modulus"
                 )
-    modulus *= d
-    for name, c, index in (("a", a, M), ("b", b, N)):
-        if index % 2:
-            continue
-        core, disc = _quadratic_field(c)
-        if core != 1 and modulus % disc == 0:
-            raise HypothesisError(
-                f"{name} = {c} is a square mod every prime p = 1 (mod {modulus}): the "
-                f"discriminant {disc} of Q(sqrt {core}) divides {modulus}, so no prime qualifies"
-            )
     D = math.gcd(M, N)
     if math.gcd(M // D, D) != 1 or math.gcd(N // D, D) != 1:
         raise HypothesisError(
             f"indices M = {M}, N = {N} need gcd(M/D, D) = gcd(N/D, D) = 1 "
             f"for D = gcd(M, N) = {D}"
+        )
+    # the value each base's character must take at a qualifying p, 0 for none
+    signs = [-1 if index % 2 == 0 else 1 - modulus % 2 for index in (M, N)]
+    pairs = _character_pairs(tuple(_quadratic_field(c)[0] if s else 1 for c, s in zip((a, b), signs)),
+                             modulus, d)
+    admitted = f"p = 1 (mod {modulus * d}) with (p - 1)/{modulus} prime to {modulus}"
+    for i, (name, c) in enumerate((("a", a), ("b", b))):
+        if signs[i] and all(pair[i] != signs[i] for pair in pairs):
+            core, disc = _quadratic_field(c)
+            if signs[i] < 0:  # c's character is 1 on every such p just when disc | modulus * d
+                raise HypothesisError(
+                    f"{name} = {c} is a square mod every prime p = 1 (mod {modulus * d}): the "
+                    f"discriminant {disc} of Q(sqrt {core}) divides {modulus * d}, so no prime qualifies"
+                )
+            raise HypothesisError(f"{name} = {c} is a non-square mod every prime {admitted}, yet its "
+                                  f"index asks for a square, so no prime qualifies")
+    if all(signs) and tuple(signs) not in pairs:
+        raise HypothesisError(
+            f"the quadratic characters of a = {a} and b = {b} are tied: no prime {admitted} has "
+            f"(a/p) = {signs[0]} and (b/p) = {signs[1]}, so no prime qualifies"
         )
 
 

@@ -3,14 +3,31 @@
 No command runs it: `ff-verify` finds the qualifying pi as Frobenius orbits
 and certifies them by one division.  Here Rabin's test picks the irreducible
 pi out of the monic polynomials by index, and `ff_equivalence_check`
-rebuilds the qualifying set from exact remainders alone.
+rebuilds the qualifying set from exact remainders alone.  `lift` reads a
+polynomial over F_q as one over F_Q, and `qualifying` lists a scan's pi over
+F_Q by their coefficients.
 """
 
 from cyclogcd.arith import factorize
 from cyclogcd.cyclotomic import eval_poly_fq
 from cyclogcd.errors import VerificationError
-from cyclogcd.ffield import FFScanResult, _monic_by_index
+from cyclogcd.ffield import FFConstruction, FFScanResult, _monic_by_index, conjugates, extension, min_poly
 from cyclogcd.fqpoly import FqPolynomial, _powmod, poly_gcd, poly_pow
+
+
+def lift(constr: FFConstruction, f: FqPolynomial) -> FqPolynomial:
+    """Reinterpret a base-field polynomial over the big field, whose
+    elements below q are the base field."""
+    if f.ctx is not constr.base:
+        raise ValueError("polynomial is not over the base field")
+    return FqPolynomial(constr.big, f.coeffs)
+
+
+def qualifying(scan: FFScanResult) -> tuple[tuple[int, ...], ...]:
+    """The coefficient tuples over F_Q of the scan's qualifying pi, sorted:
+    the minimal polynomials of its roots."""
+    ext, Q = extension(scan.constr.big, scan.N), scan.constr.Q
+    return tuple(sorted(min_poly(ext, conjugates(ext, z, Q), Q) for z in scan.roots))
 
 
 def poly_powmod(base: FqPolynomial, exponent: int, modulus: FqPolynomial) -> FqPolynomial:
@@ -50,12 +67,12 @@ def ff_equivalence_check(scan: FFScanResult) -> tuple[int, list[tuple[int, ...]]
     Every monic irreducible pi of degree N over F_Q not dividing ab is tested
     for pi | gcd(Phi_m(a^n), Phi_m(b^n)) by exact remainders of both values.
     Returns (number of pi checked, the sorted coefficient tuples of the pi
-    on which the dividing set and scan.qualifying differ).
+    on which the dividing set and qualifying(scan) differ).
     """
     constr = scan.constr
-    value_a = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.a, scan.n)))
-    value_b = constr.lift(eval_poly_fq(constr.m, poly_pow(scan.b, scan.n)))
-    a_big, b_big = constr.lift(scan.a), constr.lift(scan.b)
+    value_a = lift(constr, eval_poly_fq(constr.m, poly_pow(scan.a, scan.n)))
+    value_b = lift(constr, eval_poly_fq(constr.m, poly_pow(scan.b, scan.n)))
+    a_big, b_big = lift(constr, scan.a), lift(constr, scan.b)
     checked = 0
     dividing = set()
     monics = (FqPolynomial(constr.big, mu) for mu in _monic_by_index(constr.Q, scan.N))
@@ -69,4 +86,4 @@ def ff_equivalence_check(scan: FFScanResult) -> tuple[int, list[tuple[int, ...]]
         checked += 1
         if divides:
             dividing.add(pi.coeffs)
-    return checked, sorted(dividing.symmetric_difference(scan.qualifying))
+    return checked, sorted(dividing.symmetric_difference(qualifying(scan)))

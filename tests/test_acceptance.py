@@ -37,7 +37,8 @@ SQUARE_FORCED = {8: 2, 10: 5, 12: 3}
 
 # (modulus, c, c') whose quadratic characters are tied on every p the congruences leave:
 # at N = 4 and 12, p = 5 (mod 8) makes 2 a non-square, so one of c, 2c is a square; at
-# N = 6, p = 7 (mod 12) makes 3 a non-square, so one of 2, 6 is.  No prime qualifies.
+# N = 6, p = 7 (mod 12) makes 3 a non-square, so one of 2, 6 is.  No prime qualifies,
+# and the gate refuses them up front.
 NO_PRIME = {(N, a, b) for N, c, c2 in ((4, 3, 6), (4, 5, 10), (6, 2, 6), (12, 5, 10))
             for a, b in ((c, c2), (c2, c))}
 
@@ -60,7 +61,7 @@ def test_criterion_1_lemma_exhaustivity():
                     refused += 1
                     continue
                 if (modulus, a, b) in NO_PRIME:
-                    with pytest.raises(ValueError, match="no prime p <= p_max = 20000 qualifies"):
+                    with pytest.raises(HypothesisError, match=f"characters of a = {a} and b = {b} are tied"):
                         lemma_scan(modulus, a, b, 20000, 20, jobs=1)
                     empty += 1
                     continue
@@ -72,7 +73,7 @@ def test_criterion_1_lemma_exhaustivity():
     assert cases > 10**6
     assert elapsed < 60.0, f"lemma exhaustivity took {elapsed:.1f}s"
     _ok(1, f"{cases} divisibility cases over N <= 12, p <= 20000, zero failures, "
-           f"{refused} square-forced and {empty} prime-free triples refused, {elapsed:.1f}s")
+           f"{refused} square-forced and {empty} tied-character triples refused, {elapsed:.1f}s")
 
 
 def test_criterion_2_champion_pipeline():

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import math
 
 import pytest
@@ -352,12 +353,13 @@ def test_a_segment_is_counted_in_values_of_k(monkeypatch):
 
 def test_squares_forced_by_the_modulus():
     # rejected exactly when every p = 1 (mod modulus) up to 5000 has c as a square, for c as
-    # a at index modulus and as b; the other base, 2 at index 1, is never tested for squares
+    # a at index modulus and as b; the other base, 13 at index 1, must be a square mod p
+    # (L/I is even), which leaves c free: only its own factor at 13 decides it
     for modulus in (2, 4, 6, 8, 10, 12, 24, 40):
         for c in (2, 3, 5, 6, 7, 10, 12, 18):
             primes = [p for p in primes_in_range(2, 5001) if p % modulus == 1 and c % p]
             always = all(is_nthpow_residue(c, 2, p) for p in primes)
-            for name, args in (("a", (c, 2, modulus, 1)), ("b", (2, c, 1, modulus))):
+            for name, args in (("a", (c, 13, modulus, 1)), ("b", (13, c, 1, modulus))):
                 try:
                     check_bases(*args)
                     rejected = False
@@ -365,3 +367,41 @@ def test_squares_forced_by_the_modulus():
                     rejected = True
                     assert f"{name} = {c} is a square" in str(exc) and f"(mod {modulus})" in str(exc)
                 assert rejected == always, (modulus, c, name)
+
+
+def _has_order(u, n, p):
+    return pow(u, n, p) == 1 and all(pow(u, n // l, p) != 1 for l in primefactors(n))
+
+
+def test_gate_refuses_exactly_the_bases_no_prime_below_the_bound_meets():
+    # the quadratic-character gate of check_bases against a search of every prime below 10^5
+    # by the definition: p = 1 (mod L d), (p-1)/L prime to L, a^w of order M and b^w of
+    # order N.  Every input the gate passes finds its prime below 5 * 10^4; bases that are
+    # l-th powers in Q for a prime l | L are refused by the rule before, and skipped
+    bound = 10**5
+    primes = list(primerange(3, bound))
+    tied, refused, found = set(), collections.Counter(), 0
+    for M, N in [(n, n) for n in (2, 4, 6, 8, 12)] + [(1, 4), (2, 3)]:
+        L = math.lcm(M, N)
+        for d in (1, 5):
+            admitted = [p for p in primes if (p - 1) % (L * d) == 0 and math.gcd((p - 1) // L, L) == 1]
+            for a, b in itertools.product(range(2, 16), repeat=2):
+                if any(factorize(c).is_lth_power(l) for c in (a, b) for l in primefactors(L)):
+                    continue
+                first = next((p for p in admitted if a % p and b % p and _has_order(pow(a, (p - 1) // L, p), M, p)
+                              and _has_order(pow(b, (p - 1) // L, p), N, p)), None)
+                try:
+                    check_bases(a, b, M, N, d)
+                except HypothesisError as exc:
+                    assert first is None, (M, N, d, a, b, first)
+                    kind = next(k for k in ("are tied", "is a square", "is a non-square") if k in str(exc))
+                    refused[kind] += 1
+                    if kind == "are tied":
+                        tied.add((M, N, d, a, b))
+                    continue
+                assert first is not None and first < bound // 2, (M, N, d, a, b)
+                found += 1
+    ties = {(N, N, 1, a, b) for N, c, c2 in ((4, 3, 6), (4, 5, 10), (6, 2, 6), (12, 5, 10))
+            for a, b in ((c, c2), (c2, c))}
+    assert ties <= tied and found == 1367
+    assert refused == {"are tied": 76, "is a square": 323, "is a non-square": 112}

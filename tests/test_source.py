@@ -1,6 +1,7 @@
 import ast
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -212,35 +213,40 @@ def test_trace_points_are_the_globals_the_runs_call(monkeypatch, capsys):
 
 
 def test_ff_verify_success_path_stays_over_the_base_field(monkeypatch, capsys):
-    # a certificate that passes forms and divides its product over F_q: it
-    # lifts nothing to F_Q and computes no minimal polynomial over F_Q; only
-    # the failure path that names a culprit does
-    from cyclogcd import cli, ffield
+    # at Q = 4 = 2^2 a certificate forms, divides and, when it fails, names its
+    # culprit over F_2: no packed kernel is built for F_Q, on a passing run or
+    # on the doctored scans of the failure tests in test_ffield.py
+    from array import array
 
-    calls = []
+    from cyclogcd import cli, ffield, fqpoly
 
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+    seen = []
+    real = fqpoly._planes_of
 
-        return wrapper
+    def spy(ctx):
+        seen.append(ctx)
+        return real(ctx)
 
-    monkeypatch.setattr(ffield.FFConstruction, "lift", spy("lift", ffield.FFConstruction.lift))
-    monkeypatch.setattr(ffield.FFScanResult, "qualifying",
-                        property(spy("qualifying", ffield.FFScanResult.qualifying.func)))
-    for name in ("poly_pow", "eval_poly_fq", "poly_gcd"):
-        monkeypatch.setattr(ffield, name, spy(name, getattr(ffield, name)))
+    monkeypatch.setattr(fqpoly, "_planes_of", spy)
     assert cli.main(["ff-verify", "--q", "2", "--k", "1", "--n0", "1", "--m", "3",
                      "--a-poly", "0,1", "--b-poly", "1,1", "--deg-max", "4"]) == 0
     capsys.readouterr()
-    assert set(calls) == {"poly_pow", "eval_poly_fq", "poly_gcd"}
     base = ffield.fq_context(2, 1)
-    scan = ffield.ff_scan(ffield.ff_construction(base, 1, 1, 3), 2,
-                          ffield.FqPolynomial(base, (0, 1)), ffield.FqPolynomial(base, (1, 1)))
-    with pytest.raises(ffield.VerificationError, match="product of the qualifying pi"):
-        ffield.ff_direct_verify(scan._replace(roots=scan.roots + scan.roots[:1]))
-    assert {"lift", "qualifying"} <= set(calls)
+    constr = ffield.ff_construction(base, 1, 1, 3)
+    scan = ffield.ff_scan(constr, 3, ffield.FqPolynomial(base, (0, 1)), ffield.FqPolynomial(base, (1, 1)))
+    ext = ffield.extension(constr.big, 3)
+    pis = {min(ffield.conjugates(ext, z, 4)) for z in scan.roots}
+    extra = next(z for z in range(1, ext.q) if len(ffield.conjugates(ext, z, 4)) == 3
+                 and min(ffield.conjugates(ext, z, 4)) not in pis)
+    pi = ffield.FqPolynomial(constr.big, ffield.min_poly(ext, ffield.conjugates(ext, extra, 4), 4))
+    dropped = next(z for z in scan.roots if len(ffield.conjugates(ext, z, 2)) == 6)
+    for roots, match in ((scan.roots + array("i", [extra]), f"qualifying pi = {pi} does not divide"),
+                         (scan.roots + scan.roots[:1], "product of the qualifying pi"),
+                         (array("i", (z for z in scan.roots if z != dropped)),
+                          "product of the qualifying pi is no product over F_2")):
+        with pytest.raises(ffield.VerificationError, match=re.escape(match)):
+            ffield.ff_direct_verify(scan._replace(roots=roots))
+    assert base in seen and constr.big.q == 4 and all(ctx is not constr.big for ctx in seen)
 
 
 def test_trace_mode_installs_for_every_bench_label():
