@@ -188,63 +188,48 @@ def _cmd_ff(args, jobs):
     return {"r": constr.r, "t": constr.t, "Q": constr.Q, "per_N": per_n}, columns, per_n
 
 
-_SUBCOMMANDS = {  # name: (help line, the function that runs it)
-    "gcd-seq": ("exact gcd(Phi_M(a^n), Phi_N(b^n)) rows", _cmd_gcd_seq),
-    "champion": ("pigeonhole a champion n with many certified prime divisors", _cmd_champion),
-    "density": ("predicted vs empirical qualifying-prime density", _cmd_density),
-    "delta": ("divisor counters delta(n) up to a limit", _cmd_delta),
-    "verify-lemma": ("exhaustive divisibility-lemma verification", _cmd_verify_lemma),
-    "ff": ("function-field qualifying-pi scan", _cmd_ff),
-    "ff-verify": ("scan plus exact gcd degree certification", _cmd_ff),
+_SUBCOMMANDS = {  # name: (help line, the function that runs it, its flags in usage order)
+    "gcd-seq": ("exact gcd(Phi_M(a^n), Phi_N(b^n)) rows", _cmd_gcd_seq,
+                ("--a", "--b", "--N", "--M", "--n-max")),
+    "champion": ("pigeonhole a champion n with many certified prime divisors", _cmd_champion,
+                 ("--a", "--b", "--N", "--M", "--x", "--delta")),
+    "density": ("predicted vs empirical qualifying-prime density", _cmd_density,
+                ("--N", "--d", "--a", "--b", "--x")),
+    "delta": ("divisor counters delta(n) up to a limit", _cmd_delta, ("--limit", "--squarefree")),
+    "verify-lemma": ("exhaustive divisibility-lemma verification", _cmd_verify_lemma,
+                     ("--N", "--a", "--b", "--p-max", "--m-max")),
+    "ff": ("function-field qualifying-pi scan", _cmd_ff,
+           ("--q", "--k", "--n0", "--m", "--a-poly", "--b-poly", "--deg-max")),
+    "ff-verify": ("scan plus exact gcd degree certification", _cmd_ff,
+                  ("--q", "--k", "--n0", "--m", "--a-poly", "--b-poly", "--deg-max", "--n-cap")),
 }
 
-
-def _add_options(p: argparse.ArgumentParser, name: str) -> None:
-    """The options of subcommand `name`, in the order of its usage line."""
-    if name == "gcd-seq":
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    elif name == "champion":
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--x", type=int, required=True)
-        p.add_argument("--delta", type=float, default=0.9)
-    elif name == "density":
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-        p.add_argument("--x", type=int, required=True)
-    elif name == "delta":
-        p.add_argument("--limit", type=int, required=True)
-        p.add_argument("--squarefree", action="store_true")
-    elif name == "verify-lemma":
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-        p.add_argument("--p-max", dest="p_max", type=int, required=True)
-        p.add_argument("--m-max", dest="m_max", type=int, default=20)
-    else:  # ff, ff-verify
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n0", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--a-poly", dest="a_poly", required=True,
-                       help="coefficients, constant first, e.g. '0,1' for T")
-        p.add_argument("--b-poly", dest="b_poly", required=True)
-        p.add_argument("--deg-max", dest="deg_max", type=int, required=True)
-        if name == "ff-verify":
-            p.add_argument("--n-cap", dest="n_cap", type=int, default=5000)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism width, clamped to the CPU count")
-    p.set_defaults(run=_SUBCOMMANDS[name][1])
+_OPTIONS = {  # flag: its argparse keywords; argparse derives dest and metavar from the flag
+    "--a": dict(type=int, required=True),
+    "--b": dict(type=int, required=True),
+    "--N": dict(type=int, required=True),
+    "--M": dict(type=int, default=None),
+    "--n-max": dict(type=int, required=True),
+    "--x": dict(type=int, required=True),
+    "--delta": dict(type=float, default=0.9),
+    "--d": dict(type=int, default=1),
+    "--limit": dict(type=int, required=True),
+    "--squarefree": dict(action="store_true"),
+    "--p-max": dict(type=int, required=True),
+    "--m-max": dict(type=int, default=20),
+    "--q": dict(type=int, required=True),
+    "--k": dict(type=int, required=True),
+    "--n0": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--a-poly": dict(required=True, help="coefficients, constant first, e.g. '0,1' for T"),
+    "--b-poly": dict(required=True),
+    "--deg-max": dict(type=int, required=True),
+    "--n-cap": dict(type=int, default=5000),
+    # every subcommand ends with these three
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--jobs": dict(type=int, default=1, help="parallelism width, clamped to the CPU count"),
+}
 
 
 class _Subcommand:
@@ -260,7 +245,10 @@ class _Subcommand:
 
     def parse_known_args(self, args, namespace):
         parser = argparse.ArgumentParser(prog=self.prog)
-        _add_options(parser, self.command)
+        _, run, flags = _SUBCOMMANDS[self.command]
+        for flag in (*flags, "--format", "--out", "--jobs"):
+            parser.add_argument(flag, **_OPTIONS[flag])
+        parser.set_defaults(run=run)
         return parser.parse_known_args(args, namespace)
 
 
@@ -271,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
-    for name, (text, _) in _SUBCOMMANDS.items():
+    for name, (text, _, _) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=text, command=name)
     return parser
 

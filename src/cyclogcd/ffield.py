@@ -29,8 +29,9 @@ oracle (`tests/ffield_oracle.py`).
 import itertools
 import math
 from array import array
+from collections import deque
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith import factorize, moebius
 from .cyclotomic import eval_poly_fq
@@ -409,13 +410,16 @@ def ff_scan(constr: FFConstruction, N: int, a: FqPolynomial, b: FqPolynomial) ->
     return FFScanResult(constr, N, a, b, n, density * scale, density_alt * scale, total, roots)
 
 
-def _product(polys: list[FqPolynomial], ctx: FieldContext) -> FqPolynomial:
-    """The product of polys, by a pairwise product tree."""
-    polys = polys or [FqPolynomial.one(ctx)]
-    while len(polys) > 1:
-        odd = polys[-1:] if len(polys) % 2 else []
-        polys = [f * g for f, g in zip(polys[::2], polys[1::2])] + odd
-    return polys[0]
+def _product_tree(polys: list[FqPolynomial], ctx: FieldContext) -> Iterator[list[FqPolynomial]]:
+    """The levels of the pairwise product tree of polys, leaves first: node j
+    of a level is the product of nodes 2j and 2j + 1 (if any) of the level
+    below, and the last level holds the product of polys alone."""
+    level = polys or [FqPolynomial.one(ctx)]
+    yield level
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [f * g for f, g in zip(level[::2], level[1::2])] + odd
+        yield level
 
 
 class FFVerifyResult(NamedTuple):
@@ -453,7 +457,8 @@ def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     irreducibles over F_q of total degree N * count: all divide g iff their
     product does.  As g lies in F_q[T], a pi divides g iff the norm of its
     orbit does, so a failure names the least pi over F_Q (by the minimal
-    polynomial of a listed root) of an orbit whose norm misses g.
+    polynomial of a listed root) of an orbit whose norm misses g, found by
+    reducing g down the product tree only below the nodes that miss it.
     """
     constr, n, q = scan.constr, scan.n, scan.constr.base.q
     if n > n_cap:
@@ -461,11 +466,18 @@ def ff_direct_verify(scan: FFScanResult, n_cap: int = 5000) -> FFVerifyResult:
     # the values are freed before the product is formed
     g = poly_gcd(*(eval_poly_fq(constr.m, poly_pow(f, n)) for f in (scan.a, scan.b)))
     norms, whole = _norms(scan)
-    rest = g % _product([norm for norm, _ in norms], constr.base)  # g mod a norm is rest mod it
-    if not (whole and rest.is_zero):
+    leaves = [norm for norm, _ in norms]
+    # g mod each node of a level whose parent misses g; a level is freed once the next is built
+    rest = {0: g % deque(_product_tree(leaves, constr.base), maxlen=1)[0][0]}
+    if not (whole and rest[0].is_zero):
+        # the tree is built again, whole: keeping its levels would raise the success path's peak memory
+        for level in reversed(list(_product_tree(leaves, constr.base))[:-1]):
+            # g mod a node is (g mod its parent) mod it
+            rest = {j: r % level[j] for i, r in rest.items() if not r.is_zero
+                    for j in range(2 * i, min(2 * i + 2, len(level)))}
         ext, Q = extension(constr.big, scan.N), constr.Q
         missed = [min_poly(ext, conjugates(ext, z, Q), Q)
-                  for norm, roots in norms if not (rest % norm).is_zero for z in roots]
+                  for j, r in rest.items() if not r.is_zero for z in norms[j][1]]
         # distinct norms are coprime, so a scan whose orbits are whole always misses one
         raise VerificationError(f"qualifying pi = {FqPolynomial(constr.big, min(missed))} does not divide "
                                 f"the gcd" if missed else

@@ -185,8 +185,6 @@ class _DigitPlanes:
         sum_j C[i][j][k] x_j, so f x = sum_i f_i (e_i x) over the digits f_i
         of f adds at most `growth` to a slot."""
         E, w = self.E, self.width
-        if E == 1:  # C = [[1]]
-            return [x]
         bits = 8 * w
         if self.one >> (n - 1) * E * bits == 0:  # extend the mask, doubling it
             self.one = int.from_bytes((b"\xff" * w + bytes(w * (E - 1))) * (2 * n), "little")

@@ -385,6 +385,11 @@ USAGE_CASES = {
     "help": (["--help"], 0),
     "champion_help": (["champion", "--help"], 0),
     "ff_verify_help": (["ff-verify", "--help"], 0),
+    "gcd_seq_help": (["gcd-seq", "--help"], 0),
+    "density_help": (["density", "--help"], 0),
+    "delta_help": (["delta", "--help"], 0),
+    "verify_lemma_help": (["verify-lemma", "--help"], 0),
+    "ff_help": (["ff", "--help"], 0),
 }
 
 

@@ -22,7 +22,7 @@ from cyclogcd.ffield import (
     _log_terms,
     _norms,
     _primitive_modulus,
-    _product,
+    _product_tree,
     _t_is_primitive,
     choose_params,
     conjugates,
@@ -306,13 +306,13 @@ def test_packed_kernel_matches_the_schoolbook_over_extension_fields():
             h = _random(ctx, d + 1, rng)
             f, g = h * _random(ctx, rng.randrange(1, 60), rng), h * _random(ctx, rng.randrange(1, 60), rng)
             assert poly_gcd(f, g) == _schoolbook_gcd(f, g), (ctx, d)
-    # the product tree of the 92 qualifying pi at N = 5 over F_4, and the gcd it divides
-    pis = [FqPolynomial(CONSTR.big, c) for c in qualifying(scan_of(5))]
-    level = pis
-    while len(level) > 1:
-        level = [_schoolbook_mul(f, g) for f, g in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2:]
-    product = _product(pis, CONSTR.big)
-    assert product == level[0] and product.degree == 460
+    # the product tree of the 92 qualifying pi at N = 5 over F_4, level by level, and the gcd it divides
+    levels = [[FqPolynomial(CONSTR.big, c) for c in qualifying(scan_of(5))]]
+    while len(level := levels[-1]) > 1:
+        levels.append([_schoolbook_mul(f, g) for f, g in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2:])
+    assert list(_product_tree(levels[0], CONSTR.big)) == levels
+    product = levels[-1][0]
+    assert product.degree == 460
     values = [eval_poly_fq(3, poly_pow(f, CONSTR.n_for(5))) for f in (A_POLY, B_POLY)]
     g = lift(CONSTR, poly_gcd(*values))
     assert g.degree == 462 and _schoolbook_mod(g, product) == g % product
@@ -873,6 +873,23 @@ def test_ff_direct_verify_refuses_a_scan_that_misses_a_conjugate_pi(monkeypatch,
     assert "product of the qualifying pi is no product over F_2" in capsys.readouterr().err
 
 
+def test_ff_direct_verify_failure_reduces_only_down_the_failing_branch(monkeypatch):
+    # one non-qualifying root added at N = 7: the failure reduces g down the
+    # product tree of the norms, two children a level, not once per norm
+    scan = scan_of(7)
+    ext = extension(CONSTR.big, 7)
+    z = next(ext.exp[L] for L in coset_leaders(ext) if ext.exp[L] not in set(scan.roots))
+    doctored = scan._replace(roots=scan.roots + array("i", [z]))
+    pi = FqPolynomial(CONSTR.big, min_poly(ext, conjugates(ext, z, 4), 4))
+    count = len(_norms(doctored)[0])
+    calls = []
+    real = FqPolynomial.__mod__
+    monkeypatch.setattr(FqPolynomial, "__mod__", lambda f, g: calls.append(g) or real(f, g))
+    with pytest.raises(VerificationError, match=re.escape(f"qualifying pi = {pi} does not divide the gcd")):
+        ff_direct_verify(doctored, n_cap=5461)
+    assert count > 500 and 0 < len(calls) <= 2 * math.ceil(math.log2(count)) + 2
+
+
 def test_norms_multiply_to_the_product_of_the_qualifying_pi():
     # the product over F_q of the norms, lifted, is the product over F_Q of
     # the qualifying pi, at every degree with Q^N < 2^20 and a nonzero count
@@ -892,8 +909,8 @@ def test_norms_multiply_to_the_product_of_the_qualifying_pi():
                 cases += 1
                 pis = [FqPolynomial(constr.big, c) for c in qualifying(scan)]
                 norms, whole = _norms(scan)
-                assert whole and lift(constr, _product([norm for norm, _ in norms], base)) == _product(
-                    pis, constr.big), (q, m, N)
+                product = list(_product_tree([norm for norm, _ in norms], base))[-1][0]
+                assert whole and lift(constr, product) == list(_product_tree(pis, constr.big))[-1][0], (q, m, N)
                 if constr.Q**N <= 2**10:
                     assert ff_equivalence_check(scan)[1] == [], (q, m, N)
             N += 1
